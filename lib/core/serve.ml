@@ -8,22 +8,30 @@
    streams progress events back live, and resolves warm jobs from the
    content-addressed result cache.
 
-   Concurrency model: one reader domain per connection (ops — submit,
-   cancel, status, subscription toggles — are handled promptly, even
-   while a job runs), capped at [max_reader_domains] — OCaml 5 bounds
-   live domains and the campaign engine's workers share that budget,
-   so a connection burst sheds instead of crashing — plus one executor
-   domain that drains the FIFO.  One job runs at a time: parallelism
-   lives inside the campaign engine (worker domains), not across jobs,
-   so two submissions never fight over domains or artifact files.  All
-   shared state sits behind one mutex [t.m].  Outbound frames never
-   block: each client has a FIFO of pending frames drained by
-   non-blocking writes (at enqueue time and whenever the reader's
-   select reports the socket writable), so a client that stops reading
-   stalls only itself — once [max_outbound_bytes] pile up it is shed.
-   Submit acks are enqueued while [t.m] is held and the executor needs
-   [t.m] to dequeue, so a job's ack always precedes its progress/done
-   frames in the client's outbound FIFO.
+   Concurrency model: one [Unix.select] loop owns the listening socket,
+   every connection and its outbound queue, the FIFO, the history, the
+   subscriptions and the journal, so none of them is locked.  The only
+   other domain is the executor.  It blocks on a pipe until the loop
+   hands it a job, runs [Job.execute] — one job at a time: parallelism
+   lives inside the campaign engine's worker domains, so two
+   submissions never fight over domains or artifact files — and reports
+   progress, telemetry, artifact errors and the outcome through the
+   mailbox, a mutex-guarded queue plus a self-pipe that wakes the loop.
+   Its stop hook reads only atomics (shutdown, the record's cancel
+   flag) and its own deadline.  The loop blocks until I/O arrives, the
+   mailbox wakes it, or the earliest backoff release is due.  (The
+   executor outlives its jobs: a fresh domain per job made most jobs
+   wait out a full telemetry-ticker period, DESIGN.md §11.)
+
+   Because one loop does everything in turn, a job's ack is queued
+   before the job can start, so it precedes every progress and done
+   frame, and each journal entry is appended before the frame that
+   reports it.  Outbound frames never block: each client has a FIFO of
+   pending frames drained by non-blocking writes, so a client that
+   stops reading stalls only itself; once [max_outbound_bytes] pile up
+   (or a partial inbound frame grows that large) it is dropped.
+   [Unix.select] cannot watch descriptors >= 1024, so connections past
+   [max_connections] are refused with an error frame.
 
    Crash safety (DESIGN.md §13): every accepted spec and every state
    transition is appended (fsync'd) to <out_dir>/serve_journal.jsonl
@@ -98,19 +106,16 @@ let is_terminal = function
    {"op":"cancel"} can be routed without an id.
 
    Outbound frames go through [cl_outq], written with non-blocking
-   writes only — a send never blocks, so a client whose socket buffer
-   is full (stopped reading) can never wedge the executor or the other
-   connections' ops.  A backlog past [max_outbound_bytes] marks the
-   client dead ([cl_dead]); its reader turns that into a normal
-   disconnect. *)
+   writes only, so a client whose socket buffer is full (it stopped
+   reading) never holds up the loop.  A client marked [cl_dead] is
+   closed and detached at the end of the loop's turn. *)
 type client = {
-  cl_fd : Unix.file_descr;  (* set non-blocking by the reader *)
+  cl_fd : Unix.file_descr;  (* non-blocking *)
   cl_dec : Json.Stream.decoder;
-  cl_wmutex : Mutex.t;  (* guards the outbound fields below *)
   cl_outq : string Queue.t;  (* whole frames (line included), oldest first *)
   mutable cl_out_pos : int;  (* bytes of the queue head already written *)
   mutable cl_out_bytes : int;  (* unwritten bytes across the whole queue *)
-  mutable cl_dead : bool;  (* write error or slow-consumer shed *)
+  mutable cl_dead : bool;  (* hung up, write error, or shed *)
   mutable subscribed : bool;
   mutable cl_last_submit : int;  (* 0 = none *)
 }
@@ -132,7 +137,7 @@ type record = {
   mutable last_telemetry_s : float;  (* Unix time of last snapshot; 0. = never *)
   mutable attempt : int;  (* 0-based execution attempt *)
   mutable not_before : float;  (* backoff gate (Unix time); 0. = ready *)
-  mutable cancel_req : bool;  (* consumed by the running job's stop hook *)
+  cancel_req : bool Atomic.t;  (* read by the running job's stop hook *)
   mutable watchers : client list;  (* clients streaming this job *)
   mutable ever_watched : bool;  (* false only for journal-resumed jobs *)
 }
@@ -140,18 +145,16 @@ type record = {
 (* ---- framing ---- *)
 
 let max_outbound_bytes = 8 * 1024 * 1024
-let max_reader_domains = 32
+let max_connections = 32
 
-(* Call with [cl.cl_wmutex] held. *)
 let clear_outbound cl =
   cl.cl_dead <- true;
   Queue.clear cl.cl_outq;
   cl.cl_out_pos <- 0;
   cl.cl_out_bytes <- 0
 
-(* Write as much queued outbound as the socket accepts right now.
-   Call with [cl.cl_wmutex] held; never blocks (the fd is
-   non-blocking). *)
+(* Write as much queued outbound as the socket accepts right now; never
+   blocks (the fd is non-blocking). *)
 let rec flush_outbound cl =
   match Queue.peek_opt cl.cl_outq with
   | None -> ()
@@ -169,11 +172,10 @@ let rec flush_outbound cl =
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
       | exception (Unix.Unix_error _ | Sys_error _) ->
           (* Hung-up client (EPIPE et al., SIGPIPE is ignored while
-             serving): the reader sees [cl_dead] and disconnects. *)
+             serving). *)
           clear_outbound cl)
 
 let send_client cl j =
-  Mutex.lock cl.cl_wmutex;
   if not cl.cl_dead then begin
     let s = Json.to_string ~minify:true j ^ "\n" in
     Queue.push s cl.cl_outq;
@@ -182,13 +184,10 @@ let send_client cl j =
     (* A reader that stopped draining its socket: shed it rather than
        buffer without bound. *)
     if cl.cl_out_bytes > max_outbound_bytes then clear_outbound cl
-  end;
-  Mutex.unlock cl.cl_wmutex
+  end
 
-let error_frame ?id msg =
-  Json.Obj
-    ((match id with None -> [] | Some id -> [ ("id", Json.Int id) ])
-    @ [ ("type", Json.String "error"); ("message", Json.String msg) ])
+let error_frame msg =
+  Json.Obj [ ("type", Json.String "error"); ("message", Json.String msg) ]
 
 let sig_md5 c = Digest.to_hex (Digest.string (Runner.signature c))
 
@@ -219,6 +218,18 @@ let subscription_frame cl =
   Json.Obj
     [
       ("type", Json.String (if cl.subscribed then "subscribed" else "unsubscribed"));
+    ]
+
+let progress_frame r (p : Runner.progress) =
+  Json.Obj
+    [
+      ("type", Json.String "progress");
+      ("id", Json.Int r.id);
+      ("done", Json.Int p.Runner.pr_done);
+      ("total", Json.Int p.Runner.pr_total);
+      ("cached", Json.Bool p.Runner.pr_cached);
+      ("label", Json.String p.Runner.pr_result.Runner.r_label);
+      ("ok", Json.Bool p.Runner.pr_result.Runner.r_ok);
     ]
 
 let telemetry_frame id te =
@@ -345,21 +356,165 @@ module Recovery = struct
     { completed; pending; next_id = !next; dropped_lines; dropped_bytes }
 end
 
+(* ---- the executor and its mailbox ---- *)
+
+(* How an attempt ended, as the executor reports it. *)
+type outcome =
+  | Finished of Job.outcome * state * string option
+      (* Done, or Cancelled at a job boundary; an artifact write error *)
+  | Failed of string  (* deadline blown or the job raised: retry or poison *)
+  | Interrupted  (* stopped by shutdown: stays pending in the journal *)
+
+(* Executor → loop.  One attempt posts its progress and telemetry, then
+   exactly one [Outcome]. *)
+type msg =
+  | Progress of record * Runner.progress
+  | Telemetry of record * float * Runner.telemetry  (* received at (Unix time) *)
+  | Outcome of record * outcome
+
+type mailbox = {
+  mb_lock : Mutex.t;  (* guards the two fields below *)
+  mb_msgs : msg Queue.t;
+  mutable mb_woken : bool;  (* a wake byte was written since the last [take] *)
+  mb_wake_rd : Unix.file_descr;  (* self-pipe, selected by the loop *)
+  mb_wake_wr : Unix.file_descr;
+}
+
+let mailbox () =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wr;
+  { mb_lock = Mutex.create (); mb_msgs = Queue.create (); mb_woken = false;
+    mb_wake_rd = rd; mb_wake_wr = wr }
+
+(* Callable from any domain.  At most one wake byte is pending, so the
+   pipe never fills.  A cached result's progress does not wake the loop:
+   hits resolve in one burst just as the campaign engine starts its
+   telemetry ticker, and a wake then slows that start (DESIGN.md §11).
+   Those frames leave with the next wake, at the latest the outcome. *)
+let post mb msg =
+  Mutex.protect mb.mb_lock (fun () ->
+      Queue.push msg mb.mb_msgs;
+      let wakes = match msg with Progress (_, p) -> not p.Runner.pr_cached | _ -> true in
+      if wakes && not mb.mb_woken then begin
+        mb.mb_woken <- true;
+        try ignore (Unix.write_substring mb.mb_wake_wr "!" 0 1)
+        with Unix.Unix_error _ -> ()
+      end)
+
+(* The loop's side, once [select] finds the pipe readable: swallow the
+   wake byte, then take every message; a [post] racing this either
+   lands in the batch or writes a fresh byte that wakes the next
+   [select]. *)
+let take mb =
+  ignore (Unix.read mb.mb_wake_rd (Bytes.create 64) 0 64);
+  let msgs = Queue.create () in
+  Mutex.protect mb.mb_lock (fun () ->
+      mb.mb_woken <- false;
+      Queue.transfer mb.mb_msgs msgs);
+  msgs
+
+(* Campaign-shaped jobs leave their usual artifacts in [dir]. *)
+let write_artifacts dir spec (o : Job.outcome) =
+  match spec with
+  | Job.Run _ | Job.Replay _ -> None
+  | Job.Campaign _ | Job.Chaos _ | Job.Explore _ -> (
+      try
+        ignore (Runner.write_artifact ~dir o.Job.o_campaign);
+        Option.iter
+          (fun co -> ignore (Chaos.write_failures ~dir co.Chaos.o_failures))
+          o.Job.o_chaos;
+        (match spec with
+        | Job.Explore { protocol; _ } ->
+            ignore (Explorer.write_counterexamples ~dir ~protocol o.Job.o_ces)
+        | _ -> ());
+        None
+      with Sys_error e -> Some ("artifact write failed: " ^ e))
+
 (* ---- the daemon ---- *)
 
 type t = {
   cfg : config;
   cache : Runner.Cache.t option;
-  m : Mutex.t;  (* guards every mutable field below + record mutation *)
   journal : Journal.t;
+  mailbox : mailbox;
+  shutdown : bool Atomic.t;  (* read by the executor's stop hook *)
+  handoff : record option Atomic.t;  (* the job [hand_over] passes on *)
+  exec_rd : Unix.file_descr;  (* the idle executor blocks reading here *)
+  exec_wr : Unix.file_descr;
+  mutable clients : client list;
   mutable history : record list;  (* newest first *)
   mutable queue : record list;  (* FIFO, oldest first; subset of history *)
   mutable running : record option;
   mutable next_id : int;
-  mutable shutdown : bool;
   mutable jobs_retried : int;
   mutable jobs_poisoned : int;
 }
+
+(* One attempt of [r] on the executor domain, reported through the
+   mailbox.  It reads only immutable fields ([t.cfg], [t.cache],
+   [r.spec], [r.deadline_s]) and the atomics, never the loop's mutable
+   state.  The stop hook is polled by the campaign
+   engine between job submissions: it folds in daemon shutdown, client
+   cancels and orphaned jobs (both set [cancel_req]), and the per-job
+   wall-clock deadline. *)
+let execute_record t r =
+  let spec = Option.get r.spec and mb = t.mailbox in
+  let deadline =
+    if r.deadline_s > 0. then Unix.gettimeofday () +. r.deadline_s
+    else Float.infinity
+  in
+  let why = ref `Cancel in
+  let stop () =
+    let reason =
+      if Atomic.get t.shutdown then Some `Shutdown
+      else if Atomic.get r.cancel_req then Some `Cancel
+      else if Unix.gettimeofday () > deadline then Some `Deadline
+      else None
+    in
+    Option.iter (fun w -> why := w) reason;
+    reason <> None
+  in
+  let outcome =
+    try
+      let o =
+        Job.execute ?jobs:t.cfg.jobs ?cache:t.cache
+          ~on_progress:(fun p -> post mb (Progress (r, p)))
+          ~on_telemetry:(fun te ->
+            (* Always attached: the loop keeps the record's freshness
+               stamp for [status] even when nobody is subscribed. *)
+            post mb (Telemetry (r, Unix.gettimeofday (), te)))
+          ~stop spec
+      in
+      match (o.Job.o_campaign.Runner.c_cancelled, !why) with
+      | true, `Deadline ->
+          Failed (Printf.sprintf "deadline exceeded (%.3gs)" r.deadline_s)
+      | true, `Shutdown -> Interrupted
+      | cancelled, _ ->
+          Finished
+            ( o,
+              (if cancelled then Cancelled else Done),
+              write_artifacts t.cfg.out_dir spec o )
+    with exn -> Failed ("raised: " ^ Printexc.to_string exn)
+  in
+  post mb (Outcome (r, outcome))
+
+(* The executor domain: block until the loop hands over a job, run it,
+   and wait again; a hand-over without a job ends it. *)
+let rec executor t =
+  match Unix.read t.exec_rd (Bytes.create 1) 0 1 with
+  | exception Unix.Unix_error (EINTR, _, _) -> executor t
+  | _ -> (
+      match Atomic.exchange t.handoff None with
+      | Some r ->
+          execute_record t r;
+          executor t
+      | None -> ())
+
+(* At most one hand-over is pending (the next waits for the outcome),
+   so the write never blocks. *)
+let hand_over t r =
+  Atomic.set t.handoff r;
+  ignore (Unix.write_substring t.exec_wr "!" 0 1)
 
 (* Journal IO failures (disk full, …) must degrade durability, not
    availability: the daemon keeps serving, recovery just knows less. *)
@@ -367,11 +522,18 @@ let jlog t entry =
   try Journal.append t.journal entry
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(* Call with [t.m] held. *)
-let fresh_record ?(deadline_s = 0.) ?(resumed = false) t spec =
+(* A new history record; [id] is given for journal-replayed jobs. *)
+let fresh_record ?id ?(deadline_s = 0.) ?(resumed = false) t spec =
+  let id =
+    match id with
+    | Some id -> id
+    | None ->
+        t.next_id <- t.next_id + 1;
+        t.next_id - 1
+  in
   let r =
     {
-      id = t.next_id;
+      id;
       spec;
       canonical = (match spec with Some s -> Job.canonical s | None -> "");
       deadline_s;
@@ -387,12 +549,11 @@ let fresh_record ?(deadline_s = 0.) ?(resumed = false) t spec =
       last_telemetry_s = 0.;
       attempt = 0;
       not_before = 0.;
-      cancel_req = false;
+      cancel_req = Atomic.make false;
       watchers = [];
       ever_watched = false;
     }
   in
-  t.next_id <- t.next_id + 1;
   t.history <- r :: t.history;
   r
 
@@ -400,16 +561,6 @@ let queue_depth t =
   List.length t.queue + (match t.running with Some _ -> 1 | None -> 0)
 
 let dequeue t r = t.queue <- List.filter (fun x -> x.id <> r.id) t.queue
-
-(* Call with [t.m] held, from the concluding transition itself — the
-   running slot must read empty before the job's done frame hits the
-   wire, or a status sent right after [done] still counts the job. *)
-let clear_running t r =
-  match t.running with Some x when x == r -> t.running <- None | _ -> ()
-
-(* Call with [t.m] held; watchers are snapshot so frames are written
-   after the lock is released. *)
-let watchers_of r = r.watchers
 
 let done_frame r ~jobs ~failed ~cancelled ~wall ~extra =
   Json.Obj
@@ -429,6 +580,8 @@ let done_frame r ~jobs ~failed ~cancelled ~wall ~extra =
      ]
     @ extra)
 
+let send_watchers r frame = List.iter (fun cl -> send_client cl frame) r.watchers
+
 (* Capped exponential backoff before retry [attempt] (1-based): the
    Fd.Timeout delay shape — base * 2^(attempt-1), capped — minus the
    jitter (a deterministic daemon is easier to test and to reason about
@@ -436,11 +589,10 @@ let done_frame r ~jobs ~failed ~cancelled ~wall ~extra =
 let backoff_delay t attempt =
   Float.min 60. (t.cfg.retry_backoff_s *. (2. ** float_of_int (max 0 (attempt - 1))))
 
-(* A failed attempt (deadline blown or executor crash): retry with
+(* A failed attempt (deadline blown or the job raised): retry with
    backoff while budget remains, else quarantine as poison with a
    ready-to-paste resubmission command in the journal. *)
 let conclude_failure t r note =
-  Mutex.lock t.m;
   r.errors <- r.errors @ [ note ];
   if r.attempt < t.cfg.retry_budget then begin
     r.attempt <- r.attempt + 1;
@@ -450,38 +602,31 @@ let conclude_failure t r note =
     r.phase <-
       Printf.sprintf "backoff %.3gs (retry %d/%d)" delay r.attempt
         t.cfg.retry_budget;
-    r.cancel_req <- false;
+    Atomic.set r.cancel_req false;
     t.jobs_retried <- t.jobs_retried + 1;
-    clear_running t r;
     t.queue <- t.queue @ [ r ];
     jlog t
       (Recovery.state_entry ~id:r.id ~attempt:r.attempt
          ~extra:
            [ ("backoff_s", Json.Float delay); ("reason", Json.String note) ]
          "retrying");
-    let ws = watchers_of r in
     t.cfg.log
       (Printf.sprintf "job %d: %s; retry %d/%d in %.3gs" r.id note r.attempt
          t.cfg.retry_budget delay);
-    Mutex.unlock t.m;
-    List.iter
-      (fun cl ->
-        send_client cl
-          (Json.Obj
-             [
-               ("type", Json.String "retry");
-               ("id", Json.Int r.id);
-               ("attempt", Json.Int r.attempt);
-               ("backoff_s", Json.Float delay);
-               ("reason", Json.String note);
-             ]))
-      ws
+    send_watchers r
+      (Json.Obj
+         [
+           ("type", Json.String "retry");
+           ("id", Json.Int r.id);
+           ("attempt", Json.Int r.attempt);
+           ("backoff_s", Json.Float delay);
+           ("reason", Json.String note);
+         ])
   end
   else begin
     r.rstate <- Poisoned;
     r.phase <- "poisoned";
     r.exit_code <- 6;
-    clear_running t r;
     t.jobs_poisoned <- t.jobs_poisoned + 1;
     let replay =
       match r.spec with
@@ -504,43 +649,19 @@ let conclude_failure t r note =
              ("replay", Json.String replay);
            ]
          "poisoned");
-    let ws = watchers_of r in
     t.cfg.log
       (Printf.sprintf "job %d: poisoned after %d attempts (%s)" r.id
          (r.attempt + 1) note);
-    Mutex.unlock t.m;
-    List.iter
-      (fun cl ->
-        send_client cl
-          (done_frame r ~jobs:0 ~failed:0 ~cancelled:false ~wall:0.
-             ~extra:
-               [
-                 ("reason", Json.String note); ("replay", Json.String replay);
-               ]))
-      ws
+    send_watchers r
+      (done_frame r ~jobs:0 ~failed:0 ~cancelled:false ~wall:0.
+         ~extra:
+           [ ("reason", Json.String note); ("replay", Json.String replay) ])
   end
 
 (* A finished attempt (the campaign ran to completion or was cancelled
    at a job boundary by a client/orphan stop). *)
 let finalize t r (o : Job.outcome) final =
   let c = o.Job.o_campaign in
-  r.phase <- "writing artifacts";
-  (match r.spec with
-  | None | Some (Job.Run _ | Job.Replay _) -> ()
-  | Some ((Job.Campaign _ | Job.Chaos _ | Job.Explore _) as spec) -> (
-      try
-        ignore (Runner.write_artifact ~dir:t.cfg.out_dir c);
-        (match o.Job.o_chaos with
-        | Some co ->
-            ignore (Chaos.write_failures ~dir:t.cfg.out_dir co.Chaos.o_failures)
-        | None -> ());
-        match (spec, o.Job.o_ces) with
-        | Job.Explore { protocol; _ }, ces ->
-            ignore (Explorer.write_counterexamples ~dir:t.cfg.out_dir ~protocol ces)
-        | _ -> ()
-      with Sys_error e -> r.errors <- r.errors @ [ "artifact write failed: " ^ e ]));
-  Mutex.lock t.m;
-  clear_running t r;
   r.rstate <- final;
   r.phase <- "finished";
   r.exit_code <- o.Job.o_exit;
@@ -556,143 +677,61 @@ let finalize t r (o : Job.outcome) final =
            ("signature", Json.String r.signature);
          ]
        (state_to_string r.rstate));
-  let ws = watchers_of r in
   t.cfg.log
     (Printf.sprintf "job %d: %s exit=%d hits=%d executed=%d skipped=%d" r.id
        (state_to_string r.rstate) r.exit_code r.cache_hits r.executed
        r.cache_skipped);
-  Mutex.unlock t.m;
-  List.iter
-    (fun cl ->
-      send_client cl
-        (done_frame r
-           ~jobs:(Array.length c.Runner.c_results)
-           ~failed:(List.length (Runner.failures c))
-           ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s ~extra:[]))
-    ws
+  send_watchers r
+    (done_frame r
+       ~jobs:(Array.length c.Runner.c_results)
+       ~failed:(List.length (Runner.failures c))
+       ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s ~extra:[])
 
-(* Run one dequeued record on the executor domain.  The stop hook is
-   polled by the campaign engine between job submissions: it folds in
-   client cancels, orphaned jobs (every watcher hung up), the per-job
-   wall-clock deadline, and daemon shutdown. *)
-let execute_record t r =
-  let spec = Option.get r.spec in
-  t.cfg.log
-    (Printf.sprintf "job %d attempt %d: %s" r.id r.attempt (Job.summary spec));
-  let started = Unix.gettimeofday () in
-  let deadline =
-    if r.deadline_s > 0. then Some (started +. r.deadline_s) else None
-  in
-  let stop_reason = ref `Running in
-  let stop () =
-    Mutex.lock t.m;
-    let reason =
-      if t.shutdown then Some `Shutdown
-      else if r.cancel_req then Some `Cancel
-      else if r.ever_watched && (not r.resumed) && r.watchers = [] then
-        Some `Orphaned
-      else
-        match deadline with
-        | Some d when Unix.gettimeofday () > d -> Some `Deadline
-        | _ -> None
-    in
-    Mutex.unlock t.m;
-    match reason with
-    | Some why ->
-        stop_reason := why;
-        true
-    | None -> false
-  in
-  let snapshot_watchers () =
-    Mutex.lock t.m;
-    let ws = r.watchers in
-    Mutex.unlock t.m;
-    ws
-  in
-  let on_progress (p : Runner.progress) =
-    let frame =
-      Json.Obj
-        [
-          ("type", Json.String "progress");
-          ("id", Json.Int r.id);
-          ("done", Json.Int p.Runner.pr_done);
-          ("total", Json.Int p.Runner.pr_total);
-          ("cached", Json.Bool p.Runner.pr_cached);
-          ("label", Json.String p.Runner.pr_result.Runner.r_label);
-          ("ok", Json.Bool p.Runner.pr_result.Runner.r_ok);
-        ]
-    in
-    List.iter (fun cl -> send_client cl frame) (snapshot_watchers ())
-  in
-  (* Always attached: the ticker keeps the record's freshness stamp for
-     [status] even when nobody listens; the frame itself is gated on
-     each watcher's subscription. *)
-  let on_telemetry (te : Runner.telemetry) =
-    r.last_telemetry_s <- Unix.gettimeofday ();
-    let frame = lazy (telemetry_frame r.id te) in
-    List.iter
-      (fun cl -> if cl.subscribed then send_client cl (Lazy.force frame))
-      (snapshot_watchers ())
-  in
-  match
-    Job.execute ?jobs:t.cfg.jobs ?cache:t.cache ~on_progress ~on_telemetry
-      ~stop spec
-  with
-  | exception exn ->
-      conclude_failure t r ("raised: " ^ Printexc.to_string exn)
-  | o ->
-      if o.Job.o_campaign.Runner.c_cancelled then
-        match !stop_reason with
-        | `Deadline ->
-            conclude_failure t r
-              (Printf.sprintf "deadline exceeded (%.3gs)" r.deadline_s)
-        | `Shutdown ->
-            (* No terminal journal entry: the job stays pending, so the
-               next daemon start re-enqueues it (its finished prefix is
-               already in the cache). *)
-            Mutex.lock t.m;
-            clear_running t r;
-            r.rstate <- Queued;
-            r.phase <- "interrupted by shutdown";
-            Mutex.unlock t.m
-        | `Cancel | `Orphaned | `Running -> finalize t r o Cancelled
-      else finalize t r o Done
+(* Start the first queued record whose backoff has elapsed, unless a job
+   is running or the daemon is shutting down. *)
+let start_next t =
+  if t.running = None && not (Atomic.get t.shutdown) then
+    let now = Unix.gettimeofday () in
+    match List.find_opt (fun r -> r.not_before <= now) t.queue with
+    | None -> ()
+    | Some r ->
+        dequeue t r;
+        r.rstate <- Running;
+        r.phase <- "running";
+        jlog t (Recovery.state_entry ~id:r.id ~attempt:r.attempt "running");
+        t.cfg.log
+          (Printf.sprintf "job %d attempt %d: %s" r.id r.attempt
+             (Job.summary (Option.get r.spec)));
+        t.running <- Some r;
+        hand_over t (Some r)
 
-(* The executor domain: drain the FIFO, skipping entries still inside
-   their backoff window.  Polling (rather than a condvar) keeps the
-   wakeup logic trivially correct across backoff releases, and 20ms of
-   latency is noise next to a campaign. *)
-let executor_loop t =
-  let rec loop () =
-    Mutex.lock t.m;
-    if t.shutdown then Mutex.unlock t.m
-    else begin
-      let tnow = Unix.gettimeofday () in
-      match List.find_opt (fun r -> r.not_before <= tnow) t.queue with
-      | None ->
-          Mutex.unlock t.m;
-          Unix.sleepf 0.02;
-          loop ()
-      | Some r ->
-          dequeue t r;
-          t.running <- Some r;
-          r.rstate <- Running;
-          r.phase <- "running";
-          jlog t (Recovery.state_entry ~id:r.id ~attempt:r.attempt "running");
-          Mutex.unlock t.m;
-          execute_record t r;
-          Mutex.lock t.m;
-          t.running <- None;
-          Mutex.unlock t.m;
-          loop ()
-    end
-  in
-  loop ()
+let handle_msg t = function
+  | Progress (r, p) -> send_watchers r (progress_frame r p)
+  | Telemetry (r, at, te) ->
+      r.last_telemetry_s <- at;
+      let frame = lazy (telemetry_frame r.id te) in
+      List.iter
+        (fun cl -> if cl.subscribed then send_client cl (Lazy.force frame))
+        r.watchers
+  | Outcome (r, outcome) -> (
+      (* The running slot reads empty before the done frame hits the
+         wire, so a status sent right after [done] no longer counts the
+         job. *)
+      t.running <- None;
+      match outcome with
+      | Finished (o, final, artifact_error) ->
+          r.errors <- r.errors @ Option.to_list artifact_error;
+          finalize t r o final
+      | Failed note -> conclude_failure t r note
+      | Interrupted ->
+          (* Only during shutdown.  No terminal journal entry: the next
+             daemon start re-enqueues it (its finished prefix is in the
+             cache). *)
+          ())
 
-(* ---- ops (reader domains) ---- *)
+(* ---- ops ---- *)
 
 let status_frame t =
-  (* Call with [t.m] held. *)
   Json.Obj
     [
       ("type", Json.String "status");
@@ -730,23 +769,19 @@ let handle_submit t cl v =
       | Ok spec -> (
           match Job.validate spec with
           | Error errs ->
-              Mutex.lock t.m;
               let r = fresh_record t (Some spec) in
               r.rstate <- Rejected;
               r.phase <- "rejected";
               r.exit_code <- 3;
               r.errors <- errs;
-              let ack =
-                Json.Obj
-                  [
-                    ("type", Json.String "ack");
-                    ("id", Json.Int r.id);
-                    ("accepted", Json.Bool false);
-                    ("errors", Json.List (List.map (fun e -> Json.String e) errs));
-                  ]
-              in
-              Mutex.unlock t.m;
-              send_client cl ack
+              send_client cl
+                (Json.Obj
+                   [
+                     ("type", Json.String "ack");
+                     ("id", Json.Int r.id);
+                     ("accepted", Json.Bool false);
+                     ("errors", Json.List (List.map (fun e -> Json.String e) errs));
+                   ])
           | Ok () -> (
               let deadline_s =
                 match Recovery.float_member "deadline_s" v with
@@ -754,7 +789,6 @@ let handle_submit t cl v =
                 | _ -> t.cfg.default_deadline_s
               in
               let canonical = Job.canonical spec in
-              Mutex.lock t.m;
               (* Dedup: a spec already queued or running gains a watcher
                  instead of a duplicate execution. *)
               match
@@ -767,9 +801,6 @@ let handle_submit t cl v =
                     r.watchers <- r.watchers @ [ cl ];
                   r.ever_watched <- true;
                   cl.cl_last_submit <- r.id;
-                  (* Ack enqueued under [t.m] (never blocks): the
-                     executor dequeues under the same lock, so the ack
-                     precedes any done frame in this client's FIFO. *)
                   send_client cl
                     (Json.Obj
                        [
@@ -779,10 +810,9 @@ let handle_submit t cl v =
                          ("attached", Json.Bool true);
                          ("state", Json.String (state_to_string r.rstate));
                          ("summary", Json.String (Job.summary spec));
-                       ]);
-                  Mutex.unlock t.m
+                       ])
               | None ->
-                  if List.length t.queue >= t.cfg.queue_depth then begin
+                  if List.length t.queue >= t.cfg.queue_depth then
                     (* Graceful shedding: an explicit rejection frame,
                        no record, no hang. *)
                     send_client cl
@@ -800,9 +830,7 @@ let handle_submit t cl v =
                                       "rejected: queue full (depth %d)"
                                       t.cfg.queue_depth);
                                ] );
-                         ]);
-                    Mutex.unlock t.m
-                  end
+                         ])
                   else begin
                     let r = fresh_record ~deadline_s t (Some spec) in
                     r.watchers <- [ cl ];
@@ -818,12 +846,9 @@ let handle_submit t cl v =
                            ("accepted", Json.Bool true);
                            ("position", Json.Int (List.length t.queue));
                            ("summary", Json.String (Job.summary spec));
-                         ]);
-                    Mutex.unlock t.m
+                         ])
                   end)))
 
-(* Cancel a queued record.  Call with [t.m] held; returns the frames to
-   send after unlock. *)
 let cancel_queued t r =
   dequeue t r;
   r.rstate <- Cancelled;
@@ -833,11 +858,9 @@ let cancel_queued t r =
     (Recovery.state_entry ~id:r.id ~attempt:r.attempt
        ~extra:[ ("exit", Json.Int 4) ]
        "cancelled");
-  let frame = done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0. ~extra:[] in
-  List.map (fun cl -> (cl, frame)) (watchers_of r)
+  send_watchers r (done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0. ~extra:[])
 
 let handle_cancel t cl v =
-  Mutex.lock t.m;
   let target =
     match Recovery.int_member "id" v with
     | Some id ->
@@ -858,28 +881,18 @@ let handle_cancel t cl v =
             | _ -> None))
   in
   match target with
-  | None ->
-      Mutex.unlock t.m;
-      send_client cl (error_frame "cancel: no cancellable job for this connection")
-  | Some r when r.rstate = Queued ->
-      let outbox = cancel_queued t r in
-      Mutex.unlock t.m;
-      List.iter (fun (cl, frame) -> send_client cl frame) outbox
+  | None -> send_client cl (error_frame "cancel: no cancellable job for this connection")
+  | Some r when r.rstate = Queued -> cancel_queued t r
   | Some r ->
       (* Running: consumed by the stop hook at the next job boundary;
          in-flight jobs finish and completed work is kept (and cached). *)
-      r.cancel_req <- true;
-      Mutex.unlock t.m
+      Atomic.set r.cancel_req true
 
 let handle_frame t cl v =
   match Json.member "op" v with
   | Some (Json.String "ping") ->
       send_client cl (Json.Obj [ ("type", Json.String "pong") ])
-  | Some (Json.String "status") ->
-      Mutex.lock t.m;
-      let frame = status_frame t in
-      Mutex.unlock t.m;
-      send_client cl frame
+  | Some (Json.String "status") -> send_client cl (status_frame t)
   | Some (Json.String "subscribe") ->
       cl.subscribed <- true;
       send_client cl (subscription_frame cl)
@@ -887,119 +900,150 @@ let handle_frame t cl v =
       cl.subscribed <- false;
       send_client cl (subscription_frame cl)
   | Some (Json.String "shutdown") ->
-      Mutex.lock t.m;
-      t.shutdown <- true;
-      Mutex.unlock t.m;
+      Atomic.set t.shutdown true;
       send_client cl (Json.Obj [ ("type", Json.String "bye") ])
   | Some (Json.String "cancel") -> handle_cancel t cl v
   | Some (Json.String "submit") -> handle_submit t cl v
   | Some (Json.String op) -> send_client cl (error_frame ("unknown op " ^ op))
   | _ -> send_client cl (error_frame "frame has no \"op\"")
 
-(* A client hung up: detach it everywhere; a job whose every watcher is
-   gone (and that was not resumed from the journal, which starts with
-   none) is orphaned — cancelled if queued, stop-hooked if running. *)
+(* Handle every complete frame a client has sent.  Nothing more is
+   handled once the client is dropped or the daemon is shutting down. *)
+let rec handle_frames t cl =
+  if not (cl.cl_dead || Atomic.get t.shutdown) then
+    match Json.Stream.next cl.cl_dec with
+    | `Value v ->
+        (try handle_frame t cl v
+         with exn ->
+           send_client cl (error_frame ("internal error: " ^ Printexc.to_string exn)));
+        handle_frames t cl
+    | `Error e ->
+        send_client cl (error_frame (Json.error_to_string e));
+        handle_frames t cl
+    | `Await ->
+        if Json.Stream.pending cl.cl_dec > max_outbound_bytes then begin
+          send_client cl
+            (error_frame
+               (Printf.sprintf "frame exceeds %d bytes; closing" max_outbound_bytes));
+          cl.cl_dead <- true
+        end
+
+let read_client t buf cl =
+  match Unix.read cl.cl_fd buf 0 (Bytes.length buf) with
+  | 0 -> cl.cl_dead <- true
+  | n ->
+      Json.Stream.feed cl.cl_dec (Bytes.sub_string buf 0 n);
+      handle_frames t cl
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> cl.cl_dead <- true
+
+(* A client hung up or was dropped: detach it everywhere; a job whose
+   every watcher is gone (and that was not resumed from the journal,
+   which starts with none) is orphaned — cancelled if queued, stopped
+   at the next job boundary if running.  Nothing is orphaned during
+   shutdown: queued and running jobs stay pending in the journal. *)
 let drop_client t cl =
-  Mutex.lock t.m;
-  let orphaned = ref [] in
   List.iter
     (fun r ->
       if List.memq cl r.watchers then begin
         r.watchers <- List.filter (fun c -> c != cl) r.watchers;
         if
           r.watchers = [] && r.ever_watched && (not r.resumed)
-          && not (is_terminal r.rstate)
-        then orphaned := r :: !orphaned
+          && not (Atomic.get t.shutdown)
+        then
+          match r.rstate with
+          | Queued -> cancel_queued t r
+          | Running -> Atomic.set r.cancel_req true
+          | _ -> ()
       end)
-    t.history;
-  let outbox =
-    List.concat_map
-      (fun r ->
-        match r.rstate with
-        | Queued -> cancel_queued t r
-        | Running ->
-            r.cancel_req <- true;
-            []
-        | _ -> [])
-      !orphaned
-  in
-  Mutex.unlock t.m;
-  List.iter (fun (cl, frame) -> send_client cl frame) outbox
+    t.history
 
-(* One reader domain per connection: decode frames as they arrive and
-   handle ops promptly — cancel and subscription toggles work mid-run
-   without waiting for a job boundary. *)
-let reader t fd =
-  (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
-  let cl =
-    {
-      cl_fd = fd;
-      cl_dec = Json.Stream.decoder ();
-      cl_wmutex = Mutex.create ();
-      cl_outq = Queue.create ();
-      cl_out_pos = 0;
-      cl_out_bytes = 0;
-      cl_dead = false;
-      subscribed = false;
-      cl_last_submit = 0;
-    }
-  in
-  let buf = Bytes.create 4096 in
-  let rec drain () =
-    match Json.Stream.next cl.cl_dec with
-    | `Value v ->
-        handle_frame t cl v;
-        drain ()
-    | `Error e ->
-        send_client cl (error_frame (Json.error_to_string e));
-        drain ()
-    | `Await -> ()
-  in
-  let outbound_state () =
-    Mutex.lock cl.cl_wmutex;
-    let st = if cl.cl_dead then `Dead else if cl.cl_out_bytes > 0 then `Pending else `Idle in
-    Mutex.unlock cl.cl_wmutex;
-    st
-  in
-  let flush_now () =
-    Mutex.lock cl.cl_wmutex;
-    flush_outbound cl;
-    Mutex.unlock cl.cl_wmutex
-  in
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Close and detach every client marked dead this turn. *)
+let reap t =
+  let dead, alive = List.partition (fun cl -> cl.cl_dead) t.clients in
+  t.clients <- alive;
+  List.iter
+    (fun cl ->
+      drop_client t cl;
+      close_fd cl.cl_fd)
+    dead
+
+let accept_client t sock =
+  match Unix.accept ~cloexec:true sock with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+      Unix.set_nonblock fd;
+      let cl =
+        {
+          cl_fd = fd;
+          cl_dec = Json.Stream.decoder ();
+          cl_outq = Queue.create ();
+          cl_out_pos = 0;
+          cl_out_bytes = 0;
+          cl_dead = false;
+          subscribed = false;
+          cl_last_submit = 0;
+        }
+      in
+      if List.length t.clients >= max_connections then begin
+        (* Refuse with an error frame ([reap] closes it) and keep serving. *)
+        send_client cl
+          (error_frame
+             (Printf.sprintf "server busy: %d connections already open"
+                max_connections));
+        cl.cl_dead <- true
+      end;
+      t.clients <- cl :: t.clients
+
+(* How long [select] may block: forever while a job runs (its outcome
+   wakes the loop) or nothing waits, else until the earliest backoff
+   release. *)
+let select_timeout t =
+  match (t.running, t.queue) with
+  | Some _, _ | None, [] -> -1.
+  | None, r :: rs ->
+      let release = List.fold_left (fun a r -> Float.min a r.not_before) r.not_before rs in
+      Float.max 0. (release -. Unix.gettimeofday ())
+
+let run_loop t sock =
+  let buf = Bytes.create 65536 in
   let rec loop () =
-    match outbound_state () with
-    | `Dead -> ()
-    | (`Pending | `Idle) as st ->
-        if t.shutdown then ()
-        else begin
-          (* Select for read always, for write only while frames are
-             pending — the executor enqueues from its own domain and
-             this loop drains whatever the socket will take. *)
-          match
-            Unix.select [ fd ] (if st = `Pending then [ fd ] else []) [] 0.25
-          with
-          | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-          | rd, wr, _ -> (
-              if wr <> [] then flush_now ();
-              if rd = [] then loop ()
-              else
-                match Unix.read fd buf 0 (Bytes.length buf) with
-                | 0 -> ()
-                | len ->
-                    Json.Stream.feed cl.cl_dec (Bytes.sub_string buf 0 len);
-                    drain ();
-                    loop ()
-                | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-                    loop ()
-                | exception Unix.Unix_error _ -> ())
-        end
+    if not (Atomic.get t.shutdown && t.running = None) then begin
+      start_next t;
+      let live = not (Atomic.get t.shutdown) in
+      let reads =
+        t.mailbox.mb_wake_rd
+        :: (if live then sock :: List.map (fun cl -> cl.cl_fd) t.clients else [])
+      in
+      let writes =
+        List.filter_map
+          (fun cl -> if cl.cl_out_bytes > 0 then Some cl.cl_fd else None)
+          t.clients
+      in
+      (match Unix.select reads writes [] (select_timeout t) with
+      | exception Unix.Unix_error (EINTR, _, _) -> ()
+      | rd, wr, _ ->
+          List.iter (fun cl -> if List.mem cl.cl_fd wr then flush_outbound cl) t.clients;
+          if List.mem t.mailbox.mb_wake_rd rd then
+            Queue.iter (handle_msg t) (take t.mailbox);
+          List.iter
+            (fun cl -> if List.mem cl.cl_fd rd then read_client t buf cl)
+            t.clients;
+          if List.mem sock rd then accept_client t sock);
+      reap t;
+      loop ()
+    end
   in
-  (try loop () with Sys_error _ -> ());
-  (* Best-effort final drain: the [bye] frame a shutdown op just
-     enqueued, or whatever the socket still accepts. *)
-  flush_now ();
-  drop_client t cl;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  loop ();
+  (* Best-effort final drain: the [bye] frame, or whatever the sockets
+     still accept. *)
+  List.iter
+    (fun cl ->
+      flush_outbound cl;
+      close_fd cl.cl_fd)
+    t.clients
 
 (* ---- startup: recovery, stale socket, bind ---- *)
 
@@ -1061,7 +1105,7 @@ let serve ?(config = default_config) () =
   let lock_fd = acquire_daemon_lock config.out_dir in
   (try probe_stale_socket config.socket_path config.log
    with e ->
-     (try Unix.close lock_fd with Unix.Unix_error _ -> ());
+     close_fd lock_fd;
      raise e);
   (* Clients may hang up while the daemon streams progress; without
      this the first write to a dead socket kills the whole process. *)
@@ -1106,17 +1150,22 @@ let serve ?(config = default_config) () =
            recovered.pending)
    with Sys_error _ | Unix.Unix_error _ -> ());
   let journal = Journal.append_open jpath in
+  let exec_rd, exec_wr = Unix.pipe ~cloexec:true () in
   let t =
     {
       cfg = config;
       cache;
-      m = Mutex.create ();
       journal;
+      mailbox = mailbox ();
+      shutdown = Atomic.make false;
+      clients = [];
       history = [];
       queue = [];
       running = None;
+      handoff = Atomic.make None;
+      exec_rd;
+      exec_wr;
       next_id = recovered.next_id;
-      shutdown = false;
       jobs_retried = 0;
       jobs_poisoned = 0;
     }
@@ -1125,23 +1174,18 @@ let serve ?(config = default_config) () =
      re-enqueued (resume) or closed out as cancelled (--no-resume). *)
   List.iter
     (fun (f : Recovery.completed) ->
-      let r =
-        {
-          (fresh_record t (Some f.f_spec)) with
-          id = f.f_id;
-          rstate = f.f_state;
-          phase = "finished";
-          exit_code = f.f_exit;
-          signature = f.f_signature;
-        }
-      in
-      t.history <- r :: List.tl t.history)
+      let r = fresh_record ~id:f.f_id t (Some f.f_spec) in
+      r.rstate <- f.f_state;
+      r.phase <- "finished";
+      r.exit_code <- f.f_exit;
+      r.signature <- f.f_signature)
     recovered.completed;
   List.iter
     (fun (p : Recovery.pending) ->
-      let r = fresh_record ~deadline_s:p.p_deadline_s ~resumed:true t (Some p.p_spec) in
-      let r = { r with id = p.p_id } in
-      t.history <- r :: List.tl t.history;
+      let r =
+        fresh_record ~id:p.p_id ~deadline_s:p.p_deadline_s ~resumed:true t
+          (Some p.p_spec)
+      in
       if config.resume then begin
         r.phase <- "requeued after restart";
         t.queue <- t.queue @ [ r ];
@@ -1155,7 +1199,6 @@ let serve ?(config = default_config) () =
         r.errors <- [ "interrupted by daemon restart; resume disabled" ]
       end)
     recovered.pending;
-  t.next_id <- recovered.next_id;
   if recovered.dropped_lines > 0 || recovered.dropped_bytes > 0 then
     config.log
       (Printf.sprintf "journal: dropped %d garbage line(s), %d tail byte(s)"
@@ -1166,73 +1209,17 @@ let serve ?(config = default_config) () =
          (List.length recovered.completed)
          (List.length recovered.pending));
   let sock = bind_socket config.socket_path in
+  Unix.set_nonblock sock;
   config.log (Printf.sprintf "listening on %s" config.socket_path);
-  let executor = Domain.spawn (fun () -> executor_loop t) in
-  (* Reader domains are capped (OCaml 5 bounds live domains at ~128,
-     shared with the engine's worker domains) and reaped as they
-     finish, so neither a connection burst nor a long-lived daemon can
-     exhaust the domain budget or grow the handle list without bound. *)
-  let readers = ref [] in
-  let reap () =
-    readers :=
-      List.filter
-        (fun (dom, finished) ->
-          if Atomic.get finished then begin
-            Domain.join dom;
-            false
-          end
-          else true)
-        !readers
-  in
-  (* Over the cap, or Domain.spawn itself failed: shed this one
-     connection with a best-effort error line and keep serving. *)
-  let shed fd msg =
-    let line = Json.to_string ~minify:true (error_frame msg) ^ "\n" in
-    (try ignore (Unix.write_substring fd line 0 (String.length line))
-     with Unix.Unix_error _ | Sys_error _ -> ());
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  (* Accept with a timeout so an idle daemon notices [shutdown] set by
-     a connection without requiring another client. *)
-  let rec accept_loop () =
-    if t.shutdown then ()
-    else begin
-      (match Unix.select [ sock ] [] [] 0.25 with
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept sock with
-          | exception Unix.Unix_error _ -> ()
-          | fd, _ ->
-              reap ();
-              if List.length !readers >= max_reader_domains then
-                shed fd
-                  (Printf.sprintf "server busy: %d connections already open"
-                     max_reader_domains)
-              else begin
-                let finished = Atomic.make false in
-                match
-                  Domain.spawn (fun () ->
-                      Fun.protect
-                        ~finally:(fun () -> Atomic.set finished true)
-                        (fun () ->
-                          try reader t fd
-                          with _ -> (
-                            try Unix.close fd with Unix.Unix_error _ -> ())))
-                with
-                | dom -> readers := (dom, finished) :: !readers
-                | exception _ -> shed fd "server busy: cannot spawn handler"
-              end));
-      accept_loop ()
-    end
-  in
-  accept_loop ();
-  (try Unix.close sock with Unix.Unix_error _ -> ());
-  Domain.join executor;
-  List.iter (fun (dom, _) -> Domain.join dom) !readers;
+  let ex = Domain.spawn (fun () -> executor t) in
+  run_loop t sock;
+  hand_over t None;
+  Domain.join ex;
+  List.iter close_fd
+    [ sock; t.mailbox.mb_wake_rd; t.mailbox.mb_wake_wr; exec_rd; exec_wr ];
   Journal.close journal;
   (try Unix.unlink config.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close lock_fd with Unix.Unix_error _ -> ());
+  close_fd lock_fd;
   (match previous_sigpipe with
   | Some behavior -> (
       try Sys.set_signal Sys.sigpipe behavior

@@ -66,16 +66,17 @@
     [<out_dir>/poison_job_<id>.json] and a ready-to-paste resubmission
     command recorded in the journal.
 
-    One reader domain per connection handles ops promptly (cancel and
-    subscription toggles work mid-run); one executor domain drains the
-    FIFO, so one job runs at a time — parallelism lives inside the
-    campaign engine (worker domains) and submissions never fight over
-    domains or artifact files.  Reader domains are capped (OCaml 5
-    bounds live domains; connections past the cap are refused with an
-    [error] frame instead of crashing the daemon), and outbound frames
-    are queued per client and written non-blocking — a client that
-    stops reading stalls only itself and is dropped once its backlog
-    tops out, never wedging the executor or other connections.  A
+    One [Unix.select] loop owns every connection, the FIFO, the
+    subscriptions and the journal, so ops (cancel, subscription
+    toggles, status) are answered promptly while a job runs.  Jobs run
+    one at a time on a single executor domain — parallelism lives
+    inside the campaign engine (worker domains) and submissions never
+    fight over domains or artifact files.  Outbound frames are queued
+    per client and written non-blocking: a client that stops reading
+    stalls only itself and is dropped once its backlog passes 8 MiB, as
+    is one whose unfinished inbound frame grows past that size.
+    Connections past a fixed cap are refused with a [server busy]
+    [error] frame ([select] cannot watch descriptors past 1023).  A
     client hanging up orphans its jobs: a queued one is cancelled, a
     running one stops at the next job boundary (journal-resumed jobs
     have no watchers and are exempt). *)

@@ -439,24 +439,18 @@ module Cache = struct
        (try Sys.remove tmp with Sys_error _ -> ()))
 end
 
-let sink : campaign list ref = ref []
+let failures c = List.filter (fun r -> not r.r_ok) (Array.to_list c.c_results)
+
+(* Failing results only, newest first: a long-lived process (the serve
+   daemon) runs campaigns without end, and passing results are never
+   read back from here. *)
+let sink : result list ref = ref []
 let sink_mutex = Mutex.create ()
 
 let note_campaign c =
-  Mutex.lock sink_mutex;
-  sink := c :: !sink;
-  Mutex.unlock sink_mutex
+  Mutex.protect sink_mutex (fun () -> sink := List.rev_append (failures c) !sink)
 
-let noted_campaigns () =
-  Mutex.lock sink_mutex;
-  let l = List.rev !sink in
-  Mutex.unlock sink_mutex;
-  l
-
-let reset_sink () =
-  Mutex.lock sink_mutex;
-  sink := [];
-  Mutex.unlock sink_mutex
+let reset_sink () = Mutex.protect sink_mutex (fun () -> sink := [])
 
 let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
     ?stop ~exp joblist =
@@ -682,8 +676,6 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
   note_campaign c;
   c
 
-let failures c = List.filter (fun r -> not r.r_ok) (Array.to_list c.c_results)
-
 let rows c =
   Array.to_list c.c_results
   |> List.filter_map (fun r -> if r.r_row = "" then None else Some r.r_row)
@@ -810,7 +802,7 @@ let failure_json r =
 
 let flush_failures ?(dir = "_results") () =
   ensure_dir dir;
-  let all = List.concat_map failures (noted_campaigns ()) in
+  let all = Mutex.protect sink_mutex (fun () -> List.rev !sink) in
   Json.write_file
     (Filename.concat dir "failures.json")
     (Json.Obj

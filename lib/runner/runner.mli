@@ -248,8 +248,8 @@ val run :
     (default {!default_jobs}) is the worker-domain count; [jobs = 1]
     runs inline on the calling domain.  A job that raises is captured
     as a failed result ([r_error]), never aborting the campaign.  The
-    campaign is recorded in the process-wide triage sink (see
-    {!flush_failures}).
+    campaign's failing results are recorded in the process-wide triage
+    sink (see {!flush_failures}).
 
     With [cache], jobs whose [key] is found are resolved up front, in
     job order, without executing ([pr_cached = true] in progress
@@ -315,19 +315,17 @@ val failure_json : result -> Json.t
 
 (** {1 Triage sink}
 
-    [run] appends every campaign to a process-wide sink (guarded by a
-    mutex) so a multi-experiment harness can report all failing seeds
-    at the end without threading campaign values through each
-    experiment. *)
-
-val noted_campaigns : unit -> campaign list
-(** Campaigns recorded since start (or last [reset_sink]), in
-    completion order. *)
+    [run] appends every campaign's failing results to a process-wide
+    sink (guarded by a mutex) so a multi-experiment harness can report
+    all failing seeds at the end without threading campaign values
+    through each experiment.  Passing results are not kept, so a
+    long-lived process does not grow with every campaign it runs. *)
 
 val reset_sink : unit -> unit
 
 val flush_failures : ?dir:string -> unit -> int
-(** Write every failing job of every noted campaign to
+(** Write every failing job of every campaign run since start (or the
+    last [reset_sink]), in completion order, to
     [<dir>/failures.json] (default [_results]) as triage records and
     return the failure count.  With zero failures the file is still
     written (an empty list), so a previous run's failures never

@@ -323,35 +323,65 @@ let of_string_exn s =
 (* ------------------------------------------------------------------ *)
 
 module Stream = struct
+  (* Every byte is copied into [buf] once, scanned for a newline once
+     ([scan] remembers where the last search stopped), and moved at
+     most once more by a compaction, which only happens once at least
+     as many bytes were consumed as are still live.  So decoding is
+     linear in the bytes fed, however the stream is chunked. *)
   type decoder = {
-    mutable data : string;  (** bytes fed but not yet consumed *)
-    mutable start : int;  (** cursor into [data] *)
-    mutable consumed : int;  (** absolute offset of [data.[start]] *)
+    mutable buf : Bytes.t;
+    mutable start : int;  (** first unconsumed byte of [buf] *)
+    mutable scan : int;  (** [buf.[start .. scan-1]] holds no newline *)
+    mutable len : int;  (** bytes of [buf] in use *)
+    mutable consumed : int;  (** absolute offset of [buf.[start]] *)
   }
 
-  let decoder () = { data = ""; start = 0; consumed = 0 }
+  let decoder () =
+    { buf = Bytes.create 4096; start = 0; scan = 0; len = 0; consumed = 0 }
 
   let feed d chunk =
-    if chunk <> "" then
-      if d.start = 0 then d.data <- d.data ^ chunk
-      else begin
-        (* Compact: drop consumed bytes before appending. *)
-        d.data <- String.sub d.data d.start (String.length d.data - d.start) ^ chunk;
-        d.start <- 0
-      end
+    let n = String.length chunk in
+    if d.len + n > Bytes.length d.buf then begin
+      let live = d.len - d.start in
+      let buf =
+        if live + n <= Bytes.length d.buf && d.start >= live then d.buf
+        else Bytes.create (max (2 * Bytes.length d.buf) (live + n))
+      in
+      Bytes.blit d.buf d.start buf 0 live;
+      d.buf <- buf;
+      d.scan <- d.scan - d.start;
+      d.start <- 0;
+      d.len <- live
+    end;
+    Bytes.blit_string chunk 0 d.buf d.len n;
+    d.len <- d.len + n
 
   let consumed d = d.consumed
-  let pending d = String.length d.data - d.start
+  let pending d = d.len - d.start
 
   let take_line d =
-    match String.index_from_opt d.data d.start '\n' with
-    | None -> None
-    | Some nl ->
-        let line = String.sub d.data d.start (nl - d.start) in
-        let line_off = d.consumed in
-        d.consumed <- d.consumed + (nl - d.start) + 1;
-        d.start <- nl + 1;
-        Some (line, line_off)
+    let rec find i = if i >= d.len || Bytes.get d.buf i = '\n' then i else find (i + 1) in
+    let nl = find d.scan in
+    if nl >= d.len then begin
+      d.scan <- d.len;
+      None
+    end
+    else begin
+      let line = Bytes.sub_string d.buf d.start (nl - d.start) in
+      let line_off = d.consumed in
+      d.consumed <- d.consumed + (nl - d.start) + 1;
+      d.start <- nl + 1;
+      d.scan <- nl + 1;
+      if d.start = d.len then begin
+        (* Drained: restart at the front, and let one huge frame's
+           buffer go. *)
+        if Bytes.length d.buf > 65536 then d.buf <- Bytes.create 4096;
+        d.start <- 0;
+        d.scan <- 0;
+        d.len <- 0
+      end;
+      Some (line, line_off)
+    end
 
   let rec next d =
     match take_line d with

@@ -69,7 +69,9 @@ module Stream : sig
   val decoder : unit -> decoder
 
   val feed : decoder -> string -> unit
-  (** Append a chunk (any framing: split, coalesced, byte-at-a-time). *)
+  (** Append a chunk (any framing: split, coalesced, byte-at-a-time).
+      Feeding and decoding cost time linear in the bytes fed, however
+      they are chunked. *)
 
   val next : decoder -> [ `Value of t | `Await | `Error of error ]
   (** Pop the next complete frame. [`Await] = no complete line buffered.

@@ -290,6 +290,19 @@ let expect = function Ok v -> v | Error e -> Alcotest.fail e
 let frame_type v =
   match Json.member "type" v with Some (Json.String s) -> s | _ -> "?"
 
+(* A raw connection, for tests that write without reading replies. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
 let test_daemon_submit_stream_status_shutdown () =
   let dir = tmpdir "daemon" in
   let config = daemon_config dir ~cache:true in
@@ -414,6 +427,151 @@ let test_daemon_eof_cancels () =
   | _ -> Alcotest.fail "no record of the abandoned job");
   ignore (expect (Serve.Client.shutdown conn));
   Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* A client that submits and then floods status ops without reading its
+   replies stalls only itself: it is dropped once its unread backlog
+   passes the 8 MiB bound, and a second client is answered throughout. *)
+let test_daemon_slow_consumer_shed () =
+  let dir = tmpdir "slow" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn2 = connect config in
+  let fd = raw_connect config.Serve.socket_path in
+  write_all fd
+    (Json.to_string ~minify:true
+       (Json.Obj [ ("op", Json.String "submit"); ("spec", Job.to_json small_spec) ])
+    ^ "\n");
+  (* The largest status frame seen, once the flooder's job is listed. *)
+  let status_bytes = ref 0 in
+  let rec second_client_answers () =
+    check "ping answered" true (frame_type (expect (Serve.Client.ping conn2)) = "pong");
+    let v = expect (Serve.Client.status conn2) in
+    check "status answered" true (frame_type v = "status");
+    match Json.member "jobs" v with
+    | Some (Json.List (_ :: _)) ->
+        status_bytes :=
+          max !status_bytes (String.length (Json.to_string ~minify:true v) + 1)
+    | _ ->
+        Unix.sleepf 0.01;
+        second_client_answers ()
+  in
+  second_client_answers ();
+  let block = String.concat "" (List.init 256 (fun _ -> "{\"op\":\"status\"}\n")) in
+  let limit = 8 * 1024 * 1024 in
+  let rec flood ops =
+    if ops * !status_bytes > 20 * limit then Alcotest.fail "flooding client never shed"
+    else
+      match write_all fd block with
+      | () ->
+          if ops mod (64 * 256) = 0 then second_client_answers ();
+          flood (ops + 256)
+      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ops
+  in
+  let ops = flood 0 in
+  second_client_answers ();
+  (* Each op read yields one status frame, so the daemon cannot have
+     buffered 8 MiB for the flooder before this many ops were written. *)
+  check "shed only past the 8 MiB backlog" true
+    (float_of_int ops *. float_of_int !status_bytes *. 1.1 >= float_of_int limit);
+  Unix.close fd;
+  ignore (expect (Serve.Client.shutdown conn2));
+  Serve.Client.close conn2;
+  Domain.join d;
+  rm_rf dir
+
+(* An unfinished inbound frame is held to the same 8 MiB bound: the
+   daemon answers with an error frame and drops the connection, and
+   keeps serving the others. *)
+let test_daemon_oversized_frame () =
+  let dir = tmpdir "oversized" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  let fd = raw_connect config.Serve.socket_path in
+  let limit = 8 * 1024 * 1024 in
+  let chunk = String.make 65536 'x' in
+  let rec push sent =
+    if sent > 4 * limit then Alcotest.fail "oversized frame never dropped"
+    else
+      match write_all fd chunk with
+      | () -> push (sent + String.length chunk)
+      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> sent
+  in
+  check "dropped only past 8 MiB" true (push 0 > limit);
+  let dec = Json.Stream.decoder () and buf = Bytes.create 4096 in
+  let rec read_error () =
+    match Json.Stream.next dec with
+    | `Value v -> v
+    | `Error e -> Alcotest.failf "bad frame: %s" (Json.error_to_string e)
+    | `Await -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> Alcotest.fail "connection closed without an error frame"
+        | n ->
+            Json.Stream.feed dec (Bytes.sub_string buf 0 n);
+            read_error ())
+  in
+  check "error frame before the drop" true (frame_type (read_error ()) = "error");
+  Unix.close fd;
+  check "others still served" true
+    (frame_type (expect (Serve.Client.ping conn)) = "pong");
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* Connections past the daemon's cap are refused with a "server busy"
+   error frame, and every connection already open keeps being served. *)
+let test_daemon_connection_cap () =
+  let dir = tmpdir "cap" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  (* A refused connection may be closed before the ping lands; its
+     error frame is then still readable. *)
+  let ping_or_refusal c =
+    match Serve.Client.ping c with
+    | Ok v -> v
+    | Error _ -> expect (Serve.Client.next_frame c)
+  in
+  let rec open_until_refused accepted n =
+    if n > 256 then Alcotest.fail "no connection was ever refused"
+    else
+      let c = connect config in
+      let v = ping_or_refusal c in
+      match frame_type v with
+      | "pong" -> open_until_refused (c :: accepted) (n + 1)
+      | "error" -> (c, v, accepted)
+      | t -> Alcotest.failf "unexpected %s frame" t
+  in
+  let refused, v, accepted = open_until_refused [] 0 in
+  check "refusal says server busy" true
+    (match Json.member "message" v with
+    | Some (Json.String m) -> String.length m >= 11 && String.sub m 0 11 = "server busy"
+    | _ -> false);
+  check "some connections were served" true (accepted <> []);
+  Serve.Client.close refused;
+  List.iter
+    (fun c ->
+      check "open connection still served" true
+        (frame_type (expect (Serve.Client.ping c)) = "pong"))
+    accepted;
+  (* A freed slot is reused once the daemon has seen the hang-up. *)
+  Serve.Client.close (List.hd accepted);
+  let rec reconnect n =
+    if n = 0 then Alcotest.fail "freed slot never reused"
+    else
+      let c = connect config in
+      match frame_type (ping_or_refusal c) with
+      | "pong" -> c
+      | _ ->
+          Serve.Client.close c;
+          Unix.sleepf 0.05;
+          reconnect (n - 1)
+  in
+  let c = reconnect 100 in
+  ignore (expect (Serve.Client.shutdown c));
+  List.iter Serve.Client.close (c :: List.tl accepted);
   Domain.join d;
   rm_rf dir
 
@@ -606,6 +764,139 @@ let test_stream_decoder_mid_telemetry_cut () =
         && Json.member "seq" v = Some (Json.Int 2))
   | _ -> Alcotest.fail "expected recovery after the bad line");
   check "decoder drained" true (Json.Stream.next dec = `Await)
+
+(* ------------------------------------------------------------------ *)
+(* Untrusted socket input                                              *)
+(* ------------------------------------------------------------------ *)
+
+let json_bytes = "{}[]\":,0123456789-+.eEtrufalsn\\ "
+
+let gen_fuzz_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (String.get json_bytes) (int_bound (String.length json_bytes - 1)));
+        (1, return '\n');
+        (1, char);
+      ])
+
+(* Feed [wire] in random chunks of 1..64 bytes, asking for frames after
+   each one as the daemon does; [on_value] sees every decoded value and
+   an [Error] offset outside the bytes fed so far fails the property. *)
+let decode_chunked ~seed ~on_value wire =
+  let rng = Rng.create seed in
+  let d = Json.Stream.decoder () in
+  let fed = ref 0 in
+  let rec drain () =
+    match Json.Stream.next d with
+    | `Value v ->
+        on_value v;
+        drain ()
+    | `Error e ->
+        if e.Json.offset < 0 || e.Json.offset >= !fed then
+          QCheck.Test.fail_reportf "error offset %d outside the %d bytes fed"
+            e.Json.offset !fed;
+        drain ()
+    | `Await -> ()
+  in
+  while !fed < String.length wire do
+    let len = 1 + Rng.int rng (min 64 (String.length wire - !fed)) in
+    Json.Stream.feed d (String.sub wire !fed len);
+    fed := !fed + len;
+    drain ()
+  done
+
+(* Whatever the daemon reads — code that raises here would turn one
+   client's bytes into an error path of the loop: the decoder never
+   raises and keeps every error offset inside the bytes fed, a valid
+   frame after the garbage still decodes, and no decoded value makes
+   [Job.of_json] raise. *)
+let qcheck_stream_fuzz =
+  QCheck.Test.make ~count:500 ~name:"Stream: arbitrary bytes, random chunking"
+    (QCheck.make
+       ~print:(fun (s, seed) -> Printf.sprintf "seed=%d bytes=%S" seed s)
+       QCheck.Gen.(pair (string_size ~gen:gen_fuzz_char (0 -- 400)) (int_range 1 1_000_000)))
+    (fun (garbage, seed) ->
+      let valid = Json.Obj [ ("op", Json.String "ping") ] in
+      let last = ref None in
+      decode_chunked ~seed
+        ~on_value:(fun v ->
+          ignore (Job.of_json v);
+          last := Some v)
+        (garbage ^ "\n" ^ Json.to_string ~minify:true valid ^ "\n");
+      match !last with Some v -> Json.equal v valid | None -> false)
+
+(* Valid spec JSON with random subtrees swapped for values of the wrong
+   type or range, sent through the decoder: [Job.of_json] and, when it
+   accepts, everything the daemon does with a spec before queueing it
+   must return, not raise. *)
+let gen_odd_json =
+  QCheck.Gen.(
+    oneofl
+      [
+        Json.Null;
+        Json.Bool true;
+        Json.Int 0;
+        Json.Int (-7);
+        Json.Int max_int;
+        Json.Int min_int;
+        Json.Float (-1e300);
+        Json.Float 0.5;
+        Json.String "";
+        Json.String "nope";
+        Json.List [];
+        Json.List [ Json.Int 1; Json.String "x" ];
+        Json.Obj [];
+        Json.Obj [ ("kind", Json.String "crash") ];
+      ])
+
+let rec mutate_json choices v =
+  match (choices, v) with
+  | [], _ -> (v, [])
+  | (0, odd) :: rest, _ -> (odd, rest)
+  | _ :: rest, Json.Obj fields ->
+      let rest = ref rest in
+      let fields =
+        List.map
+          (fun (k, x) ->
+            let x', r = mutate_json !rest x in
+            rest := r;
+            (k, x'))
+          fields
+      in
+      (Json.Obj fields, !rest)
+  | _ :: rest, Json.List items ->
+      let rest = ref rest in
+      let items =
+        List.map
+          (fun x ->
+            let x', r = mutate_json !rest x in
+            rest := r;
+            x')
+          items
+      in
+      (Json.List items, !rest)
+  | _ :: rest, _ -> (v, rest)
+
+let qcheck_spec_mutation_fuzz =
+  QCheck.Test.make ~count:300 ~name:"Job: mutated spec JSON never raises"
+    (QCheck.make
+       ~print:(fun (s, _) -> Job.summary s)
+       QCheck.Gen.(
+         pair gen_spec
+           (list_size (int_range 1 60) (pair (int_bound 6) gen_odd_json))))
+    (fun (spec, choices) ->
+      let mutated, _ = mutate_json choices (Job.to_json spec) in
+      decode_chunked ~seed:(List.length choices)
+        ~on_value:(fun v ->
+          match Job.of_json v with
+          | Ok s ->
+              ignore (Job.validate s);
+              ignore (Job.canonical s);
+              ignore (Job.summary s)
+          | Error _ -> ())
+        (Json.to_string ~minify:true mutated ^ "\n");
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Crash safety: journal replay, queueing, restart, watchdog           *)
@@ -956,6 +1247,277 @@ let test_daemon_deadline_retry_poison () =
   Domain.join d;
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* Random interleavings against the daemon's invariants                *)
+(* ------------------------------------------------------------------ *)
+
+type iop =
+  | I_submit of int * int  (* connection slot, pool spec *)
+  | I_cancel of int  (* bare cancel: the slot's latest submission *)
+  | I_cancel_id of int  (* by the id of the slot's latest ack *)
+  | I_subscribe of int
+  | I_unsubscribe of int
+  | I_status of int
+  | I_reconnect of int  (* hang up, then open a fresh connection *)
+  | I_pump  (* a short pause, then read what has arrived *)
+
+let iop_to_string = function
+  | I_submit (c, s) -> Printf.sprintf "submit(%d,%d)" c s
+  | I_cancel c -> Printf.sprintf "cancel(%d)" c
+  | I_cancel_id c -> Printf.sprintf "cancel_id(%d)" c
+  | I_subscribe c -> Printf.sprintf "subscribe(%d)" c
+  | I_unsubscribe c -> Printf.sprintf "unsubscribe(%d)" c
+  | I_status c -> Printf.sprintf "status(%d)" c
+  | I_reconnect c -> Printf.sprintf "reconnect(%d)" c
+  | I_pump -> "pump"
+
+let gen_iop =
+  QCheck.Gen.(
+    let slot = int_bound 2 in
+    frequency
+      [
+        (5, map2 (fun c s -> I_submit (c, s)) slot (int_bound 2));
+        (2, map (fun c -> I_cancel c) slot);
+        (1, map (fun c -> I_cancel_id c) slot);
+        (1, map (fun c -> I_subscribe c) slot);
+        (1, map (fun c -> I_unsubscribe c) slot);
+        (1, map (fun c -> I_status c) slot);
+        (1, map (fun c -> I_reconnect c) slot);
+        (3, return I_pump);
+      ])
+
+(* A raw connection: ops go out without waiting for replies, and every
+   frame that comes back is logged. *)
+type iconn = {
+  ifd : Unix.file_descr;
+  idec : Json.Stream.decoder;
+  mutable frames : Json.t list;  (* newest first *)
+  mutable submitted : int list;  (* pool spec per submit, newest first *)
+}
+
+let iconnect path =
+  { ifd = raw_connect path; idec = Json.Stream.decoder (); frames = []; submitted = [] }
+
+let isend c j = write_all c.ifd (Json.to_string ~minify:true j ^ "\n")
+
+(* Log every frame that has arrived, waiting up to [timeout] for the
+   first byte. *)
+let ipump ?(timeout = 0.) c =
+  let buf = Bytes.create 65536 in
+  let rec drain () =
+    match Json.Stream.next c.idec with
+    | `Value v ->
+        c.frames <- v :: c.frames;
+        drain ()
+    | `Error e -> Alcotest.failf "daemon sent a bad frame: %s" (Json.error_to_string e)
+    | `Await -> ()
+  in
+  let rec go timeout =
+    match Unix.select [ c.ifd ] [] [] timeout with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read c.ifd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+            Json.Stream.feed c.idec (Bytes.sub_string buf 0 n);
+            drain ();
+            go 0.)
+  in
+  go timeout
+
+let int_field k v = match Json.member k v with Some (Json.Int i) -> Some i | _ -> None
+let str_field k v = match Json.member k v with Some (Json.String s) -> s | _ -> ""
+
+(* (ack frame, pool spec) for each ack on [c], oldest first: one submit
+   draws exactly one ack, in order. *)
+let acks_of c =
+  let acks = List.rev (List.filter (fun v -> frame_type v = "ack") c.frames) in
+  let specs = List.rev c.submitted in
+  List.filteri (fun i _ -> i < List.length acks) specs |> List.combine acks
+
+let accepted_id ack =
+  if Json.member "accepted" ack = Some (Json.Bool true) then int_field "id" ack
+  else None
+
+let settled c =
+  let frames = c.frames in
+  List.length (List.filter (fun v -> frame_type v = "ack") frames)
+  = List.length c.submitted
+  && List.for_all
+       (fun (ack, _) ->
+         match accepted_id ack with
+         | None -> true
+         | Some id ->
+             List.exists
+               (fun v -> frame_type v = "done" && int_field "id" v = Some id)
+               frames)
+       (acks_of c)
+
+(* Per job id on one connection: the ack comes first; progress frames
+   count done = 1, 2, … (from wherever the job stood when an attach
+   landed); telemetry only between the ack and the done frame; at most
+   one done frame, and nothing for the id after it. *)
+let check_frame_order c =
+  let seen : (int, [ `Acked of int option | `Done ]) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun v ->
+      match (frame_type v, int_field "id" v) with
+      | "ack", Some id when accepted_id v <> None -> (
+          match Hashtbl.find_opt seen id with
+          | None ->
+              let fresh = Json.member "attached" v <> Some (Json.Bool true) in
+              Hashtbl.replace seen id (`Acked (if fresh then Some 0 else None))
+          | Some (`Acked _) ->
+              check "a repeated ack is an attach" true
+                (Json.member "attached" v = Some (Json.Bool true))
+          | Some `Done -> Alcotest.failf "job %d: ack after its done frame" id)
+      | "progress", Some id -> (
+          let dn = Option.get (int_field "done" v) in
+          match Hashtbl.find_opt seen id with
+          | Some (`Acked prev) ->
+              (match prev with
+              | Some p when dn <> p + 1 ->
+                  Alcotest.failf "job %d: progress done=%d after %d" id dn p
+              | _ -> ());
+              Hashtbl.replace seen id (`Acked (Some dn))
+          | _ -> Alcotest.failf "job %d: progress outside ack..done" id)
+      | "telemetry", Some id -> (
+          match Hashtbl.find_opt seen id with
+          | Some (`Acked _) -> ()
+          | _ -> Alcotest.failf "job %d: telemetry outside ack..done" id)
+      | "done", Some id -> (
+          match Hashtbl.find_opt seen id with
+          | Some (`Acked _) -> Hashtbl.replace seen id `Done
+          | _ -> Alcotest.failf "job %d: done without ack, or twice" id)
+      | _ -> ())
+    (List.rev c.frames)
+
+(* Three connections drive random submit / cancel / subscribe / status /
+   hang-up interleavings over a pool of three small specs (so repeats
+   dedup-attach), then wait for every accepted job to finish.  Checked:
+   frame order per job and connection, a done frame for every accepted
+   ack on a connection still open, attaches naming an earlier accepted
+   id of the same spec, and a restart on the same out_dir listing the
+   ids, states and signatures the clients were told. *)
+let qcheck_daemon_interleavings =
+  QCheck.Test.make ~count:8 ~name:"daemon: random interleavings keep the invariants"
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map iop_to_string ops))
+       QCheck.Gen.(list_size (int_range 5 25) gen_iop))
+    (fun ops ->
+      let dir = tmpdir "interleave" in
+      let config = { (daemon_config dir ~cache:true) with Serve.jobs = Some 1 } in
+      let path = config.Serve.socket_path in
+      let d = start_daemon config in
+      let slots = Array.init 3 (fun _ -> iconnect path) in
+      let closed = ref [] in
+      let op name extra = Json.Obj (("op", Json.String name) :: extra) in
+      List.iter
+        (fun o ->
+          match o with
+          | I_submit (c, s) ->
+              slots.(c).submitted <- s :: slots.(c).submitted;
+              isend slots.(c) (op "submit" [ ("spec", Job.to_json pool_specs.(s)) ])
+          | I_cancel c -> isend slots.(c) (op "cancel" [])
+          | I_cancel_id c -> (
+              ipump slots.(c);
+              match
+                List.find_map
+                  (fun v -> if frame_type v = "ack" then int_field "id" v else None)
+                  slots.(c).frames
+              with
+              | Some id -> isend slots.(c) (op "cancel" [ ("id", Json.Int id) ])
+              | None -> isend slots.(c) (op "cancel" []))
+          | I_subscribe c -> isend slots.(c) (op "subscribe" [])
+          | I_unsubscribe c -> isend slots.(c) (op "unsubscribe" [])
+          | I_status c -> isend slots.(c) (op "status" [])
+          | I_reconnect c ->
+              ipump slots.(c);
+              Unix.close slots.(c).ifd;
+              closed := slots.(c) :: !closed;
+              slots.(c) <- iconnect path
+          | I_pump ->
+              Unix.sleepf 0.01;
+              Array.iter ipump slots)
+        ops;
+      let deadline = Unix.gettimeofday () +. 60. in
+      while
+        (not (Array.for_all settled slots)) && Unix.gettimeofday () < deadline
+      do
+        Array.iter (fun c -> ipump ~timeout:0.02 c) slots
+      done;
+      Array.iter (fun c -> check "every accepted ack gets its done" true (settled c)) slots;
+      let conns = Array.to_list slots @ !closed in
+      List.iter check_frame_order conns;
+      (* What the clients were told. *)
+      let all_acks = List.concat_map acks_of conns in
+      let fresh = Hashtbl.create 8 in
+      List.iter
+        (fun (ack, s) ->
+          match accepted_id ack with
+          | Some id when Json.member "attached" ack <> Some (Json.Bool true) ->
+              check "fresh ids are unique" false (Hashtbl.mem fresh id);
+              Hashtbl.replace fresh id s
+          | _ -> ())
+        all_acks;
+      let told = Hashtbl.create 8 in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun v ->
+              if frame_type v = "done" then begin
+                let id = Option.get (int_field "id" v) in
+                let st = (str_field "state" v, str_field "signature" v) in
+                (match Hashtbl.find_opt told id with
+                | Some st' -> check "watchers were told the same outcome" true (st = st')
+                | None -> ());
+                Hashtbl.replace told id st
+              end)
+            c.frames)
+        conns;
+      Array.iter (fun c -> Unix.close c.ifd) slots;
+      let conn = connect config in
+      check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+      Serve.Client.close conn;
+      Domain.join d;
+      let d = start_daemon config in
+      let conn = connect config in
+      let records =
+        match Json.member "jobs" (expect (Serve.Client.status conn)) with
+        | Some (Json.List rs) -> rs
+        | _ -> Alcotest.fail "status has no jobs list"
+      in
+      let record id = List.find_opt (fun r -> int_field "id" r = Some id) records in
+      (* An attach names an accepted record of the same spec. *)
+      List.iter
+        (fun (ack, s) ->
+          match accepted_id ack with
+          | Some id when Json.member "attached" ack = Some (Json.Bool true) ->
+              (match Hashtbl.find_opt fresh id with
+              | Some s' -> check "attached to the same spec" true (s = s')
+              | None -> ());
+              check "attached id is a known record of that spec" true
+                (match record id with
+                | Some r -> str_field "summary" r = Job.summary pool_specs.(s)
+                | None -> false)
+          | _ -> ())
+        all_acks;
+      Hashtbl.iter
+        (fun id _ -> check "accepted job survives the restart" true (record id <> None))
+        fresh;
+      Hashtbl.iter
+        (fun id (st, sg) ->
+          check "restart keeps what the clients were told" true
+            (match record id with
+            | Some r -> str_field "state" r = st && str_field "signature" r = sg
+            | None -> false))
+        told;
+      ignore (expect (Serve.Client.shutdown conn));
+      Serve.Client.close conn;
+      Domain.join d;
+      rm_rf dir;
+      true)
+
 let () =
   let qc =
     List.map
@@ -987,6 +1549,11 @@ let () =
             test_daemon_submit_stream_status_shutdown;
           Alcotest.test_case "cancel" `Quick test_daemon_cancel;
           Alcotest.test_case "eof cancels" `Quick test_daemon_eof_cancels;
+          Alcotest.test_case "slow consumer shed" `Quick
+            test_daemon_slow_consumer_shed;
+          Alcotest.test_case "connection cap" `Quick test_daemon_connection_cap;
+          Alcotest.test_case "oversized frame dropped" `Quick
+            test_daemon_oversized_frame;
         ] );
       ( "telemetry",
         [
@@ -999,6 +1566,10 @@ let () =
           Alcotest.test_case "decoder survives mid-frame cut" `Quick
             test_stream_decoder_mid_telemetry_cut;
         ] );
+      ( "untrusted",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |]))
+          [ qcheck_stream_fuzz; qcheck_spec_mutation_fuzz ] );
       ( "recovery",
         [
           QCheck_alcotest.to_alcotest
@@ -1010,5 +1581,8 @@ let () =
             test_daemon_restart_resume;
           Alcotest.test_case "deadline retry then poison" `Quick
             test_daemon_deadline_retry_poison;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            qcheck_daemon_interleavings;
         ] );
     ]

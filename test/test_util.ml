@@ -825,6 +825,30 @@ let test_stream_partial_frame_held () =
   | _ -> Alcotest.fail "expected completed frame");
   check_int "pending drained" 0 (Json.Stream.pending d)
 
+(* The daemon feeds each socket read straight into the decoder and asks
+   for frames after every chunk, so one large frame arriving in small
+   chunks must cost time linear in its size. *)
+let test_stream_large_frame_linear () =
+  let blob = String.make (8 * 1024 * 1024) 'a' in
+  let wire = "{\"blob\":\"" ^ blob ^ "\"}\n" in
+  let d = Json.Stream.decoder () in
+  let t0 = Unix.gettimeofday () in
+  let got = ref None in
+  let pos = ref 0 in
+  while !pos < String.length wire do
+    let len = min 4096 (String.length wire - !pos) in
+    Json.Stream.feed d (String.sub wire !pos len);
+    pos := !pos + len;
+    match Json.Stream.next d with
+    | `Value v -> got := Some v
+    | `Await -> ()
+    | `Error e -> Alcotest.failf "stream: %s" (Json.error_to_string e)
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check "frame decoded" true (!got = Some (Json.Obj [ ("blob", Json.String blob) ]));
+  check "nothing pending" true (Json.Stream.pending d = 0);
+  if elapsed >= 1.0 then Alcotest.failf "8 MiB in 4 KiB chunks took %.2fs" elapsed
+
 let stream_qcheck =
   (* Any frame sequence survives any re-chunking of the byte stream. *)
   let gen =
@@ -1241,6 +1265,8 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             stream_qcheck;
+          Alcotest.test_case "8 MiB frame in 4 KiB chunks" `Quick
+            test_stream_large_frame_linear;
         ] );
       ( "greedy-consumption",
         Alcotest.test_case "basics" `Quick test_greedy_consume_basics
