@@ -21,8 +21,8 @@ let ok_str v = if Check.verdict_ok v then "OK" else "FAIL"
    in canonical job order regardless of interleaving, and every
    campaign lands in _results/BENCH_<exp>.json.  Failing jobs are
    collected by [Bench_main] into _results/failures.json. *)
-let campaign ?header ~exp jobs =
-  let c = Runner.run ~exp jobs in
+let campaign ?header ?jobs ~exp joblist =
+  let c = Runner.run ?jobs ~exp joblist in
   (match header with Some h -> print_endline h | None -> ());
   List.iter print_endline (Runner.rows c);
   let path = Runner.write_artifact c in
@@ -34,7 +34,30 @@ let campaign ?header ~exp jobs =
     c.Runner.c_wall_s c.Runner.c_throughput path;
   c
 
-let fdkit_replay fmt = Printf.ksprintf (fun s -> "dune exec bin/fdkit.exe -- " ^ s) fmt
+(* A bench job running one registered protocol: the registry wires it,
+   and the job records the [fdkit run] line that reproduces it
+   ([~replay:false] when no command line can express [p]). *)
+let protocol_job ~exp ~label ~params ?(replay = true) protocol (p : Protocol.params) body =
+  let pk = Option.get (Protocol.find protocol) in
+  Runner.job ~exp ~seed:p.Protocol.seed ~label ~params
+    ?replay:(if replay then Some (Job.replay_command protocol p) else None)
+    (fun () -> body (Protocol.run pk p))
+
+let metric (r : Protocol.report) name =
+  Option.value ~default:0.0 (List.assoc_opt name r.Protocol.rp_metrics)
+
+let imetric r name = int_of_float (metric r name)
+
+let verdict_body ?metrics ?row (r : Protocol.report) =
+  let v = r.Protocol.rp_verdict in
+  Runner.body
+    ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
+    ~metrics:(Option.value ~default:r.Protocol.rp_metrics metrics)
+    ?row (Check.verdict_ok v)
+
+(* BENCH_SMOKE trims the long experiments (sched, obs, chaos, serve, rt)
+   to the sizes CI runs. *)
+let smoke () = Sys.getenv_opt "BENCH_SMOKE" <> None
 
 (* Common knobs: n = 8, t = 3 gives a 4-row grid and room for interesting
    (x, y) sweeps while keeping ring sizes small. *)
@@ -49,85 +72,60 @@ let setup ?(horizon = 400.0) ?(crashes = 0) ~seed () =
     (Crash.generate (Crash.Exactly { crashes; window = (0.0, 20.0) }) ~n ~t rng);
   sim
 
+(* The same knobs as registry params (stormy oracles stabilizing at [gst],
+   [crashes] random crashes in [0, 20)), for [protocol_job]. *)
+let params ?(n = n) ?(t = t) ~seed ~horizon ~crashes () =
+  {
+    Protocol.default with
+    Protocol.n;
+    t;
+    seed;
+    gst;
+    horizon;
+    crashes = Crash.Exactly { crashes; window = (0.0, 20.0) };
+  }
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Figure 1, positive half: every class of row z yields z-set
    agreement, through the paper's own reductions.                      *)
 (* ------------------------------------------------------------------ *)
-
-type e1_row = {
-  z : int;
-  source : string;
-  verdict : string;
-  rounds : int;
-  msgs : int;
-}
-
-let e1_run_cell ~z ~source ~seed =
-  let crashes = min 2 t in
-  let sim = setup ~horizon:2000.0 ~crashes ~seed () in
-  let behavior = Behavior.stormy ~gst in
-  let omega =
-    match source with
-    | `Es ->
-        let x = t - z + 2 in
-        let suspector, _ = Oracle.es_x sim ~x ~behavior () in
-        Wheels.omega (Reduce.omega_from_es sim ~suspector ~x ())
-    | `Phi ->
-        let y = t - z + 1 in
-        let querier, _ = Oracle.ephi_y sim ~y ~behavior () in
-        Wheels.omega (Reduce.omega_from_phi sim ~querier ~y ())
-    | `Psi ->
-        let y = t - z + 1 in
-        let querier, _ = Oracle.psi_y sim ~y ~behavior () in
-        Psi_to_omega.omega (Reduce.omega_from_psi sim ~querier ~y)
-    | `Oracle ->
-        let omega, _ = Oracle.omega_z sim ~z ~behavior () in
-        omega
-  in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let h = Reduce.solve_kset sim ~omega ~proposals () in
-  let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-  let v = Check.k_set_agreement sim ~k:z ~proposals ~decisions:(Kset.decisions h) in
-  let name =
-    match source with
-    | `Es -> Printf.sprintf "◇S_%d (wheels y=0)" (t - z + 2)
-    | `Phi -> Printf.sprintf "◇φ_%d (wheels x=1)" (t - z + 1)
-    | `Psi -> Printf.sprintf "Ψ_%d (Fig 8 chain)" (t - z + 1)
-    | `Oracle -> Printf.sprintf "Ω_%d (oracle)" z
-  in
-  { z; source = name; verdict = ok_str v; rounds = Kset.max_round h; msgs = Kset.messages_sent h }
 
 let e1 () =
   section "E1  Figure 1 grid, positive half: row z solves z-set agreement (n=8, t=3)";
   let jobs =
     List.concat_map
       (fun z ->
+        let base =
+          { (params ~seed:(1000 + z) ~horizon:2000.0 ~crashes:(min 2 t) ()) with z; k = z }
+        in
+        (* Ω_z itself, then the paper's reductions from each class of row z. *)
         List.map
-          (fun source ->
-            let seed = 1000 + z in
-            let sname =
-              match source with
-              | `Oracle -> "oracle"
-              | `Es -> "es"
-              | `Phi -> "phi"
-              | `Psi -> "psi"
-            in
-            Runner.job ~exp:"e1" ~seed
+          (fun (sname, source, protocol, p) ->
+            protocol_job ~exp:"e1"
               ~label:(Printf.sprintf "z=%d source=%s" z sname)
               ~params:[ ("z", Json.Int z); ("source", Json.String sname) ]
-              ~replay:
-                (fdkit_replay "kset -n %d -t %d -z %d -k %d --crashes %d --seed %d" n t
-                   z z (min 2 t) seed)
-              (fun () ->
-                let r = e1_run_cell ~z ~source ~seed in
-                Runner.body
-                  ~metrics:
-                    [ ("rounds", float_of_int r.rounds); ("msgs", float_of_int r.msgs) ]
+              protocol p
+              (fun r ->
+                verdict_body r
                   ~row:
-                    (Printf.sprintf "%-3d  %-22s  %-8s  %-6d  %-8d" r.z r.source r.verdict
-                       r.rounds r.msgs)
-                  (r.verdict = "OK")))
-          [ `Oracle; `Es; `Phi; `Psi ])
+                    (Printf.sprintf "%-3d  %-22s  %-8s  %-6d  %-8d" z source
+                       (ok_str r.Protocol.rp_verdict) (imetric r "rounds")
+                       (imetric r "msgs"))))
+          [
+            ("oracle", Printf.sprintf "Ω_%d (oracle)" z, "kset", base);
+            ( "es",
+              Printf.sprintf "◇S_%d (wheels y=0)" (t - z + 2),
+              "reduce",
+              { base with Protocol.variant = "es"; x = t - z + 2; y = 0 } );
+            ( "phi",
+              Printf.sprintf "◇φ_%d (wheels x=1)" (t - z + 1),
+              "reduce",
+              { base with Protocol.variant = "phi"; x = 1; y = t - z + 1 } );
+            ( "psi",
+              Printf.sprintf "Ψ_%d (Fig 8 chain)" (t - z + 1),
+              "reduce",
+              { base with Protocol.variant = "psi"; y = t - z + 1 } );
+          ])
       (List.init (t + 1) (fun i -> i + 1))
   in
   ignore
@@ -167,50 +165,21 @@ let e3 () =
           (fun y ->
             if not (Bounds.wheels_admissible ~n ~t ~x ~y) then None
             else
-              let seed = 2000 + (x * 10) + y in
+              let z = Bounds.z_of_addition ~t ~x ~y in
+              let p =
+                { (params ~seed:(2000 + (x * 10) + y) ~horizon:400.0 ~crashes:2 ()) with x; y }
+              in
               Some
-                (Runner.job ~exp:"e3" ~seed
+                (protocol_job ~exp:"e3"
                    ~label:(Printf.sprintf "x=%d y=%d" x y)
-                   ~params:
-                     [
-                       ("x", Json.Int x);
-                       ("y", Json.Int y);
-                       ("z", Json.Int (Bounds.z_of_addition ~t ~x ~y));
-                     ]
-                   ~replay:
-                     (fdkit_replay "wheels -n %d -t %d -x %d -y %d --crashes 2 --seed %d"
-                        n t x y seed)
-                   (fun () ->
-                     let horizon = 400.0 in
-                     let sim = setup ~horizon ~crashes:2 ~seed () in
-                     let behavior = Behavior.stormy ~gst in
-                     let suspector, _ = Oracle.es_x sim ~x ~behavior () in
-                     let querier, _ = Oracle.ephi_y sim ~y ~behavior () in
-                     let w = Wheels.install sim ~suspector ~querier ~x ~y () in
-                     let omega = Wheels.omega w in
-                     let mon =
-                       Monitor.watch sim ~every:0.5 ~read:(fun i -> omega.Iface.trusted i) ()
-                     in
-                     let _ = Sim.run sim in
-                     let v = Check.omega_z sim ~z:(Wheels.z w) ~deadline:(horizon -. 80.0) mon in
-                     Runner.body
-                       ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
-                       ~metrics:
-                         [
-                           ("stab", Wheels.stabilized_since w);
-                           ( "x_moves",
-                             float_of_int (Wheels_lower.moves_broadcast (Wheels.lower w)) );
-                           ( "l_moves",
-                             float_of_int (Wheels_upper.moves_broadcast (Wheels.upper w)) );
-                           ("msgs", float_of_int (Wheels.total_messages w));
-                         ]
+                   ~params:[ ("x", Json.Int x); ("y", Json.Int y); ("z", Json.Int z) ]
+                   "wheels" p
+                   (fun r ->
+                     verdict_body r
                        ~row:
-                         (Printf.sprintf "%-3d %-3d %-3d  %-10s  %-9.1f  %-8d %-8d %-9d" x y
-                            (Wheels.z w) (ok_str v) (Wheels.stabilized_since w)
-                            (Wheels_lower.moves_broadcast (Wheels.lower w))
-                            (Wheels_upper.moves_broadcast (Wheels.upper w))
-                            (Wheels.total_messages w))
-                       (Check.verdict_ok v))))
+                         (Printf.sprintf "%-3d %-3d %-3d  %-10s  %-9.1f  %-8d %-8d %-9d" x y z
+                            (ok_str r.Protocol.rp_verdict) (metric r "stab")
+                            (imetric r "x_moves") (imetric r "l_moves") (imetric r "msgs")))))
           (List.init (t + 1) (fun y -> y)))
       (List.init (t + 1) (fun i -> i + 1))
   in
@@ -302,8 +271,15 @@ let e5 () =
           [ 0; t ])
       [ 1; 2; 3 ]
     |> List.map (fun (k, crashes, bname) ->
-           let seed = 4000 + k + crashes in
-           Runner.job ~exp:"e5" ~seed
+           let p =
+             {
+               (params ~seed:(4000 + k + crashes) ~horizon:3000.0 ~crashes ()) with
+               z = k;
+               k;
+               gst = (if bname = "perfect" then 0.0 else gst);
+             }
+           in
+           protocol_job ~exp:"e5"
              ~label:(Printf.sprintf "k=%d crashes=%d %s" k crashes bname)
              ~params:
                [
@@ -311,39 +287,13 @@ let e5 () =
                  ("crashes", Json.Int crashes);
                  ("oracle", Json.String bname);
                ]
-             ~replay:
-               (fdkit_replay "kset -n %d -t %d -z %d -k %d --crashes %d --gst %g --seed %d"
-                  n t k k crashes
-                  (if bname = "perfect" then 0.0 else gst)
-                  seed)
-             (fun () ->
-               let p =
-                 {
-                   Protocol.default with
-                   Protocol.n;
-                   t;
-                   seed;
-                   z = k;
-                   k;
-                   gst = (if bname = "perfect" then 0.0 else gst);
-                   horizon = 3000.0;
-                   crashes = Crash.Exactly { crashes; window = (0.0, 20.0) };
-                 }
-               in
-               let r = Protocol.run (Option.get (Protocol.find "kset")) p in
-               let v = r.Protocol.rp_verdict in
-               let metric name =
-                 Option.value ~default:0.0 (List.assoc_opt name r.Protocol.rp_metrics)
-               in
-               Runner.body
-                 ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
-                 ~metrics:r.Protocol.rp_metrics
+             "kset" p
+             (fun r ->
+               verdict_body r
                  ~row:
                    (Printf.sprintf "%-4d %-8d %-18s  %-7d %-8d %-10.1f %-6s" k crashes bname
-                      (int_of_float (metric "rounds"))
-                      (int_of_float (metric "msgs"))
-                      (metric "latency") (ok_str v))
-                 (Check.verdict_ok v)))
+                      (imetric r "rounds") (imetric r "msgs") (metric r "latency")
+                      (ok_str r.Protocol.rp_verdict))))
   in
   ignore
     (campaign ~exp:"e5"
@@ -381,26 +331,12 @@ let e5c () =
       (fun crashes ->
         List.init 30 (fun i ->
             let seed = 4200 + i + 1 in
-            Runner.job ~exp:"e5c" ~seed
+            protocol_job ~exp:"e5c"
               ~label:(Printf.sprintf "crashes=%d seed=%d" crashes seed)
               ~params:[ ("crashes", Json.Int crashes) ]
-              ~replay:
-                (fdkit_replay "kset -n %d -t %d -z 1 -k 1 --crashes %d --seed %d" n t
-                   crashes seed)
-              (fun () ->
-                let sim = setup ~horizon:3000.0 ~crashes ~seed () in
-                let omega, _ = Oracle.omega_z sim ~z:1 ~behavior:(Behavior.stormy ~gst) () in
-                let proposals = Array.init n (fun i -> 100 + i) in
-                let h = Kset.install sim ~omega ~proposals () in
-                let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-                let v =
-                  Check.k_set_agreement sim ~k:1 ~proposals ~decisions:(Kset.decisions h)
-                in
-                Runner.body
-                  ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
-                  ~metrics:
-                    [ ("latency", o.end_time); ("rounds", float_of_int (Kset.max_round h)) ]
-                  (Check.verdict_ok v))))
+              "kset"
+              { (params ~seed ~horizon:3000.0 ~crashes ()) with z = 1; k = 1 }
+              (fun r -> verdict_body r)))
       [ 0; t ]
   in
   let c = campaign ~exp:"e5c" jobs in
@@ -431,97 +367,66 @@ let e5c () =
 (* E6 — Figures 5-6: wheels convergence vs n, x, y, crash pattern.     *)
 (* ------------------------------------------------------------------ *)
 
-let e6_render ~label ~n:nn ~x ~y w =
-  Printf.sprintf "%-22s %-3d %-3d %-3d %-3d  %-9.1f %-8d %-8d %-9d" label nn x y
-    (Wheels.z w) (Wheels.stabilized_since w)
-    (Wheels_lower.moves_broadcast (Wheels.lower w))
-    (Wheels_upper.moves_broadcast (Wheels.upper w))
-    (Wheels.total_messages w)
-
-let e6_metrics w =
-  [
-    ("stab", Wheels.stabilized_since w);
-    ("x_moves", float_of_int (Wheels_lower.moves_broadcast (Wheels.lower w)));
-    ("l_moves", float_of_int (Wheels_upper.moves_broadcast (Wheels.upper w)));
-    ("msgs", float_of_int (Wheels.total_messages w));
-  ]
-
-let e6_job ~n:nn ~t:tt ~x ~y ~crashes ~label ~seed =
-  Runner.job ~exp:"e6" ~seed
-    ~label:(Printf.sprintf "%s n=%d x=%d y=%d" label nn x y)
+let e6_job ?replay ~label (p : Protocol.params) =
+  let x = p.Protocol.x and y = p.Protocol.y in
+  protocol_job ~exp:"e6" ?replay
+    ~label:(Printf.sprintf "%s n=%d x=%d y=%d" label p.Protocol.n x y)
     ~params:
       [
         ("scenario", Json.String label);
-        ("n", Json.Int nn);
-        ("t", Json.Int tt);
+        ("n", Json.Int p.Protocol.n);
+        ("t", Json.Int p.Protocol.t);
         ("x", Json.Int x);
         ("y", Json.Int y);
-        ("crashes", Json.Int crashes);
+        ("crashes", Crash.spec_to_json p.Protocol.crashes);
       ]
-    ~replay:
-      (fdkit_replay "wheels -n %d -t %d -x %d -y %d --crashes %d --seed %d" nn tt x y
-         crashes seed)
-    (fun () ->
-      let horizon = 400.0 in
-      let sim = Sim.create ~horizon ~n:nn ~t:tt ~seed () in
-      let rng = Rng.split_named (Sim.rng sim) "crash" in
-      Sim.install_crashes sim
-        (Crash.generate (Crash.Exactly { crashes; window = (0.0, 20.0) }) ~n:nn ~t:tt rng);
-      let behavior = Behavior.stormy ~gst in
-      let suspector, _ = Oracle.es_x sim ~x ~behavior () in
-      let querier, _ = Oracle.ephi_y sim ~y ~behavior () in
-      let w = Wheels.install sim ~suspector ~querier ~x ~y () in
-      let _ = Sim.run sim in
+    "wheels" p
+    (fun r ->
       (* Quiescence is the claim under test: the rings must stop moving
          well before the horizon. *)
-      let quiesced = Wheels.stabilized_since w < horizon -. 80.0 in
+      let quiesced = metric r "stab" < p.Protocol.horizon -. 80.0 in
       Runner.body
         ~notes:(if quiesced then [] else [ "rings still moving near the horizon" ])
-        ~metrics:(e6_metrics w)
-        ~row:(e6_render ~label ~n:nn ~x ~y w)
+        ~metrics:r.Protocol.rp_metrics
+        ~row:
+          (Printf.sprintf "%-22s %-3d %-3d %-3d %-3d  %-9.1f %-8d %-8d %-9d" label
+             p.Protocol.n x y
+             (Bounds.z_of_addition ~t:p.Protocol.t ~x ~y)
+             (metric r "stab") (imetric r "x_moves") (imetric r "l_moves")
+             (imetric r "msgs"))
         quiesced)
 
 let e6 () =
   section "E6  Wheels convergence (Figs 5-6): stabilization and quiescence";
+  let p ~n ~t ~x ~y ~crashes ~seed =
+    { (params ~n ~t ~seed ~horizon:400.0 ~crashes ()) with x; y }
+  in
   let jobs =
     List.concat
       [
         List.mapi
-          (fun i nn -> e6_job ~n:nn ~t:2 ~x:2 ~y:1 ~crashes:1 ~label:"n sweep" ~seed:(5000 + i))
+          (fun i nn ->
+            e6_job ~label:"n sweep" (p ~n:nn ~t:2 ~x:2 ~y:1 ~crashes:1 ~seed:(5000 + i)))
           [ 5; 6; 7; 8 ];
         List.mapi
           (fun i x ->
-            e6_job ~n:8 ~t:3 ~x ~y:0 ~crashes:2 ~label:"x sweep (y=0)" ~seed:(5100 + i))
+            e6_job ~label:"x sweep (y=0)" (p ~n:8 ~t:3 ~x ~y:0 ~crashes:2 ~seed:(5100 + i)))
           [ 1; 2; 3; 4 ];
         List.mapi
           (fun i y ->
-            e6_job ~n:8 ~t:3 ~x:1 ~y ~crashes:2 ~label:"y sweep (x=1)" ~seed:(5200 + i))
+            e6_job ~label:"y sweep (x=1)" (p ~n:8 ~t:3 ~x:1 ~y ~crashes:2 ~seed:(5200 + i)))
           [ 0; 1; 2; 3 ];
-        (* The degenerate whole-X-dead case: crash the ring's first X = {p0,p1}. *)
+        (* The degenerate whole-X-dead case: crash the ring's first X =
+           {p0,p1} at time 0, under calm oracles.  No command line sets
+           explicit crashes or the oracle adversary, so it records no
+           replay. *)
         [
-          Runner.job ~exp:"e6" ~seed:5300 ~label:"initial X all dead"
-            ~params:
-              [
-                ("scenario", Json.String "initial X all dead");
-                ("n", Json.Int 6);
-                ("t", Json.Int 2);
-                ("x", Json.Int 2);
-                ("y", Json.Int 0);
-              ]
-            ~replay:(fdkit_replay "wheels -n 6 -t 2 -x 2 -y 0 --crashes 2 --seed 5300")
-            (fun () ->
-              let sim = Sim.create ~horizon:400.0 ~n:6 ~t:2 ~seed:5300 () in
-              Sim.install_crashes sim [ (0, 0.0); (1, 0.0) ];
-              let suspector, _ = Oracle.es_x sim ~x:2 ~behavior:(Behavior.calm ~gst) () in
-              let querier, _ = Oracle.ephi_y sim ~y:0 ~behavior:(Behavior.calm ~gst) () in
-              let w = Wheels.install sim ~suspector ~querier ~x:2 ~y:0 () in
-              let _ = Sim.run sim in
-              let quiesced = Wheels.stabilized_since w < 400.0 -. 80.0 in
-              Runner.body
-                ~notes:(if quiesced then [] else [ "rings still moving near the horizon" ])
-                ~metrics:(e6_metrics w)
-                ~row:(e6_render ~label:"initial X all dead" ~n:6 ~x:2 ~y:0 w)
-                quiesced);
+          e6_job ~replay:false ~label:"initial X all dead"
+            {
+              (p ~n:6 ~t:2 ~x:2 ~y:0 ~crashes:0 ~seed:5300) with
+              Protocol.crashes = Crash.Explicit [ (0, 0.0); (1, 0.0) ];
+              faults = { Faults.none with Faults.adversary = "calm" };
+            };
         ];
       ]
   in
@@ -746,36 +651,39 @@ let e11 () =
 
 let e12 () =
   section "E12  Consensus routes: Omega-based (Fig 3, k=1) vs rotating-coordinator ◇S";
+  let cells = [ (0, 1); (0, 2); (2, 3); (2, 4); (3, 5); (3, 6) ] in
+  (* Two jobs per cell, the Ω route (kset with z = k = 1) then the ◇S
+     route (consensus_s); the table pairs them up. *)
+  let jobs =
+    List.concat_map
+      (fun (crashes, seed) ->
+        let p = { (params ~seed ~horizon:3000.0 ~crashes ()) with z = 1; k = 1 } in
+        List.map
+          (fun (route, protocol) ->
+            protocol_job ~exp:"e12"
+              ~label:(Printf.sprintf "%s crashes=%d seed=%d" route crashes seed)
+              ~params:[ ("route", Json.String route); ("crashes", Json.Int crashes) ]
+              protocol p
+              (fun r -> verdict_body r))
+          [ ("omega", "kset"); ("es", "consensus_s") ])
+      cells
+  in
+  let c = campaign ~exp:"e12" jobs in
+  let route i =
+    let r = c.Runner.c_results.(i) in
+    let get name =
+      int_of_float (Option.value ~default:0.0 (List.assoc_opt name r.Runner.r_metrics))
+    in
+    Printf.sprintf "%d, %d%s" (get "rounds") (get "msgs")
+      (if r.Runner.r_ok then "" else " FAIL")
+  in
   Printf.printf "%-10s %-8s %-22s %-22s\n" "crashes" "seed" "Omega route (r, msgs)"
     "◇S route (r, msgs)";
-  List.iter
-    (fun (crashes, seed) ->
-      let run_omega () =
-        let sim = setup ~horizon:3000.0 ~crashes ~seed () in
-        let omega, _ = Oracle.omega_z sim ~z:1 ~behavior:(Behavior.stormy ~gst) () in
-        let proposals = Array.init n (fun i -> 100 + i) in
-        let h = Kset.install sim ~omega ~proposals () in
-        let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-        let v = Check.k_set_agreement sim ~k:1 ~proposals ~decisions:(Kset.decisions h) in
-        (Kset.max_round h, Kset.messages_sent h, Check.verdict_ok v)
-      in
-      let run_s () =
-        let sim = setup ~horizon:3000.0 ~crashes ~seed () in
-        let suspector, _ = Oracle.es_x sim ~x:n ~behavior:(Behavior.stormy ~gst) () in
-        let proposals = Array.init n (fun i -> 100 + i) in
-        let h = Consensus_s.install sim ~suspector ~proposals () in
-        let _ = Sim.run ~stop_when:(fun () -> Consensus_s.all_correct_decided h) sim in
-        let v =
-          Check.k_set_agreement sim ~k:1 ~proposals ~decisions:(Consensus_s.decisions h)
-        in
-        (Consensus_s.max_round h, Consensus_s.messages_sent h, Check.verdict_ok v)
-      in
-      let ro, mo, vo = run_omega () in
-      let rs, ms, vs = run_s () in
-      Printf.printf "%-10d %-8d %-22s %-22s\n" crashes seed
-        (Printf.sprintf "%d, %d%s" ro mo (if vo then "" else " FAIL"))
-        (Printf.sprintf "%d, %d%s" rs ms (if vs then "" else " FAIL")))
-    [ (0, 1); (0, 2); (2, 3); (2, 4); (3, 5); (3, 6) ];
+  List.iteri
+    (fun i (crashes, seed) ->
+      Printf.printf "%-10d %-8d %-22s %-22s\n" crashes seed (route (2 * i))
+        (route ((2 * i) + 1)))
+    cells;
   Printf.printf
     "\nBoth routes decide one value.  Their pre-stabilization behaviour differs:\n\
      the Omega route cannot commit while the churning oracle keeps renaming\n\
@@ -796,45 +704,28 @@ let e13 () =
     List.map
       (fun nn ->
         let tt = (nn - 1) / 2 in
-        let seed = 9500 + nn in
-        Runner.job ~exp:"e13" ~seed
+        let p =
+          {
+            (params ~n:nn ~t:tt ~seed:(9500 + nn) ~horizon:3000.0 ~crashes:(min 2 tt) ()) with
+            z = 1;
+            k = 1;
+          }
+        in
+        protocol_job ~exp:"e13"
           ~label:(Printf.sprintf "n=%d" nn)
           ~params:[ ("n", Json.Int nn); ("t", Json.Int tt) ]
-          ~replay:
-            (fdkit_replay "kset -n %d -t %d -z 1 -k 1 --crashes %d --seed %d" nn tt
-               (min 2 tt) seed)
-          (fun () ->
-            let p =
-              {
-                Protocol.default with
-                Protocol.n = nn;
-                t = tt;
-                seed;
-                z = 1;
-                k = 1;
-                gst;
-                horizon = 3000.0;
-                crashes = Crash.Exactly { crashes = min 2 tt; window = (0.0, 20.0) };
-              }
-            in
-            let r = Protocol.run (Option.get (Protocol.find "kset")) p in
-            let v = r.Protocol.rp_verdict in
-            let metric name =
-              Option.value ~default:0.0 (List.assoc_opt name r.Protocol.rp_metrics)
-            in
-            let rounds = int_of_float (metric "rounds") in
-            let msgs = int_of_float (metric "msgs") in
-            Runner.body
-              ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
+          "kset" p
+          (fun r ->
+            let rounds = imetric r "rounds" and msgs = imetric r "msgs" in
+            verdict_body r
               ~metrics:
                 (r.Protocol.rp_metrics
                 @ [ ("msg_per_round", float_of_int (msgs / max 1 rounds)) ])
               ~row:
                 (Printf.sprintf "%-5d %-5d  %-7d %-9d %-9.1f %-10d %-6s" nn tt rounds msgs
-                   (metric "latency")
+                   (metric r "latency")
                    (msgs / max 1 rounds)
-                   (ok_str v))
-              (Check.verdict_ok v)))
+                   (ok_str r.Protocol.rp_verdict))))
       [ 5; 9; 15; 21; 31; 41 ]
   in
   ignore
@@ -873,13 +764,11 @@ let e14 () =
     [ 0.0; 0.1; 0.3; 0.5 ]
 
 (* ------------------------------------------------------------------ *)
-(* SCHED — engine scaling sweep: the arena/condition engine vs the     *)
-(* legacy re-poll scheduler and the legacy closure-per-event queue on  *)
-(* growing kset systems, n = 8 .. 1024.  All engines produce identical *)
-(* executions (test/test_sched.ml pins the differentials); this        *)
-(* experiment records what the hot-path overhaul buys and gates the    *)
-(* allocation profile: bounded minor words per event on protocol runs, *)
-(* zero promoted words per event on steady-state timer probes.         *)
+(* SCHED — engine scaling sweep: the arena/condition engine on growing *)
+(* kset systems, n = 8 .. 1024.  It records the engine's throughput    *)
+(* and gates the allocation profile: bounded minor words per event on  *)
+(* protocol runs, zero promoted words per event on steady-state timer  *)
+(* probes.                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Allocation gates (words per event).  Kset runs allocate envelopes,
@@ -896,102 +785,87 @@ let sched_minor_words_bound nn = Float.max 1024.0 (16.0 *. float_of_int nn)
 let sched_probe_minor_bound = 16.0
 
 let sched () =
-  section "SCHED  Engine scaling sweep: arena/cond vs legacy poll vs legacy queue";
-  (* BENCH_SCHED_SMOKE: trimmed sweep for CI (small n, one seed); the
-     steady-state GC probes run in both modes, so CI fails on an
-     allocation regression, not just on a crash. *)
-  let smoke = Sys.getenv_opt "BENCH_SCHED_SMOKE" <> None in
+  section "SCHED  Engine scaling sweep: the arena/cond engine, n = 8 .. 1024";
+  (* The smoke sweep (small n, one seed) still runs the steady-state GC
+     probes, so CI fails on an allocation regression, not just on a
+     crash. *)
+  let smoke = smoke () in
   let sizes = if smoke then [ 8; 16; 32 ] else [ 8; 16; 32; 64; 128; 256; 512; 1024 ] in
-  (* The legacy engines exist as differential baselines; measuring them
-     past n = 128 only burns time (the poll scheduler is quadratic in
-     waiters), so the big sizes run the production engine alone. *)
-  let mode_cap = 128 in
-  let seeds_for nn = if smoke || nn > mode_cap then [ 1 ] else [ 1; 2; 3 ] in
-  let modes_for nn =
-    if nn <= mode_cap then
-      [ ("cond", false, false); ("legacy_poll", true, false); ("legacy_queue", false, true) ]
-    else [ ("cond", false, false) ]
-  in
+  let seeds_for nn = if smoke || nn > 128 then [ 1 ] else [ 1; 2; 3 ] in
   (* Storm (pre-gst) rounds are pure churn at large n — n^2 messages per
      round that decide nothing.  Stabilize the oracle early for the big
      sizes so the n = 1024 job spends its wall clock on useful rounds. *)
-  let gst_for nn = if nn > mode_cap then 10.0 else gst in
+  let gst_for nn = if nn > 128 then 10.0 else gst in
   let jobs =
     List.concat_map
       (fun nn ->
         let tb = (nn / 2) - 1 in
-        List.concat_map
-          (fun (mode, legacy_poll, legacy_queue) ->
-            List.map
-              (fun seed ->
-                Runner.job ~exp:"sched" ~seed
-                  ~label:(Printf.sprintf "n=%d mode=%s seed=%d" nn mode seed)
-                  ~params:
+        List.map
+          (fun seed ->
+            let p =
+              {
+                (params ~n:nn ~t:tb ~seed ~horizon:3000.0 ~crashes:2 ()) with
+                z = 2;
+                k = 2;
+                gst = gst_for nn;
+              }
+            in
+            Runner.job ~exp:"sched" ~seed
+              ~label:(Printf.sprintf "n=%d mode=cond seed=%d" nn seed)
+              ~params:[ ("n", Json.Int nn); ("t", Json.Int tb); ("mode", Json.String "cond") ]
+              ~replay:(Job.replay_command "kset" p)
+              (fun () ->
+                (* Built by hand, not through the registry: the big sizes
+                   need a larger event budget, and the GC counters must
+                   cover [Sim.run] alone. *)
+                let sim =
+                  Sim.create ~horizon:p.Protocol.horizon ~max_events:200_000_000 ~n:nn ~t:tb
+                    ~seed ()
+                in
+                let rng = Rng.split_named (Sim.rng sim) "crash" in
+                Sim.install_crashes sim (Crash.generate p.Protocol.crashes ~n:nn ~t:tb rng);
+                let omega, _ =
+                  Oracle.omega_z sim ~z:2 ~behavior:(Behavior.stormy ~gst:(gst_for nn)) ()
+                in
+                let proposals = Array.init nn (fun i -> 100 + i) in
+                let h = Kset.install sim ~omega ~proposals () in
+                let g0 = Gc.quick_stat () in
+                let t0 = Unix.gettimeofday () in
+                let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
+                let wall = Unix.gettimeofday () -. t0 in
+                let g1 = Gc.quick_stat () in
+                let ev = float_of_int (max o.events 1) in
+                let minor_pe = (g1.Gc.minor_words -. g0.Gc.minor_words) /. ev in
+                let promoted_pe = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. ev in
+                let v =
+                  Check.k_set_agreement sim ~k:2 ~proposals ~decisions:(Kset.decisions h)
+                in
+                if minor_pe > sched_minor_words_bound nn then
+                  failwith
+                    (Printf.sprintf "GC gate: %.0f minor words/event (bound %.0f)" minor_pe
+                       (sched_minor_words_bound nn));
+                let pe = Sim.pred_evals sim in
+                Runner.body
+                  ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
+                  ~metrics:
                     [
-                      ("n", Json.Int nn);
-                      ("t", Json.Int tb);
-                      ("mode", Json.String mode);
+                      ("rounds", float_of_int (Kset.max_round h));
+                      ("events", float_of_int o.events);
+                      ("pred_evals", float_of_int pe);
+                      ("signals", float_of_int (Sim.cond_signals sim));
+                      ("wakeups", float_of_int (Sim.wakeups sim));
+                      ("wall_s", wall);
+                      ("events_per_s", float_of_int o.events /. Float.max wall 1e-9);
+                      ("minor_words_per_event", minor_pe);
+                      ("promoted_words_per_event", promoted_pe);
                     ]
-                  ~replay:
-                    (fdkit_replay "kset -n %d -t %d -z 2 -k 2 --crashes 2 --gst %g --seed %d%s%s"
-                       nn tb (gst_for nn) seed
-                       (if legacy_poll then " --legacy-poll" else "")
-                       (if legacy_queue then " --legacy-queue" else ""))
-                  (fun () ->
-                    let sim =
-                      Sim.create ~horizon:3000.0 ~max_events:200_000_000 ~legacy_poll
-                        ~legacy_queue ~n:nn ~t:tb ~seed ()
-                    in
-                    let rng = Rng.split_named (Sim.rng sim) "crash" in
-                    Sim.install_crashes sim
-                      (Crash.generate
-                         (Crash.Exactly { crashes = 2; window = (0.0, 20.0) })
-                         ~n:nn ~t:tb rng);
-                    let omega, _ =
-                      Oracle.omega_z sim ~z:2 ~behavior:(Behavior.stormy ~gst:(gst_for nn)) ()
-                    in
-                    let proposals = Array.init nn (fun i -> 100 + i) in
-                    let h = Kset.install sim ~omega ~proposals () in
-                    let g0 = Gc.quick_stat () in
-                    let t0 = Unix.gettimeofday () in
-                    let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-                    let wall = Unix.gettimeofday () -. t0 in
-                    let g1 = Gc.quick_stat () in
-                    let ev = float_of_int (max o.events 1) in
-                    let minor_pe = (g1.Gc.minor_words -. g0.Gc.minor_words) /. ev in
-                    let promoted_pe = (g1.Gc.promoted_words -. g0.Gc.promoted_words) /. ev in
-                    let v =
-                      Check.k_set_agreement sim ~k:2 ~proposals
-                        ~decisions:(Kset.decisions h)
-                    in
-                    if minor_pe > sched_minor_words_bound nn then
-                      failwith
-                        (Printf.sprintf "GC gate: %.0f minor words/event (bound %.0f)"
-                           minor_pe (sched_minor_words_bound nn));
-                    let pe = Sim.pred_evals sim in
-                    Runner.body
-                      ~notes:(if Check.verdict_ok v then [] else v.Check.notes)
-                      ~metrics:
-                        [
-                          ("rounds", float_of_int (Kset.max_round h));
-                          ("events", float_of_int o.events);
-                          ("pred_evals", float_of_int pe);
-                          ("signals", float_of_int (Sim.cond_signals sim));
-                          ("wakeups", float_of_int (Sim.wakeups sim));
-                          ("wall_s", wall);
-                          ("events_per_s", float_of_int o.events /. Float.max wall 1e-9);
-                          ("minor_words_per_event", minor_pe);
-                          ("promoted_words_per_event", promoted_pe);
-                        ]
-                      ~row:
-                        (Printf.sprintf
-                           "%-5d %-12s %-5d  %-5s %-7d %-9d %-11d %-9.3f %-12.0f %-9.1f"
-                           nn mode seed (ok_str v) (Kset.max_round h) o.events pe wall
-                           (float_of_int o.events /. Float.max wall 1e-9)
-                           minor_pe)
-                      (Check.verdict_ok v)))
-              (seeds_for nn))
-          (modes_for nn))
+                  ~row:
+                    (Printf.sprintf "%-5d %-12s %-5d  %-5s %-7d %-9d %-11d %-9.3f %-12.0f %-9.1f"
+                       nn "cond" seed (ok_str v) (Kset.max_round h) o.events pe wall
+                       (float_of_int o.events /. Float.max wall 1e-9)
+                       minor_pe)
+                  (Check.verdict_ok v)))
+          (seeds_for nn))
       sizes
   in
   (* Steady-state probes: a warmed-up simulator running nothing but its
@@ -1048,8 +922,11 @@ let sched () =
               true))
       probe_sizes
   in
+  (* One worker: a job on another domain shows up in the GC counters the
+     gates read (the smoke probe then saw 16k-33k promoted words in most
+     two-domain runs), and events/s is a one-core figure anyway. *)
   let c =
-    campaign ~exp:"sched"
+    campaign ~jobs:1 ~exp:"sched"
       ~header:
         (Printf.sprintf "%-5s %-12s %-5s  %-5s %-7s %-9s %-11s %-9s %-12s %-9s" "n" "mode"
            "seed" "ok" "rounds" "events" "pred_evals" "wall_s" "events/s" "minW/ev")
@@ -1072,17 +949,6 @@ let sched () =
     | [] -> nan
     | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
-  subsection "arena/cond engine vs legacy baselines (means across seeds)";
-  Printf.printf "%-5s  %-18s  %-16s  %-16s\n" "n" "pred-evals ratio" "vs legacy_poll"
-    "vs legacy_queue";
-  List.iter
-    (fun nn ->
-      if nn <= mode_cap then
-        Printf.printf "%-5d  %-18.1f  %-16.2f  %-16.2f\n" nn
-          (mean "legacy_poll" nn "pred_evals" /. mean "cond" nn "pred_evals")
-          (mean "legacy_poll" nn "wall_s" /. mean "cond" nn "wall_s")
-          (mean "legacy_queue" nn "wall_s" /. mean "cond" nn "wall_s"))
-    sizes;
   (* The recorded pre-overhaul baseline (ROADMAP item 2): the engine this
      PR replaced sustained ~118k events/s on the n = 128 cond
      configuration.  The artifact records today's throughput against it. *)
@@ -1148,8 +1014,7 @@ let sched () =
 
 let obs () =
   section "OBS  Tracing overhead: kset at trace level off / default / full";
-  (* BENCH_OBS_SMOKE: trimmed sweep for CI (small n, one seed, one rep). *)
-  let smoke = Sys.getenv_opt "BENCH_OBS_SMOKE" <> None in
+  let smoke = smoke () in
   (* Smoke keeps n = 64: the 5%-overhead budget is an n = 64 acceptance
      number (at toy sizes the fixed cost of tracing dominates the tiny
      wall), and the hard gate below must test the real criterion even
@@ -1165,14 +1030,9 @@ let obs () =
   let pk = Option.get (Protocol.find "kset") in
   let mk_params nn level seed =
     {
-      Protocol.default with
-      Protocol.n = nn;
-      t = (nn / 2) - 1;
+      (params ~n:nn ~t:((nn / 2) - 1) ~seed ~horizon:3000.0 ~crashes:2 ()) with
       z = 2;
       k = 2;
-      seed;
-      horizon = 3000.0;
-      crashes = Crash.Exactly { crashes = 2; window = (0.0, 20.0) };
       trace = level;
     }
   in
@@ -1190,9 +1050,7 @@ let obs () =
                       ("n", Json.Int nn);
                       ("level", Json.String level);
                     ]
-                  ~replay:
-                    (fdkit_replay "kset -n %d -t %d -z 2 -k 2 --crashes 2 --seed %d --trace %s"
-                       nn ((nn / 2) - 1) seed level)
+                  ~replay:(Job.replay_command "kset" (mk_params nn level seed))
                   (fun () ->
                     let p = mk_params nn level seed in
                     (* min-of-reps wall: same params → same execution, so
@@ -1476,9 +1334,8 @@ let explore () =
 
 let chaos () =
   section "CHAOS  Fault injection: safety under every mix, liveness after heal";
-  (* BENCH_CHAOS_SMOKE: one seed per (protocol, mix) cell for CI. *)
-  let smoke = Sys.getenv_opt "BENCH_CHAOS_SMOKE" <> None in
-  let seeds = if smoke then 1 else 8 in
+  (* The smoke run takes one seed per (protocol, mix) cell. *)
+  let seeds = if smoke () then 1 else 8 in
   let o = Chaos.run ~seeds () in
   let c = o.Chaos.o_campaign in
   Printf.printf
@@ -1627,8 +1484,8 @@ let rec rm_rf path =
 
 let serve () =
   section "SERVE  Result cache: warm replay is free, invalidation is per-protocol";
-  (* BENCH_SERVE_SMOKE: one seed per (protocol, mix) cell for CI. *)
-  let smoke = Sys.getenv_opt "BENCH_SERVE_SMOKE" <> None in
+  (* The smoke run takes one seed per (protocol, mix) cell. *)
+  let smoke = smoke () in
   let seeds = if smoke then 1 else 8 in
   let spec = Job.of_flags ~kind:`Chaos ~seeds ~protocol:"" Protocol.default in
   let protocols, mixes =
@@ -1861,10 +1718,11 @@ let serve () =
 
 let rt () =
   section "RT  Real-runtime backend: accrual QoS vs heartbeat period, sim-vs-rt latency";
-  (* BENCH_RT_SMOKE: trimmed sweep for CI (fewer periods, n = 4 only,
-     in-process channel transport — no sockets on the CI runner). *)
-  let smoke = Sys.getenv_opt "BENCH_RT_SMOKE" <> None in
+  (* The smoke sweep has fewer periods, n = 4 only, and the in-process
+     channel transport — no sockets on the CI runner. *)
+  let smoke = smoke () in
   let transport = if smoke then `Chan else `Udp in
+  let backend = if smoke then "rt-chan" else "rt" in
   let module R = Setagree_rt.Run in
   let module Q = Setagree_rt.Qos in
   let hb_periods = if smoke then [ 0.02; 0.05 ] else [ 0.01; 0.02; 0.05; 0.1 ] in
@@ -1918,26 +1776,14 @@ let rt () =
       (fun nn ->
         let tt = max 1 (nn / 4) in
         let seed = 9950 + nn in
+        let p =
+          { (params ~n:nn ~t:tt ~seed ~horizon:3000.0 ~crashes:1 ()) with z = 1; k = 1; gst = 0.0 }
+        in
         Runner.job ~exp:"rt" ~seed
           ~label:(Printf.sprintf "kset sim-vs-rt n=%d" nn)
           ~params:[ ("kind", Json.String "kset_latency"); ("n", Json.Int nn) ]
-          ~replay:
-            (fdkit_replay "kset --backend rt -n %d -t %d -z 1 -k 1 --crashes 1 --seed %d" nn
-               tt seed)
+          ~replay:(Job.replay_command "kset" { p with Protocol.backend })
           (fun () ->
-            let p =
-              {
-                Protocol.default with
-                Protocol.n = nn;
-                t = tt;
-                seed;
-                z = 1;
-                k = 1;
-                gst = 0.0;
-                horizon = 3000.0;
-                crashes = Crash.Exactly { crashes = 1; window = (0.0, 20.0) };
-              }
-            in
             let sim_r = Protocol.run pk p in
             let sim_ok = Check.verdict_ok sim_r.Protocol.rp_verdict in
             let sim_latency_vt =
@@ -1957,7 +1803,7 @@ let rt () =
               }
             in
             let sim_latency_s = sim_latency_vt /. cfg.R.timescale in
-            let rt_r = R.run_protocol pk { p with Protocol.backend = "rt" } ~cfg () in
+            let rt_r = R.run_protocol pk { p with Protocol.backend } ~cfg () in
             let rt_latency_s =
               List.fold_left (fun acc (_, _, _, tm) -> Float.max acc tm) 0.0
                 rt_r.R.o_decisions

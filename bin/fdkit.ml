@@ -1,18 +1,23 @@
 (* fdkit: command-line driver for the setagree library.
 
-   Every experiment of the bench harness, runnable one at a time with
-   custom parameters:
+   Every registered protocol (Core.Protocol's registry) runs through one
+   subcommand, on the arena engine:
 
-     fdkit kset        -n 9 -t 4 -z 2 -k 2 --crashes 3 --seed 7
-     fdkit wheels      -x 2 -y 1 --crashes 2
-     fdkit psi         -y 2 --crashes 3
+     fdkit run -p kset   -n 9 -t 4 -z 2 -k 2 --crashes 3 --seed 7
+     fdkit run -p wheels -x 2 -y 1 --crashes 2
+     fdkit run -p psi    -y 2 --crashes 3
+     fdkit run -p reduce --variant phi -y 2
+
+   The simulator's reference engines are test-only: no flag selects
+   them.  The other experiments of the bench harness, one at a time:
+
      fdkit strengthen  -x 2 -y 2 --substrate mp
      fdkit violation   -z 2 -k 1 --tries 25
      fdkit irreducibility
 
-   plus the multicore campaign engine: a seed sweep of any of the
-   kset / wheels / psi families, sharded across domains, with JSON
-   artifacts and failing-seed triage:
+   plus the multicore campaign engine: a seed sweep of any registered
+   protocol, sharded across domains, with JSON artifacts and
+   failing-seed triage:
 
      fdkit campaign --exp kset --jobs 4 --seeds 64 --out _results
 *)
@@ -46,24 +51,8 @@ let horizon_arg =
 let behavior_of ~gst =
   if gst <= 0.0 then Behavior.perfect else Behavior.stormy ~gst
 
-let legacy_poll_arg =
-  Arg.(
-    value & flag
-    & info [ "legacy-poll" ]
-        ~doc:
-          "Use the legacy scheduler that re-evaluates every blocked predicate after \
-           every event (differential baseline; same executions, more work).")
-
-let legacy_queue_arg =
-  Arg.(
-    value & flag
-    & info [ "legacy-queue" ]
-        ~doc:
-          "Use the legacy closure-per-event queue instead of the flat event arena \
-           (differential baseline; same executions, more allocation).")
-
-let setup ?(legacy_poll = false) ~n ~t ~seed ~crashes ~horizon () =
-  let sim = Sim.create ~horizon ~legacy_poll ~n ~t ~seed () in
+let setup ~n ~t ~seed ~crashes ~horizon () =
+  let sim = Sim.create ~horizon ~n ~t ~seed () in
   let rng = Rng.split_named (Sim.rng sim) "crash" in
   Sim.install_crashes sim
     (Crash.generate
@@ -173,8 +162,8 @@ let () =
              else r.Rt_run.o_safety.Check.notes @ r.Rt_run.o_fd.Check.notes)
           ~metrics:r.Rt_run.o_metrics (Rt_run.ok r))
 
-let mk_params n t seed crashes gst horizon z k x y legacy_poll legacy_queue
-    adversarial variant trace faults backend =
+let mk_params n t seed crashes gst horizon z k x y adversarial variant trace faults
+    backend =
   {
     Protocol.n;
     t;
@@ -189,16 +178,13 @@ let mk_params n t seed crashes gst horizon z k x y legacy_poll legacy_queue
       (if crashes <= 0 then Crash.No_crashes
        else Crash.Exactly { crashes = min crashes t; window = (0.0, 20.0) });
     faults;
-    legacy_poll;
-    legacy_queue;
     adversarial;
     variant;
     trace;
     backend;
   }
 
-let params_term ?(default_z = 1) ?(default_k = 1) ?(default_x = 2) ?(default_y = 1)
-    ?(default_crashes = 2) () =
+let params_term ?(default_z = 1) ?(default_k = 1) ?(default_crashes = 2) () =
   let z_arg =
     Arg.(value & opt int default_z & info [ "z" ] ~doc:"Oracle class Omega_z (kset).")
   in
@@ -206,12 +192,10 @@ let params_term ?(default_z = 1) ?(default_k = 1) ?(default_x = 2) ?(default_y =
     Arg.(value & opt int default_k & info [ "k" ] ~doc:"Agreement degree checked (kset).")
   in
   let x_arg =
-    Arg.(value & opt int default_x & info [ "x" ] ~doc:"◇S_x scope (wheels, reduce).")
+    Arg.(value & opt int 2 & info [ "x" ] ~doc:"◇S_x scope (wheels, reduce).")
   in
   let y_arg =
-    Arg.(
-      value & opt int default_y
-      & info [ "y" ] ~doc:"◇φ_y / Ψ_y strength (wheels, psi, reduce).")
+    Arg.(value & opt int 1 & info [ "y" ] ~doc:"◇φ_y / Ψ_y strength (wheels, psi, reduce).")
   in
   let crashes_arg =
     Arg.(
@@ -225,9 +209,8 @@ let params_term ?(default_z = 1) ?(default_k = 1) ?(default_x = 2) ?(default_y =
   in
   Term.(
     const mk_params $ n_arg $ t_arg $ seed_arg $ crashes_arg $ gst_arg $ horizon_arg
-    $ z_arg $ k_arg $ x_arg $ y_arg $ legacy_poll_arg $ legacy_queue_arg
-    $ adversarial_arg $ variant_arg
-    $ trace_arg $ faults_arg $ backend_arg)
+    $ z_arg $ k_arg $ x_arg $ y_arg $ adversarial_arg $ variant_arg $ trace_arg
+    $ faults_arg $ backend_arg)
 
 let registry_doc () =
   Printf.sprintf "Protocols: %s." (String.concat ", " (Protocol.names ()))
@@ -279,28 +262,12 @@ let protocol_arg =
     value & opt string "kset"
     & info [ "protocol"; "p" ] ~docv:"NAME" ~doc:"Protocol from the registry.")
 
-(* ---- run (generic) + per-protocol aliases ---- *)
+(* ---- run ---- *)
 
 let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:("Run any registered protocol once. " ^ registry_doc ()))
     Term.(const exec_run $ protocol_arg $ params_term ())
-
-let kset_cmd =
-  Cmd.v
-    (Cmd.info "kset" ~doc:"Run the Omega_k-based k-set agreement algorithm (Figure 3).")
-    Term.(const (exec_run "kset") $ params_term ~default_z:2 ~default_k:2 ())
-
-let wheels_cmd =
-  Cmd.v
-    (Cmd.info "wheels"
-       ~doc:"Run the two-wheels transformation ◇S_x + ◇φ_y -> Omega_z (Figures 5-6).")
-    Term.(const (exec_run "wheels") $ params_term ())
-
-let psi_cmd =
-  Cmd.v
-    (Cmd.info "psi" ~doc:"Run the Ψ_y -> Omega_{t+1-y} chain transformation (Figure 8).")
-    Term.(const (exec_run "psi") $ params_term ~default_y:2 ())
 
 (* ---- strengthen ---- *)
 
@@ -1816,9 +1783,6 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            kset_cmd;
-            wheels_cmd;
-            psi_cmd;
             strengthen_cmd;
             impl_cmd;
             campaign_cmd;

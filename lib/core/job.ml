@@ -291,8 +291,7 @@ let replay_command family (p : Protocol.params) =
     family p.Protocol.n p.Protocol.t p.Protocol.z p.Protocol.k p.Protocol.x p.Protocol.y
     (crashes_count p.Protocol.crashes)
     p.Protocol.gst p.Protocol.horizon p.Protocol.variant p.Protocol.seed
-    ((if p.Protocol.legacy_poll then " --legacy-poll" else "")
-    ^ (if p.Protocol.legacy_queue then " --legacy-queue" else ""))
+    (if p.Protocol.backend = "sim" then "" else " --backend " ^ p.Protocol.backend)
     (if p.Protocol.adversarial then " --adversarial" else "")
 
 let sim_body pk (p : Protocol.params) =

@@ -99,7 +99,8 @@ val rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref
 
 val replay_command : string -> Protocol.params -> string
 (** The ready-to-paste [fdkit run] command reproducing one job (goes
-    into triage records). *)
+    into triage records and bench artifacts).  It names the backend
+    whenever that is not ["sim"]. *)
 
 type outcome = {
   o_spec : spec;

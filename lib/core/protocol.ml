@@ -14,8 +14,6 @@ type params = {
   horizon : float;
   crashes : Crash.spec;
   faults : Faults.t;
-  legacy_poll : bool;
-  legacy_queue : bool;
   adversarial : bool;
   variant : string;
   trace : string;
@@ -35,8 +33,6 @@ let default =
     horizon = 0.0;
     crashes = Crash.Exactly { crashes = 2; window = (0.0, 20.0) };
     faults = Faults.none;
-    legacy_poll = false;
-    legacy_queue = false;
     adversarial = false;
     variant = "es";
     trace = "default";
@@ -56,8 +52,6 @@ let params_to_json p =
     ("horizon", Json.Float p.horizon);
     ("crashes", Crash.spec_to_json p.crashes);
     ("faults", Faults.to_json p.faults);
-    ("legacy_poll", Json.Bool p.legacy_poll);
-    ("legacy_queue", Json.Bool p.legacy_queue);
     ("adversarial", Json.Bool p.adversarial);
     ("variant", Json.String p.variant);
     ("trace", Json.String p.trace);
@@ -106,8 +100,6 @@ let params_of_json fields =
     horizon = flt "horizon" default.horizon;
     crashes;
     faults;
-    legacy_poll = boolean "legacy_poll" default.legacy_poll;
-    legacy_queue = boolean "legacy_queue" default.legacy_queue;
     adversarial = boolean "adversarial" default.adversarial;
     variant = str "variant" default.variant;
     trace = str "trace" default.trace;
@@ -264,6 +256,8 @@ module Wheels_p = struct
   let metrics t =
     [
       ("stab", Wheels.stabilized_since t.w);
+      ("x_moves", float_of_int (Wheels_lower.moves_broadcast (Wheels.lower t.w)));
+      ("l_moves", float_of_int (Wheels_upper.moves_broadcast (Wheels.upper t.w)));
       ("msgs", float_of_int (Wheels.total_messages t.w));
     ]
 end
@@ -372,7 +366,7 @@ let make_sim (module P : S) p =
   let sim =
     Sim.create
       ~horizon:(resolve_horizon (module P) p)
-      ~legacy_poll:p.legacy_poll ~legacy_queue:p.legacy_queue ~trace_level:(trace_level_of p) ~n:p.n ~t:p.t
+      ~trace_level:(trace_level_of p) ~n:p.n ~t:p.t
       ~seed:p.seed ()
   in
   let rng = Rng.split_named (Sim.rng sim) "crash" in

@@ -33,10 +33,6 @@ type params = {
           crashes, and the oracle adversary strategy.  [Faults.none] (the
           default) reproduces historical behaviour exactly; the adversary
           name feeds [Behavior.of_adversary] against [gst]. *)
-  legacy_poll : bool;
-  legacy_queue : bool;
-      (** run on the legacy closure-per-event queue instead of the flat
-          event arena (differential baseline; see [Sim.create]) *)
   adversarial : bool;
       (** kset: constant Ω_z trusted set + [By_pid] tie-break — the E2
           mis-use configuration the explorer attacks (z > k violates) *)

@@ -238,7 +238,6 @@ let inlet t ~tag = Hashtbl.find_opt t.inlets tag
 let trace t = t.trace
 let now t = t.now
 let horizon t = t.horizon
-let legacy_poll t = t.legacy_poll
 let legacy_queue t = t.legacy_queue
 let pred_evals t = t.n_pred_evals
 let cond_signals t = t.n_signals

@@ -14,11 +14,11 @@
     fiber's predicate re-evaluated.  Predicates with no signal discipline
     (waits that read oracle state derived from the clock) subscribe to the
     {!Cond.poll} condition and are
-    re-evaluated after every event — the legacy cadence.  Passing
-    [~legacy_poll:true] to {!create} restores the historical
-    evaluate-everything-after-every-event scheduler; by design both
-    schedulers produce identical executions (the differential qcheck suite
-    in [test/test_sched.ml] pins this down).
+    re-evaluated after every event — the legacy cadence.  The historical
+    evaluate-everything-after-every-event scheduler survives only as a
+    test reference ({!create}'s [legacy_poll]); by design both schedulers
+    produce identical executions (the differential qcheck suite in
+    [test/test_sched.ml] pins this down).
 
     {b Crash semantics.}  A crash schedule is fixed before the run.  When a
     process crashes, none of its fibers is ever resumed again; events it had
@@ -49,19 +49,18 @@ val create :
     [max_events] (default [10_000_000]) bounds the run.  [trace_level]
     (default [Trace.Default]) gates what the run records into {!trace}:
     tracing only ever writes to the trace log, so the level cannot change
-    the execution (see {!Trace.level}).  [legacy_poll]
-    (default [false]) re-evaluates {e every} blocked predicate after every
-    event instead of only the signalled ones — the pre-condition-variable
-    scheduler.  It is a {b test-only escape hatch}: production code and the
-    protocols never set it; it exists solely as the differential baseline
-    that [test/test_sched.ml] compares the condition scheduler against.
+    the execution (see {!Trace.level}).
 
-    [legacy_queue] (default [false]) routes fiber resumptions, tickers
-    and message deliveries through per-event closure thunks instead of
-    the flat event arena's kind-tagged dispatch, and disables delivery
-    batching in [Net] — the pre-arena engine.  Like [legacy_poll] it is a
-    {b test-only escape hatch}, the differential baseline pinning down
-    that the arena engine produces identical executions.
+    [legacy_poll] and [legacy_queue] (both default [false]) are {b test
+    references}, not options: no CLI flag, [Protocol.params] field or
+    bench experiment selects them.  [test/test_sched.ml] runs them as the
+    differential baselines the arena engine must match.  [legacy_poll]
+    re-evaluates {e every} blocked predicate after every event instead of
+    only the signalled ones — the pre-condition-variable scheduler.
+    [legacy_queue] routes fiber resumptions, tickers and message
+    deliveries through per-event closure thunks instead of the flat event
+    arena's kind-tagged dispatch, and disables delivery batching in [Net]
+    — the pre-arena engine.
 
     [local] (default [None]) puts the simulator in {e real-runtime} mode:
     it models exactly one process of a distributed deployment.  {!spawn}
@@ -81,12 +80,9 @@ val trace : t -> Trace.t
 val now : t -> float
 val horizon : t -> float
 
-val legacy_poll : t -> bool
-(** Whether this simulator runs the legacy re-poll-everything scheduler. *)
-
 val legacy_queue : t -> bool
-(** Whether this simulator runs the legacy closure-per-event queue (see
-    {!create}'s [legacy_queue]). *)
+(** Whether this simulator runs the reference closure-per-event queue
+    (see {!create}'s [legacy_queue]); [Net] reads it to skip batching. *)
 
 (** {1 Real-runtime mode} *)
 

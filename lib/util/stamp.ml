@@ -8,7 +8,7 @@
    value so that layers below core (Runner, Export) can stamp their
    artifacts without a dependency cycle. *)
 
-let schema_version = 1
+let schema_version = 2
 let unstamped = "unstamped"
 let fp = ref unstamped
 

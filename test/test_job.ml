@@ -140,8 +140,82 @@ let qcheck_canonical_text_roundtrip =
 let test_canonical_pinned () =
   let spec = Job.of_flags ~kind:`Campaign ~seeds:4 ~protocol:"kset" Protocol.default in
   Alcotest.(check string) "canonical bytes are stable"
-    "{\"kind\":\"campaign\",\"protocol\":\"kset\",\"seeds\":4,\"params\":{\"n\":8,\"t\":3,\"seed\":1,\"z\":1,\"k\":1,\"x\":2,\"y\":1,\"gst\":40.0,\"horizon\":0.0,\"crashes\":{\"kind\":\"exactly\",\"crashes\":2,\"window\":[0.0,20.0]},\"faults\":{\"links\":[],\"partitions\":[],\"stalls\":[],\"crashes\":{\"kind\":\"none\"},\"adversary\":\"\"},\"legacy_poll\":false,\"legacy_queue\":false,\"adversarial\":false,\"variant\":\"es\",\"trace\":\"default\",\"backend\":\"sim\"}}"
+    "{\"kind\":\"campaign\",\"protocol\":\"kset\",\"seeds\":4,\"params\":{\"n\":8,\"t\":3,\"seed\":1,\"z\":1,\"k\":1,\"x\":2,\"y\":1,\"gst\":40.0,\"horizon\":0.0,\"crashes\":{\"kind\":\"exactly\",\"crashes\":2,\"window\":[0.0,20.0]},\"faults\":{\"links\":[],\"partitions\":[],\"stalls\":[],\"crashes\":{\"kind\":\"none\"},\"adversary\":\"\"},\"adversarial\":false,\"variant\":\"es\",\"trace\":\"default\",\"backend\":\"sim\"}}"
     (Job.canonical spec)
+
+(* Specs and journals written before the engine switches were retired
+   carry ["legacy_poll"] and ["legacy_queue"].  They must still decode,
+   load from a journal and dedup against the same spec written today,
+   and a spec that set them still runs (on the one engine). *)
+let rec with_retired_keys value = function
+  | Json.Obj fields ->
+      (* Schema 1 wrote the two keys just before "adversarial". *)
+      Json.Obj
+        (List.concat_map
+           (fun (k, v) ->
+             let v = with_retired_keys value v in
+             if k = "adversarial" then
+               [ ("legacy_poll", Json.Bool value); ("legacy_queue", Json.Bool value); (k, v) ]
+             else [ (k, v) ])
+           fields)
+  | Json.List l -> Json.List (List.map (with_retired_keys value) l)
+  | j -> j
+
+let test_retired_keys_decode () =
+  let spec = Job.of_flags ~kind:`Campaign ~seeds:4 ~protocol:"kset" Protocol.default in
+  let old_text =
+    Json.to_string ~minify:true (with_retired_keys false (Job.to_json spec))
+  in
+  check "old text carries the keys" true (old_text <> Job.canonical spec);
+  (match Job.of_json (Json.of_string_exn old_text) with
+  | Ok decoded ->
+      Alcotest.(check string) "same canonical text as without the keys"
+        (Job.canonical spec) (Job.canonical decoded)
+  | Error e -> Alcotest.failf "old spec rejected: %s" e);
+  let dir = tmpdir "retired" in
+  let path = Filename.concat dir "serve_journal.jsonl" in
+  let oc = open_out_bin path in
+  output_string oc
+    (Json.to_string ~minify:true
+       (with_retired_keys false (Serve.Recovery.accepted_entry ~id:1 spec))
+    ^ "\n");
+  close_out oc;
+  let r = Serve.Recovery.load path in
+  check_int "no line dropped" 0 r.Serve.Recovery.dropped_lines;
+  (match r.Serve.Recovery.pending with
+  | [ pend ] ->
+      check "journalled spec dedups against today's" true
+        (Job.equal pend.Serve.Recovery.p_spec spec)
+  | l -> Alcotest.failf "%d pending jobs, expected 1" (List.length l));
+  rm_rf dir;
+  let run = Job.of_flags ~kind:`Run ~protocol:"kset" Protocol.default in
+  match Job.of_json (with_retired_keys true (Job.to_json run)) with
+  | Ok decoded ->
+      let a = (Job.execute decoded).Job.o_campaign and b = (Job.execute run).Job.o_campaign in
+      check_int "runs and passes" 0 (List.length (Runner.failures a));
+      Alcotest.(check string) "same execution" (Runner.signature b) (Runner.signature a)
+  | Error e -> Alcotest.failf "spec with true values rejected: %s" e
+
+(* A campaign's triage replay names its backend, so a failing rt seed
+   replays on the runtime, not on the simulator. *)
+let test_replay_keeps_backend () =
+  let replays backend =
+    let spec =
+      Job.of_flags ~kind:`Campaign ~seeds:1 ~protocol:"kset"
+        { Protocol.default with Protocol.backend }
+    in
+    Array.to_list (Job.execute ~jobs:1 spec).Job.o_campaign.Runner.c_results
+    |> List.filter_map (fun r -> r.Runner.r_replay)
+  in
+  let has_flag s = List.mem "--backend" (String.split_on_char ' ' s) in
+  (* No rt runner is installed in the test binary, so the rt-chan job
+     fails and its replay is the triage command. *)
+  (match replays "rt-chan" with
+  | [ r ] ->
+      check "rt replay names the backend" true
+        (String.ends_with ~suffix:" --backend rt-chan" r)
+  | l -> Alcotest.failf "%d replays, expected 1" (List.length l));
+  check "sim replay has no backend flag" false (List.exists has_flag (replays "sim"))
 
 let test_of_flags_defaults () =
   (match Job.of_flags ~kind:`Chaos ~protocol:"" ~seeds:8 Protocol.default with
@@ -1532,7 +1606,11 @@ let () =
           Alcotest.test_case "of_flags defaults" `Quick test_of_flags_defaults;
           Alcotest.test_case "validate" `Quick test_validate;
         ]
-        @ qc );
+        @ qc
+        @ [
+            Alcotest.test_case "retired engine keys decode" `Quick test_retired_keys_decode;
+            Alcotest.test_case "replay keeps backend" `Quick test_replay_keeps_backend;
+          ] );
       ( "cache",
         [
           Alcotest.test_case "cold/warm byte-identical" `Quick

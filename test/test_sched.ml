@@ -369,6 +369,104 @@ let qcheck_differential_cons_s =
       let b = fingerprint_cons_s ~legacy_poll:true ~seed ~n:7 ~t:3 ~crashes () in
       a = b && a.verdict_ok)
 
+(* --- Golden fingerprint corpus --- *)
+
+(* [golden_corpus.jsonl] pins one execution per line: the MD5 of the
+   run's full-level [Export.to_jsonl] output without the stamped meta
+   line and the counter lines and footer (they carry the code
+   fingerprint and scheduler-work counters, not the execution), plus its
+   event count and end time.  It was generated while the arena, the
+   legacy-poll scheduler and the legacy queue could all be selected
+   through [Protocol.params]; both legacy engines reproduced every entry.
+   Cases: every registered protocol (reduce with each variant) x seeds
+   1-3 x 0 or 2 crashes, kset under each chaos mix at seed 1, and the
+   first counterexample of CI's misuse exploration.  A mismatch prints
+   the case and its new entry; the file is only ever edited by hand. *)
+
+let corpus_file =
+  (* [dune runtest] runs next to the copied file; [dune exec] from the
+     repository root does not. *)
+  if Sys.file_exists "golden_corpus.jsonl" then "golden_corpus.jsonl"
+  else Filename.concat "test" "golden_corpus.jsonl"
+
+let entry_digest sim =
+  let tr = Sim.trace sim in
+  let entries = Trace.length tr in
+  let b = Buffer.create 65536 in
+  List.iteri
+    (fun i line ->
+      if i >= 1 && i <= entries then begin
+        Buffer.add_string b line;
+        Buffer.add_char b '\n'
+      end)
+    (Export.jsonl_lines tr);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Run one corpus case; returns (md5, events, end time). *)
+let run_corpus_case j =
+  match Json.member "schedule" j with
+  | Some sj ->
+      (* Explorer.replay's steps, keeping the simulator for its trace. *)
+      let s = Result.get_ok (Schedule.of_json sj) in
+      let pk = Option.get (Protocol.find s.Schedule.protocol) in
+      let p =
+        { (Protocol.params_of_json s.Schedule.params) with crashes = s.Schedule.crashes }
+      in
+      let sim = ref None in
+      let make () =
+        let i = Protocol.explore_make pk p () in
+        sim := Some i.Explore.i_sim;
+        i
+      in
+      let e = Explore.run_schedule ~make s.Schedule.choices in
+      check "counterexample reproduced" true
+        (match Explorer.replay s with Ok (_, reproduced) -> reproduced | Error _ -> false);
+      let o = e.Explore.ex_outcome in
+      (entry_digest (Option.get !sim), o.Sim.events, o.Sim.end_time)
+  | None ->
+      let protocol =
+        match Json.member "protocol" j with Some (Json.String s) -> s | _ -> "?"
+      in
+      let params =
+        match Json.member "params" j with Some (Json.Obj l) -> l | _ -> []
+      in
+      let r =
+        Protocol.run (Option.get (Protocol.find protocol)) (Protocol.params_of_json params)
+      in
+      let o = r.Protocol.rp_outcome in
+      (entry_digest r.Protocol.rp_sim, o.Sim.events, o.Sim.end_time)
+
+let test_golden_corpus () =
+  let ic = open_in_bin corpus_file in
+  let cases = List.filter (( <> ) "") (String.split_on_char '\n' (In_channel.input_all ic)) in
+  close_in ic;
+  check "corpus is not empty" true (cases <> []);
+  let changed =
+    List.filter_map
+      (fun line ->
+        let j = Json.of_string_exn line in
+        let md5, events, end_time = run_corpus_case j in
+        let fields = match j with Json.Obj l -> l | _ -> [] in
+        let entry =
+          Json.to_string ~minify:true
+            (Json.Obj
+               (List.filter (fun (k, _) -> not (List.mem k [ "md5"; "events"; "end_time" ])) fields
+               @ [
+                   ("md5", Json.String md5);
+                   ("events", Json.Int events);
+                   ("end_time", Json.Float end_time);
+                 ]))
+        in
+        if entry = line then None
+        else
+          let case = match List.assoc_opt "case" fields with Some (Json.String c) -> c | _ -> "?" in
+          Some (Printf.sprintf "%s\n  new entry: %s" case entry))
+      cases
+  in
+  if changed <> [] then
+    Alcotest.failf "%d of %d golden case(s) changed:\n%s" (List.length changed)
+      (List.length cases) (String.concat "\n" changed)
+
 let () =
   Alcotest.run "sched"
     [
@@ -397,6 +495,8 @@ let () =
           Alcotest.test_case "cons_s cond == legacy-queue" `Quick
             test_differential_cons_s_queue_seeds;
         ] );
+      ( "corpus",
+        [ Alcotest.test_case "arena matches golden corpus" `Quick test_golden_corpus ] );
       ( "allocation",
         [
           Alcotest.test_case "steady state promotes nothing" `Quick
