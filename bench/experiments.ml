@@ -1482,6 +1482,16 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
+(* This process's resident set (VmRSS), in MB; nan without /proc. *)
+let vm_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_lines with
+  | exception Sys_error _ -> nan
+  | lines ->
+      Option.value ~default:nan
+        (List.find_map
+           (fun l -> Scanf.sscanf_opt l "VmRSS: %d kB" (fun kb -> float_of_int kb /. 1024.))
+           lines)
+
 let serve () =
   section "SERVE  Result cache: warm replay is free, invalidation is per-protocol";
   (* The smoke run takes one seed per (protocol, mix) cell. *)
@@ -1539,30 +1549,56 @@ let serve () =
   (* Telemetry plane: a subscribed campaign must deliver snapshots and
      stay observationally inert — the signature with a telemetry
      consumer attached is byte-identical to the plain run's.  A small
-     uncached kset campaign keeps this pass cheap. *)
+     uncached kset campaign keeps this pass cheap.  The overhead comes
+     from back-to-back attached/plain pairs in alternating order, as
+     [bench obs] measures tracing: pairing cancels slow-varying load,
+     alternation cancels order bias.  The campaign is short, so single
+     ratios are noisy; the median pair is the number recorded, next to
+     the smallest ([bench obs]'s gate statistic). *)
   subsection "live telemetry (snapshots attached vs not)";
   let tele_spec =
-    Job.of_flags ~kind:`Campaign ~seeds:(if smoke then 8 else 16)
+    Job.of_flags ~kind:`Campaign ~seeds:(if smoke then 32 else 64)
       ~protocol:"kset" Protocol.default
   in
   let frames = ref [] in
-  let t0 = Unix.gettimeofday () in
-  let c_tele =
-    (Job.execute ~on_telemetry:(fun te -> frames := te :: !frames)
-       ~telemetry_every_s:0.05 tele_spec)
-      .Job.o_campaign
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let c = (f ()).Job.o_campaign in
+    (c, Unix.gettimeofday () -. t0)
   in
-  let wall_tele = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let c_plain = (Job.execute tele_spec).Job.o_campaign in
-  let wall_plain = Unix.gettimeofday () -. t0 in
+  let attached () =
+    frames := [];
+    timed (fun () ->
+        Job.execute ~on_telemetry:(fun te -> frames := te :: !frames)
+          ~telemetry_every_s:0.05 tele_spec)
+  in
+  let plain () = timed (fun () -> Job.execute tele_spec) in
+  ignore (plain ());
+  (* warm-up *)
+  let tele_pairs = 11 in
+  let pairs =
+    List.init tele_pairs (fun i ->
+        if i mod 2 = 0 then
+          let p = plain () in
+          (attached (), p)
+        else
+          let a = attached () in
+          (a, plain ()))
+  in
+  let (c_tele, _), (c_plain, _) = List.hd pairs in
+  let ratios =
+    List.sort compare
+      (List.map (fun ((_, wa), (_, wp)) -> ((wa /. wp) -. 1.0) *. 100.0) pairs)
+  in
+  let tele_overhead_pct = List.nth ratios (tele_pairs / 2) in
+  let tele_overhead_min = List.hd ratios in
   let n_frames = List.length !frames in
   let sig_tele = Digest.to_hex (Digest.string (Runner.signature c_tele)) in
   let sig_plain = Digest.to_hex (Digest.string (Runner.signature c_plain)) in
-  let tele_overhead_pct = ((wall_tele /. wall_plain) -. 1.0) *. 100.0 in
   Printf.printf
-    "  %d telemetry frame(s), overhead %+.1f%%, signature %s\n" n_frames
-    tele_overhead_pct
+    "  %d telemetry frame(s), overhead %+.1f%% (median of %d pairs; smallest %+.1f%%), \
+     signature %s\n"
+    n_frames tele_overhead_pct tele_pairs tele_overhead_min
     (if sig_tele = sig_plain then "identical" else "DIFFERS");
   gate "telemetried campaign emitted no snapshot" (n_frames >= 1);
   gate "telemetry perturbed the campaign signature" (sig_tele = sig_plain);
@@ -1644,9 +1680,6 @@ let serve () =
   in
   let r = wait_done 2400 in
   let recovery_wall_s = Unix.gettimeofday () -. t0 in
-  ignore (Serve.Client.shutdown conn);
-  Serve.Client.close conn;
-  Domain.join daemon;
   let int_of k = match Json.member k r with Some (Json.Int i) -> i | _ -> -1 in
   let hits2 = int_of "cache_hits" and executed2 = int_of "executed" in
   let sig_resumed =
@@ -1657,10 +1690,49 @@ let serve () =
     "  resumed: %d cached + %d executed in %.2fs, %d duplicate execution(s), signature %s\n"
     hits2 executed2 recovery_wall_s duplicates
     (if sig_resumed = sig_cold then "identical" else "DIFFERS");
+  (* Memory at job speed: one connection sends cache hits (one Run spec
+     stored up front) and misses (a fresh seed each, spread evenly) to
+     this in-process daemon.  Once warmed up by the first 10% of the
+     requests, the process's resident set must stay flat: finished
+     records, their watchers and the engine's fibers are all released. *)
+  subsection "daemon memory over many round trips";
+  let mem_hits, mem_misses = if smoke then (2_000, 1_000) else (10_000, 2_000) in
+  let mem_requests = mem_hits + mem_misses in
+  let mem_warm = mem_requests / 10 in
+  let run_spec seed =
+    Job.of_flags ~kind:`Run ~protocol:"kset" { Protocol.default with Protocol.seed }
+  in
+  let request spec =
+    match Serve.Client.submit conn spec with
+    | Ok v when Json.member "state" v = Some (Json.String "done") -> ()
+    | Ok v -> failwith ("SERVE: memory-gate request ended " ^ Json.to_string ~minify:true v)
+    | Error e -> failwith ("SERVE: memory-gate request failed: " ^ e)
+  in
+  request (run_spec 1);
+  let rss_warm = ref nan in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to mem_requests - 1 do
+    let miss = (i + 1) * mem_misses / mem_requests > i * mem_misses / mem_requests in
+    request (run_spec (if miss then 1_000_000 + i else 1));
+    if i + 1 = mem_warm then rss_warm := vm_rss_mb ()
+  done;
+  let mem_wall_s = Unix.gettimeofday () -. t0 in
+  let rss_end = vm_rss_mb () in
+  let rss_growth = rss_end -. !rss_warm in
+  Printf.printf
+    "  %d hits + %d misses in %.1fs (%.0f requests/s): VmRSS %.1f MB after %d, \
+     %.1f MB after %d (%+.2f MB; budget +1 MB)\n"
+    mem_hits mem_misses mem_wall_s
+    (float_of_int mem_requests /. mem_wall_s)
+    !rss_warm mem_warm rss_end mem_requests rss_growth;
+  ignore (Serve.Client.shutdown conn);
+  Serve.Client.close conn;
+  Domain.join daemon;
   gate "recovery re-executed already-completed jobs" (duplicates = 0);
   gate "recovery left jobs unaccounted" (hits2 + executed2 = total);
   gate "resumed signature differs from the cold signature"
     (sig_resumed = sig_cold);
+  gate "daemon VmRSS grew by more than 1 MB after warm-up" (rss_growth <= 1.0);
   let side tag (c : Runner.campaign) sg =
     ( tag,
       Json.Obj
@@ -1692,7 +1764,10 @@ let serve () =
              Json.Obj
                [
                  ("frames", Json.Int n_frames);
+                 ("pairs", Json.Int tele_pairs);
                  ("overhead_pct", Json.Float tele_overhead_pct);
+                 ("overhead_pct_min", Json.Float tele_overhead_min);
+                 ("overhead_pct_pairs", Json.List (List.map (fun r -> Json.Float r) ratios));
                  ("signature_identical", Json.Bool (sig_tele = sig_plain));
                  ("cache_skipped_cold", Json.Int c_cold.Runner.c_cache_skipped);
                ] );
@@ -1705,6 +1780,18 @@ let serve () =
                  ("duplicate_executions", Json.Int duplicates);
                  ("recovery_wall_s", Json.Float recovery_wall_s);
                  ("signature_identical", Json.Bool (sig_resumed = sig_cold));
+               ] );
+           ( "memory",
+             Json.Obj
+               [
+                 ("hits", Json.Int mem_hits);
+                 ("misses", Json.Int mem_misses);
+                 ("warm_requests", Json.Int mem_warm);
+                 ("vm_rss_warm_mb", Json.Float !rss_warm);
+                 ("requests", Json.Int mem_requests);
+                 ("vm_rss_end_mb", Json.Float rss_end);
+                 ("vm_rss_growth_mb", Json.Float rss_growth);
+                 ("wall_s", Json.Float mem_wall_s);
                ] );
          ]));
   Printf.printf "artifact: %s\n" (Filename.concat "_results" "BENCH_serve.json")

@@ -145,7 +145,7 @@ let jobs ?fingerprint ~protocol (p : Protocol.params) bounds =
                     let roots = Explore.alternatives_at stats b q in
                     Explore.dfs ~make ~stats ~depth:bounds.depth
                       ~delays:bounds.delays ~max_runs:bounds.max_runs_per_job
-                      roots)))
+                      ~poll:Runner.poll roots)))
   in
   let nbatches = (bounds.walks + bounds.walk_batch - 1) / bounds.walk_batch in
   let walk_jobs =

@@ -481,11 +481,26 @@ let fault_metrics sim =
       "net.backoff_resets";
     ]
 
+(* A running job's [Runner.poll] is consulted once every [poll_stride]
+   events (a power of two): often enough to stop a long job within
+   milliseconds, rarely enough to cost nothing per event. *)
+let poll_stride = 4096
+
 let run (module P : S) p =
   let sim = make_sim (module P) p in
   let h = P.install sim p in
-  let outcome = Sim.run ~stop_when:(P.stop h) sim in
+  let stop = P.stop h in
+  let events = ref 0 in
+  let stop_when () =
+    stop ()
+    || begin
+         incr events;
+         !events land (poll_stride - 1) = 0 && Setagree_runner.Runner.poll ()
+       end
+  in
+  let outcome = Sim.run ~stop_when sim in
   let verdict = P.check h in
+  let violations = P.violation h in
   let metrics =
     P.metrics h @ obs_metrics sim @ fault_metrics sim
     @ [
@@ -496,11 +511,12 @@ let run (module P : S) p =
         ("sched.wakeups", float_of_int (Sim.wakeups sim));
       ]
   in
+  Sim.release sim;
   {
     rp_sim = sim;
     rp_outcome = outcome;
     rp_verdict = verdict;
-    rp_violations = P.violation h;
+    rp_violations = violations;
     rp_metrics = metrics;
   }
 

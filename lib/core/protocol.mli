@@ -109,7 +109,11 @@ type report = {
 val run : packed -> params -> report
 (** Build a simulator from [params] (seeded crash generation under the
     ["crash"] RNG split, as the CLI always did), install, run to the stop
-    condition, check.
+    condition, check.  Inside a {!Setagree_runner.Runner} job the run also
+    stops once {!Setagree_runner.Runner.poll} (consulted every 4096
+    events) returns [true]; the runner then discards the report.  The
+    simulator is {!Sim.release}d before [run] returns: [rp_sim]'s trace and
+    counters stay readable, but it cannot run again.
 
     Unless [params.trace = "off"], [rp_metrics] additionally carries
     metrics derived from the trace in a single forward pass:

@@ -14,14 +14,20 @@
    other domain is the executor.  It blocks on a pipe until the loop
    hands it a job, runs [Job.execute] — one job at a time: parallelism
    lives inside the campaign engine's worker domains, so two
-   submissions never fight over domains or artifact files — and reports
-   progress, telemetry, artifact errors and the outcome through the
-   mailbox, a mutex-guarded queue plus a self-pipe that wakes the loop.
-   Its stop hook reads only atomics (shutdown, the record's cancel
-   flag) and its own deadline.  The loop blocks until I/O arrives, the
-   mailbox wakes it, or the earliest backoff release is due.  (The
-   executor outlives its jobs: a fresh domain per job made most jobs
-   wait out a full telemetry-ticker period, DESIGN.md §11.)
+   submissions never fight over domains or artifact files; a one-job
+   run executes inline on the executor — and reports progress,
+   telemetry, artifact errors and the outcome through the mailbox, a
+   mutex-guarded queue plus a self-pipe that wakes the loop.  Its stop
+   hook reads only atomics (shutdown, the record's cancel flag) and its
+   own deadline; the campaign engine checks it before each job and from
+   every running job's poll, so shutdown, cancel and the deadline stop
+   a job mid-run.  The loop blocks until I/O arrives, the mailbox wakes
+   it, or the earliest backoff release is due.
+
+   Memory stays flat however long the daemon runs: the history keeps
+   every queued or running record but only the newest [history_cap]
+   finished ones (the journal keeps them all), and a finished record
+   drops its watchers.
 
    Because one loop does everything in turn, a job's ack is queued
    before the job can start, so it precedes every progress and done
@@ -35,13 +41,14 @@
 
    Crash safety (DESIGN.md §13): every accepted spec and every state
    transition is appended (fsync'd) to <out_dir>/serve_journal.jsonl
-   via Util.Journal.  On start the journal is replayed: completed jobs
-   are reported in [status], interrupted ones are re-enqueued (cheap —
-   their finished prefix is in the cache), and a stale socket left by a
-   crashed daemon is probed and unlinked before bind.  Jobs that blow
-   their wall-clock deadline or crash the executor are retried with
-   capped exponential backoff up to a retry budget, then quarantined as
-   poison with a ready-to-paste resubmission command in the journal.  *)
+   via Util.Journal.  On start the journal is replayed: the newest
+   completed jobs are reported in [status], interrupted ones are
+   re-enqueued (cheap — their finished prefix is in the cache), and a
+   stale socket left by a crashed daemon is probed and unlinked before
+   bind.  Jobs that blow their wall-clock deadline or crash the executor
+   are retried with capped exponential backoff up to a retry budget,
+   then quarantined as poison with a ready-to-paste resubmission command
+   in the journal.  *)
 
 open Setagree_util
 open Setagree_runner
@@ -78,6 +85,10 @@ let journal_path out_dir = Filename.concat out_dir "serve_journal.jsonl"
 (* ---- job history ---- *)
 
 type state = Queued | Running | Done | Cancelled | Rejected | Poisoned
+
+(* Finished records kept in memory for [status]; older ones live on in
+   the journal only. *)
+let history_cap = 128
 
 let state_to_string = function
   | Queued -> "queued"
@@ -361,7 +372,7 @@ end
 (* How an attempt ended, as the executor reports it. *)
 type outcome =
   | Finished of Job.outcome * state * string option
-      (* Done, or Cancelled at a job boundary; an artifact write error *)
+      (* Done, or Cancelled by a client; an artifact write error *)
   | Failed of string  (* deadline blown or the job raised: retry or poison *)
   | Interrupted  (* stopped by shutdown: stays pending in the journal *)
 
@@ -386,16 +397,13 @@ let mailbox () =
   { mb_lock = Mutex.create (); mb_msgs = Queue.create (); mb_woken = false;
     mb_wake_rd = rd; mb_wake_wr = wr }
 
-(* Callable from any domain.  At most one wake byte is pending, so the
-   pipe never fills.  A cached result's progress does not wake the loop:
-   hits resolve in one burst just as the campaign engine starts its
-   telemetry ticker, and a wake then slows that start (DESIGN.md §11).
-   Those frames leave with the next wake, at the latest the outcome. *)
+(* Callable from any domain.  Every message wakes the loop, so a frame
+   leaves as soon as it is posted.  At most one wake byte is pending, so
+   the pipe never fills. *)
 let post mb msg =
   Mutex.protect mb.mb_lock (fun () ->
       Queue.push msg mb.mb_msgs;
-      let wakes = match msg with Progress (_, p) -> not p.Runner.pr_cached | _ -> true in
-      if wakes && not mb.mb_woken then begin
+      if not mb.mb_woken then begin
         mb.mb_woken <- true;
         try ignore (Unix.write_substring mb.mb_wake_wr "!" 0 1)
         with Unix.Unix_error _ -> ()
@@ -442,7 +450,9 @@ type t = {
   exec_rd : Unix.file_descr;  (* the idle executor blocks reading here *)
   exec_wr : Unix.file_descr;
   mutable clients : client list;
-  mutable history : record list;  (* newest first *)
+  mutable history : record list;
+      (* newest first: every queued or running record, and the newest
+         [history_cap] finished ones *)
   mutable queue : record list;  (* FIFO, oldest first; subset of history *)
   mutable running : record option;
   mutable next_id : int;
@@ -453,17 +463,18 @@ type t = {
 (* One attempt of [r] on the executor domain, reported through the
    mailbox.  It reads only immutable fields ([t.cfg], [t.cache],
    [r.spec], [r.deadline_s]) and the atomics, never the loop's mutable
-   state.  The stop hook is polled by the campaign
-   engine between job submissions: it folds in daemon shutdown, client
-   cancels and orphaned jobs (both set [cancel_req]), and the per-job
-   wall-clock deadline. *)
+   state.  The stop hook folds in daemon shutdown, client cancels and
+   orphaned jobs (both set [cancel_req]), and the per-job wall-clock
+   deadline.  The campaign engine checks it before each job starts and
+   from every running job's poll — possibly on a worker domain — and
+   discards a job the poll stopped. *)
 let execute_record t r =
   let spec = Option.get r.spec and mb = t.mailbox in
   let deadline =
     if r.deadline_s > 0. then Unix.gettimeofday () +. r.deadline_s
     else Float.infinity
   in
-  let why = ref `Cancel in
+  let why = Atomic.make `Cancel in
   let stop () =
     let reason =
       if Atomic.get t.shutdown then Some `Shutdown
@@ -471,7 +482,7 @@ let execute_record t r =
       else if Unix.gettimeofday () > deadline then Some `Deadline
       else None
     in
-    Option.iter (fun w -> why := w) reason;
+    Option.iter (Atomic.set why) reason;
     reason <> None
   in
   let outcome =
@@ -485,7 +496,7 @@ let execute_record t r =
             post mb (Telemetry (r, Unix.gettimeofday (), te)))
           ~stop spec
       in
-      match (o.Job.o_campaign.Runner.c_cancelled, !why) with
+      match (o.Job.o_campaign.Runner.c_cancelled, Atomic.get why) with
       | true, `Deadline ->
           Failed (Printf.sprintf "deadline exceeded (%.3gs)" r.deadline_s)
       | true, `Shutdown -> Interrupted
@@ -561,6 +572,24 @@ let queue_depth t =
   List.length t.queue + (match t.running with Some _ -> 1 | None -> 0)
 
 let dequeue t r = t.queue <- List.filter (fun x -> x.id <> r.id) t.queue
+
+(* The records that are neither finished nor rejected: the running one
+   and the queue. *)
+let live t = Option.to_list t.running @ t.queue
+
+(* Keep every live record and the newest [history_cap] finished ones. *)
+let trim_history t =
+  let finished = ref 0 in
+  t.history <-
+    List.filter
+      (fun r -> (not (is_terminal r.rstate)) || (incr finished; !finished <= history_cap))
+      t.history
+
+(* [r] turned terminal and its done frame is out: nothing streams to it
+   any more. *)
+let retire t r =
+  r.watchers <- [];
+  trim_history t
 
 let done_frame r ~jobs ~failed ~cancelled ~wall ~extra =
   Json.Obj
@@ -655,11 +684,12 @@ let conclude_failure t r note =
     send_watchers r
       (done_frame r ~jobs:0 ~failed:0 ~cancelled:false ~wall:0.
          ~extra:
-           [ ("reason", Json.String note); ("replay", Json.String replay) ])
+           [ ("reason", Json.String note); ("replay", Json.String replay) ]);
+    retire t r
   end
 
 (* A finished attempt (the campaign ran to completion or was cancelled
-   at a job boundary by a client/orphan stop). *)
+   by a client/orphan stop). *)
 let finalize t r (o : Job.outcome) final =
   let c = o.Job.o_campaign in
   r.rstate <- final;
@@ -685,7 +715,8 @@ let finalize t r (o : Job.outcome) final =
     (done_frame r
        ~jobs:(Array.length c.Runner.c_results)
        ~failed:(List.length (Runner.failures c))
-       ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s ~extra:[])
+       ~cancelled:c.Runner.c_cancelled ~wall:c.Runner.c_wall_s ~extra:[]);
+  retire t r
 
 (* Start the first queued record whose backoff has elapsed, unless a job
    is running or the daemon is shutting down. *)
@@ -774,6 +805,7 @@ let handle_submit t cl v =
               r.phase <- "rejected";
               r.exit_code <- 3;
               r.errors <- errs;
+              retire t r;
               send_client cl
                 (Json.Obj
                    [
@@ -791,11 +823,7 @@ let handle_submit t cl v =
               let canonical = Job.canonical spec in
               (* Dedup: a spec already queued or running gains a watcher
                  instead of a duplicate execution. *)
-              match
-                List.find_opt
-                  (fun r -> (not (is_terminal r.rstate)) && r.canonical = canonical)
-                  t.history
-              with
+              match List.find_opt (fun r -> r.canonical = canonical) (live t) with
               | Some r ->
                   if not (List.memq cl r.watchers) then
                     r.watchers <- r.watchers @ [ cl ];
@@ -858,19 +886,15 @@ let cancel_queued t r =
     (Recovery.state_entry ~id:r.id ~attempt:r.attempt
        ~extra:[ ("exit", Json.Int 4) ]
        "cancelled");
-  send_watchers r (done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0. ~extra:[])
+  send_watchers r (done_frame r ~jobs:0 ~failed:0 ~cancelled:true ~wall:0. ~extra:[]);
+  retire t r
 
 let handle_cancel t cl v =
   let target =
     match Recovery.int_member "id" v with
-    | Some id ->
-        List.find_opt (fun r -> r.id = id && not (is_terminal r.rstate)) t.history
+    | Some id -> List.find_opt (fun r -> r.id = id) (live t)
     | None -> (
-        match
-          List.find_opt
-            (fun r -> r.id = cl.cl_last_submit && not (is_terminal r.rstate))
-            t.history
-        with
+        match List.find_opt (fun r -> r.id = cl.cl_last_submit) (live t) with
         | Some r -> Some r
         | None -> (
             (* Fall back to the running job only when this connection
@@ -884,8 +908,9 @@ let handle_cancel t cl v =
   | None -> send_client cl (error_frame "cancel: no cancellable job for this connection")
   | Some r when r.rstate = Queued -> cancel_queued t r
   | Some r ->
-      (* Running: consumed by the stop hook at the next job boundary;
-         in-flight jobs finish and completed work is kept (and cached). *)
+      (* Running: the stop hook sees the flag at the running job's next
+         poll; that job is discarded, completed ones are kept (and
+         cached). *)
       Atomic.set r.cancel_req true
 
 let handle_frame t cl v =
@@ -940,8 +965,9 @@ let read_client t buf cl =
 (* A client hung up or was dropped: detach it everywhere; a job whose
    every watcher is gone (and that was not resumed from the journal,
    which starts with none) is orphaned — cancelled if queued, stopped
-   at the next job boundary if running.  Nothing is orphaned during
-   shutdown: queued and running jobs stay pending in the journal. *)
+   at its next poll if running.  Nothing is orphaned during shutdown:
+   queued and running jobs stay pending in the journal.  Only live
+   records have watchers. *)
 let drop_client t cl =
   List.iter
     (fun r ->
@@ -956,7 +982,7 @@ let drop_client t cl =
           | Running -> Atomic.set r.cancel_req true
           | _ -> ()
       end)
-    t.history
+    (live t)
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -1199,6 +1225,7 @@ let serve ?(config = default_config) () =
         r.errors <- [ "interrupted by daemon restart; resume disabled" ]
       end)
     recovered.pending;
+  trim_history t;
   if recovered.dropped_lines > 0 || recovered.dropped_bytes > 0 then
     config.log
       (Printf.sprintf "journal: dropped %d garbage line(s), %d tail byte(s)"

@@ -32,11 +32,12 @@
       connection is one of its watchers (a bare cancel from an
       unrelated connection cannot kill someone else's job).  A queued
       job is cancelled immediately ([done] with [state = "cancelled"]);
-      a running one stops at the next job boundary — in-flight jobs
-      finish, completed work is kept (and cached);
+      a running one stops within milliseconds: the job it was running
+      is discarded (never cached), completed ones are kept (and cached);
     - [{"op":"status"}] → [status] with the queue depth, the running
-      job id, the job history (each record carrying its state, phase,
-      attempt and the age of its last telemetry snapshot), retry/poison
+      job id, the job history — every queued or running job and the
+      newest 128 finished ones, each record carrying its state, phase,
+      attempt and the age of its last telemetry snapshot — retry/poison
       counters and cache counters (hits/misses/stores/corrupt/
       write_failed); [{"op":"ping"}] → [pong]; [{"op":"shutdown"}] →
       [bye] and the daemon exits (queued and in-flight jobs stay
@@ -78,8 +79,9 @@
     Connections past a fixed cap are refused with a [server busy]
     [error] frame ([select] cannot watch descriptors past 1023).  A
     client hanging up orphans its jobs: a queued one is cancelled, a
-    running one stops at the next job boundary (journal-resumed jobs
-    have no watchers and are exempt). *)
+    running one stops at its job's next poll (journal-resumed jobs
+    have no watchers and are exempt).  Shutdown and the per-job
+    deadline interrupt a running job the same way. *)
 
 open Setagree_util
 
@@ -203,7 +205,7 @@ module Client : sig
       connection watches it (an unrelated connection must name the id
       explicitly — see the [fdkit cancel] CLI, which resolves it via
       {!status}).  Queued jobs are cancelled immediately; running ones
-      at the next job boundary — the eventual [done] frame reports
+      at the running job's next poll — the eventual [done] frame reports
       [state = "cancelled"]. *)
 
   val subscribe : conn -> unit

@@ -88,11 +88,13 @@ let controlled_run ~make ~depth ~next =
       end);
   let outcome = Sim.run ~stop_when:inst.i_stop sim in
   Sim.clear_chooser sim;
+  let violation = inst.i_violation () in
+  Sim.release sim;
   {
     ex_choices = List.rev !executed;
     ex_options = Array.of_list (List.rev !recorded);
     ex_points = !points;
-    ex_violation = inst.i_violation ();
+    ex_violation = violation;
     ex_outcome = outcome;
   }
 
@@ -171,10 +173,11 @@ let default_exec ~make ~stats ~depth =
   bump_run stats e;
   e
 
-let dfs ~make ~stats ?(depth = 64) ?(delays = 2) ?(max_runs = 1000) roots =
+let dfs ~make ~stats ?(depth = 64) ?(delays = 2) ?(max_runs = 1000)
+    ?(poll = fun () -> false) roots =
   let found = ref [] in
   let stack = ref roots in
-  while !stack <> [] && stats.runs < max_runs do
+  while !stack <> [] && stats.runs < max_runs && not (poll ()) do
     match !stack with
     | [] -> ()
     | prefix :: rest ->

@@ -63,7 +63,9 @@ val run_schedule :
     FIFO policy ([Deliver 0]).  Out-of-range delivery indices are clamped
     and ineligible crashes degrade to the default, so every choice list
     is valid.  [depth] (default 0) bounds how many points record their
-    {!options} for branching. *)
+    {!options} for branching.  The execution's simulator is
+    {!Sim.release}d before this returns: its trace stays readable, but it
+    cannot run again. *)
 
 val random_walk :
   make:(unit -> instance) ->
@@ -94,6 +96,7 @@ val dfs :
   ?depth:int ->
   ?delays:int ->
   ?max_runs:int ->
+  ?poll:(unit -> bool) ->
   Schedule.choice list list ->
   (Schedule.choice list * string list) list
 (** Systematic search from the given root prefixes.  Expands each
@@ -101,7 +104,9 @@ val dfs :
     discipline, so distinct roots explore disjoint subtrees), up to
     [delays] total deviations per run and [depth] points per run, and
     never expands below a violating run.  Returns (prefix, violation)
-    pairs in discovery order; stops after [max_runs] executions. *)
+    pairs in discovery order; stops after [max_runs] executions, or
+    early once [poll] (called before each execution; default never)
+    returns [true]. *)
 
 val ddmin : test:('a list -> bool) -> ?budget:int -> 'a list -> 'a list
 (** Generic greedy delta debugging over a list of atoms: drop chunks of

@@ -68,7 +68,9 @@ and t = {
   mutable th_free : int array;
   mutable th_free_len : int;
   (* Resume table (sleeping/yielding fibers; continuations stored untyped
-     to avoid a per-event option box). *)
+     to avoid a per-event option box).  Every suspended fiber that is not
+     a live waiter has its continuation here: crashed processes' fibers
+     keep their slot until [release]. *)
   mutable rs_pid : int array;
   mutable rs_k : Obj.t array;
   mutable rs_free : int array;
@@ -132,6 +134,7 @@ and t = {
   mutable fl_signals : int;
   mutable fl_wakeups : int;
   mutable fl_events : int;
+  mutable released : bool;
 }
 
 and pending = {
@@ -217,6 +220,7 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       fl_signals = 0;
       fl_wakeups = 0;
       fl_events = 0;
+      released = false;
     }
   in
   sim.poll_cond <- Some { c_owner = sim; c_pending = false; c_waiters = [] };
@@ -307,10 +311,23 @@ let rs_alloc t pid k =
   t.rs_k.(slot) <- k;
   slot
 
+let no_k = Obj.repr 0
+
 let rs_free t slot =
-  t.rs_k.(slot) <- Obj.repr 0;
+  t.rs_k.(slot) <- no_k;
   t.rs_free <- push_int_stack t.rs_free t.rs_free_len slot;
   t.rs_free_len <- t.rs_free_len + 1
+
+(* Take a continuation out of its slot (the slot is freed). *)
+let rs_take t slot : (unit, unit) Effect.Deep.continuation =
+  let k = Obj.obj t.rs_k.(slot) in
+  rs_free t slot;
+  k
+
+(* A crashed process's fiber is never resumed: park its continuation in
+   a slot no event refers to, where [release] finds it. *)
+let park t pid (k : (unit, unit) Effect.Deep.continuation) =
+  ignore (rs_alloc t pid (Obj.repr k))
 
 let add_event t ~time ~kind ~arg = ignore (Earena.add t.arena ~time ~kind ~arg)
 
@@ -439,10 +456,13 @@ let do_crash t pid =
     t.crashed.(pid) <- true;
     t.crashed_pidset <- Pidset.add pid t.crashed_pidset;
     Trace.record t.trace ~time:t.now (Trace.Crash pid);
-    (* Abandoned forever: drop this process's blocked fibers. *)
+    (* Abandoned forever: this process's blocked fibers never resume. *)
     for i = 0 to t.wall_len - 1 do
       let w = t.wall.(i) in
-      if w.wpid = pid then kill_waiter t w
+      if w.wpid = pid && not w.w_dead then begin
+        kill_waiter t w;
+        park t pid w.k
+      end
     done;
     (* Undelivered messages to a dead process would be delivered into the
        void; drop them so the chooser never wastes a branch on them.
@@ -497,28 +517,19 @@ let install_stalls t stalls =
           end))
     stalls
 
-(* Resume a fiber's continuation, deferring past any active stall window.
-   A stalled process is frozen, not crashed: its pending resumptions are
-   parked and replayed (in scheduling order) once the window closes. *)
-let rec resume_fiber t pid k =
-  if not t.crashed.(pid) then begin
-    if t.now < t.stalled_until.(pid) then
-      at t ~time:t.stalled_until.(pid) (fun () -> resume_fiber t pid k)
-    else Effect.Deep.continue k ()
-  end
-
-(* Arena path: the same stall-aware resume, re-queued as another
-   [k_resume] event (same slot) when the process is frozen. *)
-let dispatch_resume t slot =
+(* Resume a sleeping or yielding fiber, deferring past any active stall
+   window.  A stalled process is frozen, not crashed: its pending
+   resumptions are re-queued (same slot) and replayed in scheduling order
+   once the window closes.  A crashed process's fiber keeps its slot. *)
+let rec dispatch_resume t slot =
   let pid = t.rs_pid.(slot) in
-  if t.crashed.(pid) then rs_free t slot
-  else if t.now < t.stalled_until.(pid) then
-    add_event t ~time:t.stalled_until.(pid) ~kind:k_resume ~arg:slot
-  else begin
-    let k : (unit, unit) Effect.Deep.continuation = Obj.obj t.rs_k.(slot) in
-    rs_free t slot;
-    Effect.Deep.continue k ()
+  if t.crashed.(pid) then ()
+  else if t.now < t.stalled_until.(pid) then begin
+    if t.legacy_queue then
+      at t ~time:t.stalled_until.(pid) (fun () -> dispatch_resume t slot)
+    else add_event t ~time:t.stalled_until.(pid) ~kind:k_resume ~arg:slot
   end
+  else Effect.Deep.continue (rs_take t slot) ()
 
 let sleep d = Effect.perform (Sleep d)
 let yield () = Effect.perform Yield
@@ -616,19 +627,17 @@ let spawn t ~pid body =
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   if d < 0.0 then invalid_arg "Sim.schedule: negative delay";
+                  let slot = rs_alloc t pid (Obj.repr k) in
                   if t.legacy_queue then
-                    schedule t ~delay:d (fun () -> resume_fiber t pid k)
-                  else
-                    add_event t ~time:(t.now +. d) ~kind:k_resume
-                      ~arg:(rs_alloc t pid (Obj.repr k)))
+                    schedule t ~delay:d (fun () -> dispatch_resume t slot)
+                  else add_event t ~time:(t.now +. d) ~kind:k_resume ~arg:slot)
           | Yield ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  let slot = rs_alloc t pid (Obj.repr k) in
                   if t.legacy_queue then
-                    schedule t ~delay:0.0 (fun () -> resume_fiber t pid k)
-                  else
-                    add_event t ~time:t.now ~kind:k_resume
-                      ~arg:(rs_alloc t pid (Obj.repr k)))
+                    schedule t ~delay:0.0 (fun () -> dispatch_resume t slot)
+                  else add_event t ~time:t.now ~kind:k_resume ~arg:slot)
           | Await (conds, pred) ->
               List.iter
                 (fun c ->
@@ -713,6 +722,26 @@ let sort_cands t =
     t.cand.(!j + 1) <- w
   done
 
+(* Resume a fired waiter's fiber.  A stalled process earned its wakeup
+   (the predicate fired) but is frozen: it reacts only once the stall
+   window closes, its continuation waiting in a resume slot meanwhile. *)
+let rec wake t pid k =
+  if t.crashed.(pid) then park t pid k
+  else if t.now < t.stalled_until.(pid) then begin
+    let slot = rs_alloc t pid (Obj.repr k) in
+    at t ~time:t.stalled_until.(pid) (fun () -> wake t pid (rs_take t slot))
+  end
+  else begin
+    t.n_wakeups <- t.n_wakeups + 1;
+    if Trace.records_full t.trace then begin
+      let sp = Trace.Wakeup { pid } in
+      Trace.begin_span t.trace ~time:t.now sp;
+      Effect.Deep.continue k ();
+      Trace.end_span t.trace ~time:t.now sp
+    end
+    else Effect.Deep.continue k ()
+  end
+
 let drain t =
   let rounds = ref 0 in
   let progress = ref true in
@@ -749,7 +778,10 @@ let drain t =
       let w = t.cand.(i) in
       w.w_queued <- false;
       if not w.w_dead then begin
-        if t.crashed.(w.wpid) then kill_waiter t w
+        if t.crashed.(w.wpid) then begin
+          kill_waiter t w;
+          park t w.wpid w.k
+        end
         else begin
           t.n_pred_evals <- t.n_pred_evals + 1;
           if w.pred () then begin
@@ -768,25 +800,7 @@ let drain t =
       progress := true;
       for i = 0 to t.fired_len - 1 do
         let w = t.fired.(i) in
-        (* A stalled process earned its wakeup (the predicate fired) but
-           is frozen: it reacts only once the stall window closes. *)
-        let rec wake () =
-          if not t.crashed.(w.wpid) then begin
-            if t.now < t.stalled_until.(w.wpid) then
-              at t ~time:t.stalled_until.(w.wpid) wake
-            else begin
-              t.n_wakeups <- t.n_wakeups + 1;
-              if Trace.records_full t.trace then begin
-                let sp = Trace.Wakeup { pid = w.wpid } in
-                Trace.begin_span t.trace ~time:t.now sp;
-                Effect.Deep.continue w.k ();
-                Trace.end_span t.trace ~time:t.now sp
-              end
-              else Effect.Deep.continue w.k ()
-            end
-          end
-        in
-        wake ()
+        wake t w.wpid w.k
       done
     end
   done
@@ -817,6 +831,7 @@ let exec_event t slot =
     t.disps.(arg land 63) (arg lsr 6)
 
 let run ?(stop_when = fun () -> false) (t : t) =
+  if t.released then invalid_arg "Sim.run: released simulator";
   let events = ref 0 in
   let reason = ref Quiescent in
   let continue_loop = ref true in
@@ -875,6 +890,7 @@ let run ?(stop_when = fun () -> false) (t : t) =
    oracle reads) and conditions signalled by out-of-band injections are
    re-evaluated at least once per tick, even event-free ones. *)
 let advance t ~upto =
+  if t.released then invalid_arg "Sim.advance: released simulator";
   let upto = Float.min upto t.horizon in
   let events = ref 0 in
   let maybe_drain () =
@@ -900,3 +916,30 @@ let advance t ~upto =
   maybe_drain ();
   flush_sched_counters t ~events:!events;
   !events
+
+(* ---- Release ----------------------------------------------------------
+
+   A continuation that is dropped without being resumed or discontinued
+   keeps its fiber stack allocated forever (OCaml 5.1 frees a fiber's
+   stack only when it finishes).  When a run stops, fibers blocked on a
+   condition, sleeping past the horizon, parked by a stall, or belonging
+   to a crashed process are still suspended: discontinue each one once.
+   They are exactly the live waiters plus the occupied resume slots. *)
+
+exception Released
+
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    let discontinue k = try Effect.Deep.discontinue k Released with Released -> () in
+    for i = 0 to t.wall_len - 1 do
+      let w = t.wall.(i) in
+      if not w.w_dead then begin
+        kill_waiter t w;
+        discontinue w.k
+      end
+    done;
+    for slot = 0 to t.rs_len - 1 do
+      if t.rs_k.(slot) != no_k then discontinue (rs_take t slot)
+    done
+  end

@@ -330,6 +330,17 @@ val run : ?stop_when:(unit -> bool) -> t -> outcome
     counters are flushed into {!trace} under [sched.pred_evals],
     [sched.signals], [sched.wakeups] and [sched.events]. *)
 
+val release : t -> unit
+(** Discontinue every fiber still suspended after a run: blocked on a
+    condition, sleeping past the horizon, parked by a stall, or belonging
+    to a crashed process.  Each fiber is discontinued exactly once, and a
+    second call does nothing.  It exists because OCaml 5.1 never frees the
+    stack of a continuation that is dropped without being resumed or
+    discontinued, so a process that runs many simulations (the daemon, a
+    campaign) would otherwise grow with every run.  The trace, the
+    counters and the processes' state stay readable; a released simulator
+    must not run again ({!run} and {!advance} raise [Invalid_argument]). *)
+
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
 
 (** {1 Scheduler observability} *)

@@ -203,6 +203,11 @@ let default_jobs () =
   | Some s -> ( match int_of_string_opt (String.trim s) with Some j -> max 1 j | None -> 1)
   | None -> max 1 (Domain.recommended_domain_count ())
 
+(* The poll of the job executing on this domain (see [run]). *)
+let never () = false
+let poll_key = Domain.DLS.new_key (fun () -> never)
+let poll () = (Domain.DLS.get poll_key) ()
+
 let run_job j =
   let t0 = Unix.gettimeofday () in
   let ok, notes, metrics, row, extra, error =
@@ -483,39 +488,50 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
   let board = Metrics.create () in
   let te_prev = ref (Metrics.create ()) in
   let te_seq = ref 0 in
+  let te_last = ref Float.neg_infinity in
   let counted_prefixes = [ "sched."; "net."; "fault."; "rt."; "obs." ] in
   let counted name =
     List.exists
       (fun p -> String.length name >= String.length p && String.sub name 0 (String.length p) = p)
       counted_prefixes
   in
-  (* Call with [emit_mutex] held. *)
-  let emit_telemetry f =
-    let wall = Unix.gettimeofday () -. t0 in
-    let cum = Metrics.merge (Metrics.snapshot board) (Live.snapshot ()) in
-    let delta = Metrics.delta ~base:!te_prev cum in
-    te_prev := cum;
-    incr te_seq;
-    let events =
-      Metrics.counter cum "sched.events" + Metrics.counter cum "rt.events"
-    in
-    let cached_n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 cached in
-    f
-      {
-        te_seq = !te_seq;
-        te_wall_s = wall;
-        te_done = !done_count;
-        te_total = total;
-        te_cached = cached_n;
-        te_cache_skipped = !skipped;
-        te_last_label = !last_label;
-        te_rate_jobs_per_s = float_of_int !done_count /. Float.max wall 1e-9;
-        te_events_per_s = float_of_int events /. Float.max wall 1e-9;
-        te_gc_minor_words = !gc_minor;
-        te_gc_promoted_words = !gc_promoted;
-        te_counters = cum;
-        te_delta = delta;
-      }
+  (* Call with [emit_mutex] held.  Unless [force]d, a frame goes out only
+     when [telemetry_every_s] has passed since the previous one. *)
+  let emit_telemetry ?(force = false) () =
+    match on_telemetry with
+    | None -> ()
+    | Some f ->
+        let now = Unix.gettimeofday () in
+        if force || now -. !te_last >= telemetry_every_s then begin
+          te_last := now;
+          let wall = now -. t0 in
+          let cum = Metrics.merge (Metrics.snapshot board) (Live.snapshot ()) in
+          let delta = Metrics.delta ~base:!te_prev cum in
+          te_prev := cum;
+          incr te_seq;
+          let events =
+            Metrics.counter cum "sched.events" + Metrics.counter cum "rt.events"
+          in
+          let cached_n = Array.fold_left (fun n b -> if b then n + 1 else n) 0 cached in
+          try
+            f
+              {
+                te_seq = !te_seq;
+                te_wall_s = wall;
+                te_done = !done_count;
+                te_total = total;
+                te_cached = cached_n;
+                te_cache_skipped = !skipped;
+                te_last_label = !last_label;
+                te_rate_jobs_per_s = float_of_int !done_count /. Float.max wall 1e-9;
+                te_events_per_s = float_of_int events /. Float.max wall 1e-9;
+                te_gc_minor_words = !gc_minor;
+                te_gc_promoted_words = !gc_promoted;
+                te_counters = cum;
+                te_delta = delta;
+              }
+          with _ -> ()
+        end
   in
   (* Progress callbacks fire from worker domains too; serialize them and
      the completion counter under one lock. *)
@@ -534,11 +550,15 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
     | None -> ()
     | Some f ->
         f { pr_result = r; pr_cached = was_cached; pr_done = !done_count; pr_total = total });
+    emit_telemetry ();
     Mutex.unlock emit_mutex
   in
-  let stopped = match stop with None -> fun () -> false | Some f -> f in
-  let cancelled = ref false in
-  if on_telemetry <> None then Live.enable ();
+  let stopped = match stop with None -> never | Some f -> f in
+  let cancelled = Atomic.make false in
+  if on_telemetry <> None then begin
+    Live.enable ();
+    Mutex.protect emit_mutex (fun () -> emit_telemetry ())
+  end;
   (* Cache pre-pass on the calling domain: hits are resolved up front
      (and reported in job order), only misses are scheduled.  Keyless
      jobs bypass the cache entirely (rt outcomes are wall-clock
@@ -562,55 +582,48 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
           jobs_a;
         List.rev !misses
   in
+  (* Each executing job gets a poll, installed as this domain's [poll]:
+     a rate-limited telemetry frame, then the [stop] hook.  A job whose
+     poll returned [true] stopped early, so its result is discarded —
+     neither cached nor reported — and the campaign is cancelled. *)
   let execute i =
     let j = jobs_a.(i) in
+    let interrupted = ref false in
+    let job_poll =
+      if stop = None && on_telemetry = None then never
+      else fun () ->
+        if on_telemetry <> None then Mutex.protect emit_mutex (fun () -> emit_telemetry ());
+        stopped () && (interrupted := true; true)
+    in
+    let outer = Domain.DLS.get poll_key in
     let g0 = Gc.quick_stat () in
+    Domain.DLS.set poll_key job_poll;
     let r = run_job j in
+    Domain.DLS.set poll_key outer;
     let g1 = Gc.quick_stat () in
-    (match (cache, j.key) with
-    | Some cache, Some k when r.r_error = None -> Cache.store cache k r
-    | Some _, Some _ (* raised: never cached *) ->
-        Mutex.lock emit_mutex;
-        skipped := !skipped + 1;
-        Mutex.unlock emit_mutex
-    | _ -> ());
-    Mutex.lock emit_mutex;
-    gc_minor := !gc_minor +. (g1.Gc.minor_words -. g0.Gc.minor_words);
-    gc_promoted := !gc_promoted +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-    Mutex.unlock emit_mutex;
-    emit i r false
+    if !interrupted then Atomic.set cancelled true
+    else begin
+      (match (cache, j.key) with
+      | Some cache, Some k when r.r_error = None -> Cache.store cache k r
+      | Some _, Some _ (* raised: never cached *) ->
+          Mutex.lock emit_mutex;
+          skipped := !skipped + 1;
+          Mutex.unlock emit_mutex
+      | _ -> ());
+      Mutex.lock emit_mutex;
+      gc_minor := !gc_minor +. (g1.Gc.minor_words -. g0.Gc.minor_words);
+      gc_promoted := !gc_promoted +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+      Mutex.unlock emit_mutex;
+      emit i r false
+    end
   in
-  (* Periodic snapshots come from a dedicated ticker domain so a single
-     long job still produces live frames; one final snapshot after the
-     joins guarantees every telemetried campaign emits at least once. *)
-  let ticker_stop = ref false in
-  let ticker =
-    match on_telemetry with
-    | None -> None
-    | Some f ->
-        Some
-          (Domain.spawn (fun () ->
-               let period = Float.max 0.02 telemetry_every_s in
-               while not !ticker_stop do
-                 Unix.sleepf period;
-                 if not !ticker_stop then begin
-                   Mutex.lock emit_mutex;
-                   (try emit_telemetry f with _ -> ());
-                   Mutex.unlock emit_mutex
-                 end
-               done))
+  (* [stop] is also checked before each job is handed out: once the
+     campaign is cancelled, no further job starts. *)
+  let go () =
+    (not (Atomic.get cancelled))
+    && not (stopped () && (Atomic.set cancelled true; true))
   in
-  let executed = ref 0 in
-  if workers <= 1 then
-    List.iter
-      (fun i ->
-        if not !cancelled then
-          if stopped () then cancelled := true
-          else begin
-            execute i;
-            incr executed
-          end)
-      misses
+  if workers <= 1 then List.iter (fun i -> if go () then execute i) misses
   else begin
     let q = Bqueue.create (2 * workers) in
     let worker () =
@@ -620,35 +633,20 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
         | Some i ->
             (* Distinct slots per worker; the final read happens after
                [Domain.join], which synchronizes. *)
-            execute i;
+            if not (Atomic.get cancelled) then execute i;
             loop ()
       in
       loop ()
     in
     let domains = List.init workers (fun _ -> Domain.spawn worker) in
-    (* Cancellation is producer-side: stop feeding the queue and let the
-       in-flight jobs finish, so slots are either complete or untouched. *)
-    List.iter
-      (fun i ->
-        if not !cancelled then
-          if stopped () then cancelled := true
-          else begin
-            Bqueue.push q i;
-            incr executed
-          end)
-      misses;
+    List.iter (fun i -> if go () then Bqueue.push q i) misses;
     Bqueue.close q;
     List.iter Domain.join domains
   end;
-  (match (ticker, on_telemetry) with
-  | Some d, Some f ->
-      ticker_stop := true;
-      Domain.join d;
-      Mutex.lock emit_mutex;
-      (try emit_telemetry f with _ -> ());
-      Mutex.unlock emit_mutex
-  | _ -> ());
-  if on_telemetry <> None then Live.disable ();
+  if on_telemetry <> None then begin
+    Mutex.protect emit_mutex (fun () -> emit_telemetry ~force:true ());
+    Live.disable ()
+  end;
   let wall = Unix.gettimeofday () -. t0 in
   let results =
     Array.to_list out |> List.filter_map Fun.id |> Array.of_list
@@ -662,7 +660,7 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
       c_wall_s = wall;
       c_throughput = (float_of_int (Array.length results) /. Float.max wall 1e-9);
       c_cache_hits = hits;
-      c_executed = !executed;
+      c_executed = Array.length results - hits;
       c_cache_skipped = !skipped;
       c_cache_corrupt =
         (match cache with Some c -> Cache.corrupt c - corrupt0 | None -> 0);
@@ -670,7 +668,7 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
         (match cache with
         | Some c -> Cache.write_failed c - write_failed0
         | None -> 0);
-      c_cancelled = !cancelled;
+      c_cancelled = Atomic.get cancelled;
     }
   in
   note_campaign c;

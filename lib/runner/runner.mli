@@ -99,7 +99,9 @@ type campaign = {
   c_wall_s : float;
   c_throughput : float;  (** jobs per second of wall clock *)
   c_cache_hits : int;  (** jobs resolved from the result cache *)
-  c_executed : int;  (** jobs actually scheduled (misses before cancel) *)
+  c_executed : int;
+      (** misses executed to completion (an interrupted job is not
+          counted) *)
   c_cache_skipped : int;
       (** jobs that bypassed the cache while one was in use: keyless
           jobs (rt-backend outcomes are wall-clock-dependent) plus jobs
@@ -110,7 +112,9 @@ type campaign = {
   c_cache_write_failed : int;
       (** cache stores that failed (disk full, permissions, …) during
           this run; the campaign result itself is unaffected *)
-  c_cancelled : bool;  (** [stop] fired before every job was scheduled *)
+  c_cancelled : bool;
+      (** [stop] fired before every job completed: some jobs never
+          started, or a running one was interrupted *)
 }
 
 type progress = {
@@ -122,13 +126,13 @@ type progress = {
 
 (** {1 Live telemetry}
 
-    Periodic snapshots of an in-flight campaign.  A dedicated ticker
-    domain samples the accumulators every [telemetry_every_s] (plus one
-    final snapshot after the last join, so short campaigns still emit),
-    entirely on the read side: telemetry observes completed results and
-    the {!Live} board, it never feeds anything back into a job — -j1 ≡
-    -jN signatures and replay fingerprints are byte-identical with
-    telemetry on or off. *)
+    Snapshots of an in-flight campaign, taken at its start, at job
+    completions and from the job {!poll} during long jobs, at most one
+    per [telemetry_every_s], plus one final snapshot after the last job,
+    so short campaigns still emit.  Telemetry is entirely read-side: it
+    observes completed results and the {!Live} board, it never feeds
+    anything back into a job — -j1 ≡ -jN signatures and replay
+    fingerprints are byte-identical with telemetry on or off. *)
 
 type telemetry = {
   te_seq : int;  (** 1-based snapshot sequence number *)
@@ -234,6 +238,13 @@ val default_jobs : unit -> int
 (** [BENCH_JOBS] env var if set, else [Domain.recommended_domain_count].
     Never below 1. *)
 
+val poll : unit -> bool
+(** The poll of the job executing on this domain; always [false] outside
+    {!run}'s jobs.  Long job bodies call it now and then — [Protocol.run]
+    every 4096 simulated events, [Explore.dfs] between executions — and
+    stop early once it returns [true].  Each call may emit a rate-limited
+    telemetry frame, then checks {!run}'s [stop] hook. *)
+
 val run :
   ?jobs:int ->
   ?cache:Cache.t ->
@@ -257,18 +268,21 @@ val run :
     are never cached).  With [on_progress], the callback fires once per
     completed job — possibly from a worker domain, serialized under an
     internal lock, in completion (not canonical) order.  With [stop],
-    the predicate is polled on the calling domain between job
-    submissions; once it returns [true], no further jobs start
-    ([c_cancelled = true]) but in-flight jobs finish and completed
-    slots are kept — [c_results] then holds fewer rows than were
-    submitted, still in canonical order.
+    the predicate is checked before each job starts and by every running
+    job's {!poll}, possibly from worker domains; once it returns [true],
+    no further jobs start and a job whose poll saw it is discarded —
+    neither cached nor reported ([c_cancelled = true]).  Completed slots
+    are kept: [c_results] then holds fewer rows than were submitted,
+    still in canonical order.
 
-    With [on_telemetry], a ticker domain delivers a {!telemetry}
-    snapshot every [telemetry_every_s] (default 0.25, clamped to
-    >= 0.02) plus one final snapshot, serialized under the same lock as
-    [on_progress]; the {!Live} board is enabled for the campaign's
-    duration.  Telemetry is read-only — results, signatures and replay
-    fingerprints are byte-identical with it on or off. *)
+    With [on_telemetry], a {!telemetry} snapshot is delivered at the
+    campaign's start, at job completions and from job polls, at most one
+    per [telemetry_every_s] (default 0.25), plus one final snapshot,
+    serialized under the same lock as [on_progress]; the {!Live} board
+    is enabled for the campaign's duration.  No domain is spawned for
+    telemetry: [jobs = 1], or a one-job campaign, runs entirely on the
+    calling domain.  Telemetry is read-only — results, signatures and
+    replay fingerprints are byte-identical with it on or off. *)
 
 val failures : campaign -> result list
 

@@ -1322,6 +1322,276 @@ let test_daemon_deadline_retry_poison () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* Interrupting a running job                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One kset Run at n = 256, t = 127: several seconds of simulation
+   (about 7 s on a 2-vCPU host), so only the engine's poll can stop it
+   within the bounds below. *)
+let long_run ?(seed = 1) () =
+  Job.of_flags ~kind:`Run ~protocol:"kset"
+    { Protocol.default with Protocol.n = 256; t = 127; seed }
+
+let interrupt_config dir =
+  { (daemon_config dir ~cache:true) with Serve.retry_backoff_s = 0.01 }
+
+let submit_raw conn spec =
+  expect
+    (Serve.Client.request conn
+       (Json.Obj [ ("op", Json.String "submit"); ("spec", Job.to_json spec) ]))
+
+let ack_id ack =
+  match Json.member "id" ack with Some (Json.Int i) -> i | _ -> Alcotest.fail "ack has no id"
+
+let status_records conn =
+  match Json.member "jobs" (expect (Serve.Client.status conn)) with
+  | Some (Json.List records) -> records
+  | _ -> Alcotest.fail "status has no jobs list"
+
+let record_of conn id =
+  List.find_opt (fun r -> Json.member "id" r = Some (Json.Int id)) (status_records conn)
+
+(* Poll [status] (on a connection of its own) until job [id] has left
+   the queue. *)
+let wait_started config id =
+  let conn = connect config in
+  let rec go n =
+    if n = 0 then Alcotest.failf "job %d never started" id;
+    match record_of conn id with
+    | Some r when Json.member "state" r <> Some (Json.String "queued") -> ()
+    | _ ->
+        Unix.sleepf 0.01;
+        go (n - 1)
+  in
+  go 500;
+  Serve.Client.close conn
+
+(* Submit [spec] on a subscribed connection; return its id once a
+   telemetry frame shows it has run for a quarter second — past its
+   set-up, mid-simulation. *)
+let submit_midrun conn spec =
+  Serve.Client.subscribe conn;
+  let rec go id v =
+    let id = if id = None && frame_type v = "ack" then Some (ack_id v) else id in
+    match (frame_type v, id) with
+    | "telemetry", Some id
+      when match Json.member "wall_s" v with Some (Json.Float w) -> w >= 0.25 | _ -> false ->
+        id
+    | "done", _ ->
+        Alcotest.failf "job ended before it could be interrupted: %s"
+          (Json.to_string ~minify:true v)
+    | _ -> go id (expect (Serve.Client.next_frame conn))
+  in
+  go None
+    (expect
+       (Serve.Client.request conn
+          (Json.Obj [ ("op", Json.String "submit"); ("spec", Job.to_json spec) ])))
+
+let rec next_done conn =
+  let v = expect (Serve.Client.next_frame conn) in
+  if frame_type v = "done" then v else next_done conn
+
+let cache_stores conn =
+  match Json.member "cache" (expect (Serve.Client.status conn)) with
+  | Some c -> ( match Json.member "stores" c with Some (Json.Int n) -> n | _ -> -1)
+  | None -> -1
+
+(* The deadline stops each attempt mid-run: a retry frame within 1 s of
+   the attempt's deadline, twice, then poison (exit 6). *)
+let test_daemon_deadline_interrupts () =
+  let dir = tmpdir "deadline_mid" in
+  let config = interrupt_config dir in
+  let d = start_daemon config in
+  let conn = connect config in
+  let deadline_s = 0.2 in
+  let stops = ref [] in
+  let on_event v =
+    match frame_type v with
+    | "retry" | "done" -> stops := Unix.gettimeofday () :: !stops
+    | _ -> ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let v = expect (Serve.Client.submit ~deadline_s ~on_event conn (long_run ())) in
+  check "poisoned" true (Json.member "state" v = Some (Json.String "poisoned"));
+  check "poison exit code" true (Json.member "exit" v = Some (Json.Int 6));
+  let stops = List.rev !stops in
+  check_int "three attempts (two retries, then done)" 3 (List.length stops);
+  (* An attempt starts at most a backoff (<= 0.02 s here) after the
+     previous one stopped. *)
+  ignore
+    (List.fold_left
+       (fun start stop ->
+         check "attempt stopped within 1 s of its deadline" true
+           (stop -. start <= deadline_s +. 1.0 +. 0.02);
+         stop)
+       t0 stops);
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* A cancel stops the running job within 1 s; the interrupted job is
+   not cached, so resubmitting the same spec hits nothing. *)
+let test_daemon_cancel_interrupts () =
+  let dir = tmpdir "cancel_mid" in
+  let config = interrupt_config dir in
+  let d = start_daemon config in
+  let conn = connect config in
+  let cancel_running spec =
+    ignore (submit_midrun conn spec);
+    let t_cancel = Unix.gettimeofday () in
+    Serve.Client.cancel conn;
+    let v = next_done conn in
+    check "done within 1 s of the cancel" true (Unix.gettimeofday () -. t_cancel <= 1.0);
+    v
+  in
+  let v = cancel_running (long_run ()) in
+  check "cancelled" true (Json.member "state" v = Some (Json.String "cancelled"));
+  check "cancel exit code" true (Json.member "exit" v = Some (Json.Int 4));
+  check_int "the interrupted job was not stored" 0 (cache_stores conn);
+  let v = cancel_running (long_run ()) in
+  check "resubmission found nothing cached" true
+    (Json.member "cache_hits" v = Some (Json.Int 0));
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* Shutdown interrupts the running job: the daemon exits within 1 s,
+   the journal keeps the job pending, and a restart resumes it. *)
+let test_daemon_shutdown_interrupts () =
+  let dir = tmpdir "shutdown_mid" in
+  let config = interrupt_config dir in
+  let d = start_daemon config in
+  let conn = connect config in
+  let id = submit_midrun conn (long_run ()) in
+  let t_shutdown = Unix.gettimeofday () in
+  ignore (Serve.Client.shutdown conn);
+  Domain.join d;
+  check "daemon exited within 1 s" true (Unix.gettimeofday () -. t_shutdown <= 1.0);
+  Serve.Client.close conn;
+  let recovered = Serve.Recovery.load (Serve.journal_path dir) in
+  check "journal keeps the job pending" true
+    (List.map (fun p -> p.Serve.Recovery.p_id) recovered.Serve.Recovery.pending = [ id ]);
+  check_int "and finished nothing" 0 (List.length recovered.Serve.Recovery.completed);
+  let d = start_daemon config in
+  let conn = connect config in
+  wait_started config id;
+  (match record_of conn id with
+  | Some r ->
+      check "resumed" true (Json.member "resumed" r = Some (Json.Bool true));
+      check "running again" true (Json.member "state" r = Some (Json.String "running"))
+  | None -> Alcotest.fail "restart lost the job");
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* The daemon keeps every live record and the newest [128] finished
+   ones in memory; the journal keeps everything. *)
+let test_daemon_history_bound () =
+  let dir = tmpdir "history" in
+  let config = interrupt_config dir in
+  let d = start_daemon config in
+  let conn = connect config in
+  let cap = 128 and extra = 20 in
+  for seed = 1 to cap + extra do
+    let v =
+      expect
+        (Serve.Client.submit conn
+           (Job.of_flags ~kind:`Run ~protocol:"kset" { Protocol.default with Protocol.seed }))
+    in
+    check "fast job done" true (Json.member "state" v = Some (Json.String "done"))
+  done;
+  (* One running and one queued job. *)
+  let running = ack_id (submit_raw conn (long_run ())) in
+  wait_started config running;
+  let conn2 = connect config in
+  let queued_spec = long_run ~seed:2 () in
+  let queued = ack_id (submit_raw conn2 queued_spec) in
+  let ids_in records =
+    List.filter_map
+      (fun r -> match Json.member "id" r with Some (Json.Int i) -> Some i | _ -> None)
+      records
+  in
+  let finished = List.init cap (fun i -> extra + 1 + i) in
+  let expect_listing what records =
+    let terminal =
+      List.filter
+        (fun r ->
+          not
+            (List.mem (Json.member "state" r)
+               [ Some (Json.String "queued"); Some (Json.String "running") ]))
+        records
+    in
+    check (what ^ ": exactly the newest finished records") true
+      (List.sort compare (ids_in terminal) = finished);
+    check (what ^ ": every live record") true
+      (List.mem running (ids_in records) && List.mem queued (ids_in records));
+    check_int (what ^ ": nothing else") (cap + 2) (List.length records)
+  in
+  expect_listing "status" (status_records conn2);
+  (* A spec already queued still attaches. *)
+  let conn3 = connect config in
+  let ack = submit_raw conn3 queued_spec in
+  check "resubmission attached" true (Json.member "attached" ack = Some (Json.Bool true));
+  check_int "to the queued record" queued (ack_id ack);
+  ignore (expect (Serve.Client.shutdown conn3));
+  List.iter Serve.Client.close [ conn; conn2; conn3 ];
+  Domain.join d;
+  (* The journal has every job; a restart replays the same listing. *)
+  let recovered = Serve.Recovery.load (Serve.journal_path dir) in
+  check_int "journal keeps every finished job" (cap + extra)
+    (List.length recovered.Serve.Recovery.completed);
+  let d = start_daemon config in
+  let conn = connect config in
+  expect_listing "after restart" (status_records conn);
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* A long job streams telemetry while it runs (from the engine's poll),
+   not just at its start and end. *)
+let test_daemon_long_job_streams () =
+  let dir = tmpdir "long_stream" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  Serve.Client.subscribe conn;
+  let frames = ref [] in
+  let on_event v =
+    if frame_type v = "telemetry" then
+      match (Json.member "seq" v, Json.member "done" v, Json.member "total" v) with
+      | Some (Json.Int seq), Some (Json.Int dn), Some (Json.Int tot) ->
+          frames := (seq, dn, tot) :: !frames
+      | _ -> Alcotest.fail "telemetry frame missing seq/done/total"
+  in
+  (* about 1.2 s on a 2-vCPU host *)
+  let spec =
+    Job.of_flags ~kind:`Run ~protocol:"kset" { Protocol.default with Protocol.n = 128; t = 63 }
+  in
+  let v = expect (Serve.Client.submit ~on_event conn spec) in
+  check "done" true (Json.member "state" v = Some (Json.String "done"));
+  let frames = List.rev !frames in
+  check "at least two frames while the job ran" true
+    (List.length (List.filter (fun (_, dn, tot) -> dn < tot) frames) >= 2);
+  ignore
+    (List.fold_left
+       (fun prev (seq, dn, tot) ->
+         check "seq increases" true (seq > prev);
+         check "done <= total" true (dn <= tot);
+         seq)
+       0 frames);
+  (match List.rev frames with
+  | (_, dn, tot) :: _ -> check "last frame complete" true (dn = tot)
+  | [] -> Alcotest.fail "no telemetry");
+  ignore (expect (Serve.Client.shutdown conn));
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Random interleavings against the daemon's invariants                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1632,6 +1902,8 @@ let () =
           Alcotest.test_case "connection cap" `Quick test_daemon_connection_cap;
           Alcotest.test_case "oversized frame dropped" `Quick
             test_daemon_oversized_frame;
+          Alcotest.test_case "history keeps the newest finished" `Quick
+            test_daemon_history_bound;
         ] );
       ( "telemetry",
         [
@@ -1643,6 +1915,8 @@ let () =
             test_daemon_disconnect_mid_stream;
           Alcotest.test_case "decoder survives mid-frame cut" `Quick
             test_stream_decoder_mid_telemetry_cut;
+          Alcotest.test_case "long job streams mid-run" `Quick
+            test_daemon_long_job_streams;
         ] );
       ( "untrusted",
         List.map
@@ -1662,5 +1936,11 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             qcheck_daemon_interleavings;
+          Alcotest.test_case "deadline stops a running job" `Quick
+            test_daemon_deadline_interrupts;
+          Alcotest.test_case "cancel stops a running job" `Quick
+            test_daemon_cancel_interrupts;
+          Alcotest.test_case "shutdown stops a running job" `Quick
+            test_daemon_shutdown_interrupts;
         ] );
     ]

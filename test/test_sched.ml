@@ -123,6 +123,55 @@ let test_crashed_waiter_dropped_not_resumed () =
   ignore (Sim.run sim);
   check "crashed fiber never resumed" false !woke
 
+(* Sim.release: every fiber a run leaves suspended is discontinued
+   exactly once, whichever way it was left.  Each fiber body counts its
+   own end (normal return or discontinuation) through [Fun.protect]. *)
+let test_release_discontinues_every_fiber () =
+  List.iter
+    (fun legacy_queue ->
+      let engine = if legacy_queue then "legacy queue" else "arena" in
+      let sim = Sim.create ~legacy_queue ~horizon:10.0 ~n:6 ~t:1 ~seed:1 () in
+      let released = ref 0 and fibers = ref 0 in
+      let spawn pid body =
+        incr fibers;
+        Sim.spawn sim ~pid (fun () -> Fun.protect ~finally:(fun () -> incr released) body)
+      in
+      let never = Sim.Cond.create sim and late = Sim.Cond.create sim in
+      let flag = ref false in
+      (* p0: blocked on a condition nobody signals *)
+      spawn 0 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
+      (* p1: asleep past the horizon *)
+      spawn 1 (fun () -> Sim.sleep 100.0);
+      (* p2 crashes at 1.0 with a waiter and a sleeper *)
+      spawn 2 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
+      spawn 2 (fun () -> Sim.sleep 2.0);
+      Sim.install_crashes sim [ (2, 1.0) ];
+      (* p3 and p4 stall from 1.0 past the horizon: p3's sleep expiry and
+         p4's wakeup (signalled at 3.0) are parked until the stall ends *)
+      spawn 3 (fun () -> Sim.sleep 2.0);
+      spawn 4 (fun () -> Sim.Cond.await [ late ] (fun () -> !flag));
+      Sim.install_stalls sim
+        (List.map
+           (fun s_pid -> { Faults.s_pid; s_from = 1.0; s_until = 50.0 })
+           [ 3; 4 ]);
+      Sim.schedule sim ~delay:3.0 (fun () ->
+          flag := true;
+          Sim.Cond.signal late);
+      (* p5 finishes normally *)
+      spawn 5 (fun () -> Sim.sleep 0.5);
+      ignore (Sim.run sim);
+      check_int (engine ^ ": only the finished fiber ended during the run") 1 !released;
+      Sim.release sim;
+      check_int (engine ^ ": every fiber ended once") !fibers !released;
+      Sim.release sim;
+      check_int (engine ^ ": a second release does nothing") !fibers !released;
+      check (engine ^ ": a released simulator does not run again") true
+        (try
+           ignore (Sim.run sim);
+           false
+         with Invalid_argument _ -> true))
+    [ false; true ]
+
 let test_zero_time_wakeup_chain () =
   (* Waking one fiber signals the next at the same instant: the drain must
      iterate to a fixpoint within the event. *)
@@ -480,6 +529,8 @@ let () =
           Alcotest.test_case "foreign cond" `Quick test_foreign_cond_rejected;
           Alcotest.test_case "crashed waiter dropped" `Quick test_crashed_waiter_dropped_not_resumed;
           Alcotest.test_case "zero-time chain" `Quick test_zero_time_wakeup_chain;
+          Alcotest.test_case "release ends every fiber" `Quick
+            test_release_discontinues_every_fiber;
         ] );
       ( "observability",
         [
