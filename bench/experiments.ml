@@ -1300,16 +1300,16 @@ let explore () =
   Printf.printf "%-22s %-8s %-8s %-8s %-8s %-8s %-8s %-6s\n" "config" "runs" "points"
     "prunes" "viols" "shrinks" "viol/s" "ces";
   let cell ?(artifact = false) name z =
-    let o = Explorer.explore ~protocol:"kset" (params z) bounds in
-    let c = o.Explorer.o_campaign in
+    let o = Job.execute (Job.Explore { protocol = "kset"; params = params z; bounds }) in
+    let c = o.Job.o_campaign in
     Printf.printf "%-22s %-8.0f %-8.0f %-8.0f %-8.0f %-8.0f %-8.1f %-6d\n" name
       (stat c "runs") (stat c "points") (stat c "prunes") (stat c "violations")
       (stat c "shrink_runs")
       (stat c "violations" /. Float.max c.Runner.c_wall_s 1e-9)
-      (List.length o.Explorer.o_ces);
+      (List.length o.Job.o_ces);
     if artifact then
       Printf.printf "  -> %s\n" (Runner.write_artifact c);
-    o.Explorer.o_ces
+    o.Job.o_ces
   in
   let misuse = cell ~artifact:true "misuse z=2 > k=1" 2 in
   let safe = cell "safe   z=1 <= k=1" 1 in
@@ -1336,7 +1336,8 @@ let chaos () =
   section "CHAOS  Fault injection: safety under every mix, liveness after heal";
   (* The smoke run takes one seed per (protocol, mix) cell. *)
   let seeds = if smoke () then 1 else 8 in
-  let o = Chaos.run ~seeds () in
+  let spec = Job.of_flags ~kind:`Chaos ~seeds ~protocol:"" Protocol.default in
+  let o = Option.get (Job.execute spec).Job.o_chaos in
   let c = o.Chaos.o_campaign in
   Printf.printf
     "[chaos] %d runs (%d protocols x %d mixes x %d seeds) on %d domain(s), %.2fs wall\n"
@@ -1569,8 +1570,7 @@ let serve () =
   let attached () =
     frames := [];
     timed (fun () ->
-        Job.execute ~on_telemetry:(fun te -> frames := te :: !frames)
-          ~telemetry_every_s:0.05 tele_spec)
+        Job.execute ~on_telemetry:(fun te -> frames := te :: !frames) tele_spec)
   in
   let plain () = timed (fun () -> Job.execute tele_spec) in
   ignore (plain ());

@@ -60,12 +60,7 @@ let setup ~n ~t ~seed ~crashes ~horizon () =
        ~n ~t rng);
   sim
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---- shared Protocol.params term ---- *)
 
@@ -150,7 +145,8 @@ let rt_cfg_of (p : Protocol.params) =
   }
 
 (* Core's Job module executes rt-backend jobs through this hook
-   (Setagree_rt sits above core, so core can't call it directly). *)
+   (Setagree_rt sits above core, so core can't call it directly).  The
+   row is what [fdkit run] prints for the run. *)
 let () =
   Job.rt_runner :=
     Some
@@ -160,7 +156,9 @@ let () =
           ~notes:
             (if Rt_run.ok r then []
              else r.Rt_run.o_safety.Check.notes @ r.Rt_run.o_fd.Check.notes)
-          ~metrics:r.Rt_run.o_metrics (Rt_run.ok r))
+          ~metrics:r.Rt_run.o_metrics
+          ~row:(Format.asprintf "%a" Rt_run.pp_result r)
+          (Rt_run.ok r))
 
 let mk_params n t seed crashes gst horizon z k x y adversarial variant trace faults
     backend =
@@ -215,9 +213,8 @@ let params_term ?(default_z = 1) ?(default_k = 1) ?(default_crashes = 2) () =
 let registry_doc () =
   Printf.sprintf "Protocols: %s." (String.concat ", " (Protocol.names ()))
 
-(* Flag elaboration and validation live in Job (the run subcommands are
-   sugar over Job.of_flags); the single-run printing path stays direct
-   so the CLI output is unchanged. *)
+(* Flag elaboration, validation and execution live in Job: [fdkit run]
+   prints the one result of [Job.execute]. *)
 let exec_run protocol (p : Protocol.params) =
   let spec = Job.of_flags ~kind:`Run ~protocol p in
   match Job.validate spec with
@@ -225,9 +222,13 @@ let exec_run protocol (p : Protocol.params) =
       (match Protocol.find protocol with
       | None -> Printf.eprintf "unknown protocol %S; %s\n" protocol (registry_doc ())
       | Some _ -> ());
-      let fault_errs =
-        List.filter (String.starts_with ~prefix:"illegal fault spec") errs
+      let fault_errs, others =
+        List.partition (String.starts_with ~prefix:"illegal fault spec") errs
       in
+      List.iter
+        (fun e ->
+          if not (String.starts_with ~prefix:"unknown protocol" e) then prerr_endline e)
+        others;
       if fault_errs <> [] then begin
         Printf.eprintf "illegal fault spec (refusing to run):\n";
         List.iter
@@ -240,22 +241,19 @@ let exec_run protocol (p : Protocol.params) =
         | None -> ()
       end;
       3
-  | Ok () -> (
-      match Protocol.find protocol with
-      | None -> assert false (* validate checked the registry *)
-      | Some pk when is_rt p.Protocol.backend ->
-          let r = Rt_run.run_protocol pk p ~cfg:(rt_cfg_of p) () in
-          Format.printf "%a@." Rt_run.pp_result r;
-          List.iter (fun (key, v) -> Printf.printf "  %-22s %g\n" key v) r.Rt_run.o_metrics;
-          if Rt_run.ok r then 0 else 1
-      | Some pk ->
-          let r = Protocol.run pk p in
-          Printf.printf "%s seed=%d: %s\n" protocol p.Protocol.seed
-            (Format.asprintf "%a" Check.pp_verdict r.Protocol.rp_verdict);
-          List.iter
-            (fun (key, v) -> Printf.printf "  %-18s %g\n" key v)
-            r.Protocol.rp_metrics;
-          if Check.verdict_ok r.Protocol.rp_verdict then 0 else 1)
+  | Ok () ->
+      let o = Job.execute spec in
+      let r = o.Job.o_campaign.Runner.c_results.(0) in
+      let rt = is_rt p.Protocol.backend in
+      if rt then print_endline r.Runner.r_row
+      else
+        Printf.printf "%s seed=%d: %s\n" protocol p.Protocol.seed
+          (Format.asprintf "%a" Check.pp_verdict
+             { Check.ok = r.Runner.r_ok; notes = r.Runner.r_notes });
+      List.iter
+        (fun (key, v) -> Printf.printf "  %-*s %g\n" (if rt then 22 else 18) key v)
+        r.Runner.r_metrics;
+      o.Job.o_exit
 
 let protocol_arg =
   Arg.(
@@ -844,76 +842,18 @@ let chaos_cmd =
 
 (* ---- replay ---- *)
 
-let replay_faults path index =
-  match Chaos.load_failures path with
-  | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" path e;
-      3
-  | Ok [] ->
-      Printf.eprintf "%s: no chaos failures recorded\n" path;
-      3
-  | Ok l -> (
-      match List.nth_opt l index with
-      | None ->
-          Printf.eprintf "--index %d out of range (%d failure(s))\n" index
-            (List.length l);
-          3
-      | Some f -> (
-          Printf.printf "replaying chaos failure %s/%s seed=%d kind=%s\n  spec: %s\n"
-            f.Chaos.f_protocol f.Chaos.f_mix f.Chaos.f_params.Protocol.seed
-            (Chaos.kind_to_string f.Chaos.f_kind)
-            (Faults.summary f.Chaos.f_params.Protocol.faults);
-          match Chaos.reproduce f with
-          | None ->
-              Printf.eprintf "unknown protocol %S\n" f.Chaos.f_protocol;
-              3
-          | Some (reproduced, notes) ->
-              Printf.printf "recorded: %s\nreplayed: %s\n%s\n"
-                (String.concat "; " f.Chaos.f_notes)
-                (String.concat "; " notes)
-                (if reproduced then "reproduced" else "NOT reproduced");
-              if reproduced then 0 else 1))
-
-let replay_schedule schedule index =
-  match Explorer.load_counterexamples schedule with
-  | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" schedule e;
-      3
-  | Ok [] ->
-      Printf.eprintf "%s: no counterexamples recorded\n" schedule;
-      3
-  | Ok l -> (
-      match List.nth_opt l index with
-      | None ->
-          Printf.eprintf "--index %d out of range (%d counterexample(s))\n" index
-            (List.length l);
-          3
-      | Some s -> (
-          Printf.printf "replaying %s schedule %s\n" s.Schedule.protocol
-            (Format.asprintf "%a" Schedule.pp_choices s.Schedule.choices);
-          match Explorer.replay s with
-          | Error e ->
-              prerr_endline e;
-              3
-          | Ok (e, reproduced) ->
-              Printf.printf "recorded violation: %s\nreplayed violation: %s\n"
-                (String.concat "; " s.Schedule.violation)
-                (String.concat "; " e.Explore.ex_violation);
-              Printf.printf "%s\n"
-                (if reproduced then "reproduced" else "NOT reproduced");
-              if reproduced then 0 else 1))
-
 let replay_cmd =
   let run schedule faults index =
     let dispatch source path =
-      match Job.validate (Job.Replay { source; path; index }) with
+      let spec = Job.Replay { source; path; index } in
+      match Job.validate spec with
       | Error errs ->
           List.iter prerr_endline errs;
           3
-      | Ok () -> (
-          match source with
-          | Job.Faults_file -> replay_faults path index
-          | Job.Schedule_file -> replay_schedule path index)
+      | Ok () ->
+          let o = Job.execute spec in
+          List.iter print_endline (Runner.rows o.Job.o_campaign);
+          o.Job.o_exit
     in
     match (schedule, faults) with
     | None, None ->
@@ -987,17 +927,6 @@ let grid_cmd =
 (* ---- trace export ---- *)
 
 let trace_cmd =
-  let ensure_dir dir =
-    if not (Sys.file_exists dir) then
-      try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  in
-  let read_file path =
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  in
   (* Stale-artifact detection: warn (never fail) when the file was
      stamped by a different schema or build than the one checking it. *)
   let warn_stamp path j =
@@ -1088,7 +1017,7 @@ let trace_cmd =
               r.Protocol.rp_metrics;
             0
         | (`Jsonl | `Chrome) as fmt ->
-            ensure_dir out;
+            Files.mkdir_p out;
             let ext = match fmt with `Jsonl -> "jsonl" | `Chrome -> "chrome.json" in
             let path =
               Filename.concat out
@@ -1648,10 +1577,9 @@ let status_cmd =
 
 let top_cmd =
   let run socket interval once =
-    (* Reconnect per tick: the daemon handles one connection at a time,
-       so a persistent watcher would starve submitters.  A throwaway
-       connect → status → close per refresh keeps the socket free
-       between ticks. *)
+    (* Reconnect per tick: a throwaway connect → status → close per
+       refresh holds none of the daemon's 32 connection slots between
+       ticks, and the next tick finds a restarted daemon. *)
     let render () =
       match Serve.Client.connect socket with
       | Error e ->
@@ -1754,10 +1682,10 @@ let cancel_cmd =
   Cmd.v
     (Cmd.info "cancel"
        ~doc:
-         "Ask the daemon to cancel the running job (queued jobs are \
-          cancelled immediately; a running campaign stops at the next job \
-          boundary — in-flight jobs finish; completed work is kept and \
-          cached).  Exits 1 when nothing is running.")
+         "Ask the daemon to cancel the running job: it starts no further \
+          job, and each in-flight job stops at its next poll and is \
+          discarded, never cached; completed jobs are kept and cached.  \
+          Exits 1 when nothing is running.")
     Term.(const run $ socket_arg)
 
 let shutdown_cmd =

@@ -194,8 +194,7 @@ let failure_to_json ~index f =
   | j -> j
 
 let write_failures ?(dir = "_results") fails =
-  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-   with Sys_error _ when Sys.file_exists dir -> ());
+  Files.mkdir_p dir;
   let path = Filename.concat dir "chaos_failures.json" in
   Json.write_file path
     (Json.Obj
@@ -207,25 +206,22 @@ let write_failures ?(dir = "_results") fails =
   path
 
 let load_failures path =
-  try
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match Json.of_string s with
-    | Error e -> Error e
-    | Ok j ->
-        let l =
-          match j with
-          | Json.Obj fields -> (
-              match List.assoc_opt "failures" fields with
-              | Some (Json.List l) -> l
-              | _ -> [])
-          | Json.List l -> l
-          | _ -> []
-        in
-        Ok (List.filter_map failure_of_json l)
-  with Sys_error e -> Error e
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | s -> (
+      match Json.of_string s with
+      | Error e -> Error e
+      | Ok j ->
+          let l =
+            match j with
+            | Json.Obj fields -> (
+                match List.assoc_opt "failures" fields with
+                | Some (Json.List l) -> l
+                | _ -> [])
+            | Json.List l -> l
+            | _ -> []
+          in
+          Ok (List.filter_map failure_of_json l))
 
 (* ---- campaigns ---- *)
 
@@ -254,25 +250,11 @@ let job_horizon (base : Protocol.params) faults =
   let b = if base.Protocol.horizon > 0.0 then base.Protocol.horizon else 400.0 in
   Float.max b (Float.max heal adv_gst +. 300.0)
 
-(* Cache key for one chaos cell: everything the outcome depends on —
-   the per-protocol code fingerprint, the job kind, and the fully
+(* One chaos cell.  Its cache key covers everything the outcome depends
+   on — the per-protocol code fingerprint, the job kind, and the fully
    instantiated params (the mix is baked into [p.faults], but the mix
    name is part of the label and params, so renames invalidate too). *)
-let job_key ~fingerprint pname label (params : (string * Json.t) list) =
-  Option.map
-    (fun fp ->
-      Runner.Cache.key
-        ~parts:
-          [
-            string_of_int Stamp.schema_version;
-            fp pname;
-            "chaos";
-            label;
-            Json.to_string ~minify:true (Json.Obj params);
-          ])
-    fingerprint
-
-let mk_job ?fingerprint pk pname mixname mk (base : Protocol.params) seed =
+let mk_job ~fingerprint pk pname mixname mk (base : Protocol.params) seed =
   let faults = mk ~n:base.Protocol.n ~t:base.Protocol.t in
   let p =
     { base with Protocol.seed; faults; horizon = job_horizon base faults }
@@ -280,7 +262,9 @@ let mk_job ?fingerprint pk pname mixname mk (base : Protocol.params) seed =
   let label = Printf.sprintf "%s/%s/seed=%d" pname mixname seed in
   let params = ("mix", Json.String mixname) :: Protocol.params_to_json p in
   Runner.job ~exp:"chaos" ~label ~params
-    ?key:(job_key ~fingerprint pname label params)
+    ~key:
+      (Runner.Cache.job_key ~fingerprint:(fingerprint pname) ~kind:"chaos"
+         [ label; Json.to_string ~minify:true (Json.Obj params) ])
     ~seed
     (fun () ->
       match Faults.legal ~n:p.Protocol.n ~t:p.Protocol.t faults with
@@ -332,30 +316,21 @@ let mk_job ?fingerprint pk pname mixname mk (base : Protocol.params) seed =
               ~extra:(failure_core_json fail) false
           end)
 
-let run ?jobs ?cache ?fingerprint ?on_progress ?on_telemetry
-    ?telemetry_every_s ?stop
-    ?(protocols = default_protocols) ?mix_filter ?(seeds = 8) ?base () =
-  let base = match base with Some b -> b | None -> Protocol.default in
-  let chosen =
-    match mix_filter with
-    | None -> mixes
-    | Some names -> List.filter (fun (nm, _) -> List.mem nm names) mixes
-  in
-  let joblist =
-    List.concat_map
-      (fun pname ->
-        match Protocol.find pname with
-        | None -> []
-        | Some pk ->
-            List.concat_map
-              (fun (mixname, mk) ->
-                List.init seeds (fun i ->
-                    mk_job ?fingerprint pk pname mixname mk base (i + 1)))
-              chosen)
-      protocols
-  in
-  let c = Runner.run ?jobs ?cache ?on_progress ?on_telemetry ?telemetry_every_s ?stop
-      ~exp:"chaos" joblist in
+let jobs ~fingerprint ~protocols ~mixes:names ~seeds base =
+  let chosen = List.filter (fun (nm, _) -> List.mem nm names) mixes in
+  List.concat_map
+    (fun pname ->
+      match Protocol.find pname with
+      | None -> []
+      | Some pk ->
+          List.concat_map
+            (fun (mixname, mk) ->
+              List.init seeds (fun i ->
+                  mk_job ~fingerprint pk pname mixname mk base (i + 1)))
+            chosen)
+    protocols
+
+let outcome c =
   let fails =
     Array.to_list c.Runner.c_results
     |> List.filter_map (fun r -> failure_of_json r.Runner.r_extra)

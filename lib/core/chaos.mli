@@ -83,32 +83,26 @@ type outcome = {
   o_failures : failure list;  (** minimized, canonical job order *)
 }
 
-val run :
-  ?jobs:int ->
-  ?cache:Runner.Cache.t ->
-  ?fingerprint:(string -> string) ->
-  ?on_progress:(Runner.progress -> unit) ->
-  ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
-  ?stop:(unit -> bool) ->
-  ?protocols:string list ->
-  ?mix_filter:string list ->
-  ?seeds:int ->
-  ?base:Protocol.params ->
-  unit ->
-  outcome
-(** Sweep [protocols × mixes × seeds 1..seeds] ([seeds] default 8)
-    through {!Runner.run}.  [base] (default {!Protocol.default}, i.e.
-    two base crashes) supplies n, t, gst and sizing; each job overrides
-    [seed], [faults] and widens [horizon] beyond the mix's heal time.
-    Minimization happens inside the failing job, so the outcome is
-    deterministic in [(protocols, mixes, seeds, base)] regardless of
-    [jobs].
+val jobs :
+  fingerprint:(string -> string) ->
+  protocols:string list ->
+  mixes:string list ->
+  seeds:int ->
+  Protocol.params ->
+  Runner.job list
+(** The sweep [protocols × mixes × seeds 1..seeds], in that order, under
+    experiment name ["chaos"]; mixes run in {!mixes} order and unknown
+    protocol or mix names are skipped.  The base params supply n, t, gst
+    and sizing; each job overrides [seed] and [faults] and widens
+    [horizon] beyond the mix's heal time.  Minimization happens inside
+    the failing job, so the campaign is deterministic in its arguments
+    regardless of the worker count.  [fingerprint] (protocol name →
+    code fingerprint) feeds each job's result-cache key.  [Job.execute]
+    runs the list. *)
 
-    With [fingerprint] (protocol name → code fingerprint, normally
-    [Fingerprint.protocol]) every job gets a content-address, so
-    [cache] can replay warm cells without executing; [on_progress] and
-    [stop] pass through to {!Runner.run}. *)
+val outcome : Runner.campaign -> outcome
+(** Fold a campaign of {!jobs} into its safety and liveness counts and
+    its minimized failures. *)
 
 (** {1 Artifacts} *)
 

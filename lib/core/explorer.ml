@@ -67,7 +67,7 @@ let schedule_of ~protocol ~(p : Protocol.params) (choices, notes) =
     violation = notes;
   }
 
-let jobs ?fingerprint ~protocol (p : Protocol.params) bounds =
+let jobs ~fingerprint ~protocol (p : Protocol.params) bounds =
   let pk =
     match Protocol.find protocol with
     | Some pk -> pk
@@ -77,19 +77,12 @@ let jobs ?fingerprint ~protocol (p : Protocol.params) bounds =
   (* One content-address per subtree job: protocol fingerprint + params
      + bounds + the job's own label (which pins the subtree). *)
   let job_key label =
-    Option.map
-      (fun fp ->
-        Runner.Cache.key
-          ~parts:
-            [
-              string_of_int Stamp.schema_version;
-              fp protocol;
-              "explore";
-              label;
-              Json.to_string ~minify:true (Json.Obj (Protocol.params_to_json p));
-              Json.to_string ~minify:true (Json.Obj (bounds_to_json bounds));
-            ])
-      fingerprint
+    Runner.Cache.job_key ~fingerprint:(fingerprint protocol) ~kind:"explore"
+      [
+        label;
+        Json.to_string ~minify:true (Json.Obj (Protocol.params_to_json p));
+        Json.to_string ~minify:true (Json.Obj (bounds_to_json bounds));
+      ]
   in
   (* Sequential probe: one default run to learn which of the first
      [depth] choice points have (unpruned) alternatives.  Each point with
@@ -102,7 +95,7 @@ let jobs ?fingerprint ~protocol (p : Protocol.params) bounds =
   let npoints = Array.length base.Explore.ex_options in
   let mk_job label body =
     Runner.job ~exp:"explore" ~label ~seed:p.Protocol.seed
-      ~params:(Protocol.params_to_json p) ?key:(job_key label)
+      ~params:(Protocol.params_to_json p) ~key:(job_key label)
       (fun () ->
         let stats = Explore.new_stats () in
         let found = body stats in
@@ -186,24 +179,9 @@ let counterexamples c =
            match Schedule.of_json j with Ok s -> Some s | Error _ -> None
          end)
 
-type outcome = { o_campaign : Runner.campaign; o_ces : Schedule.t list }
-
-let explore ?jobs:j ?cache ?fingerprint ?on_progress ?on_telemetry
-    ?telemetry_every_s ?stop ~protocol p bounds =
-  let jl = jobs ?fingerprint ~protocol p bounds in
-  let c =
-    Runner.run ?jobs:j ?cache ?on_progress ?on_telemetry ?telemetry_every_s
-      ?stop ~exp:"explore" jl
-  in
-  { o_campaign = c; o_ces = counterexamples c }
-
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-
 (* No timing fields: this artifact must be byte-identical across -j N. *)
 let write_counterexamples ?(dir = "_results") ~protocol ces =
-  ensure_dir dir;
+  Files.mkdir_p dir;
   let path = Filename.concat dir "counterexamples.json" in
   Json.write_file path
     (Json.Obj

@@ -48,38 +48,21 @@ val schedule_of :
   Schedule.t
 
 val jobs :
-  ?fingerprint:(string -> string) ->
+  fingerprint:(string -> string) ->
   protocol:string ->
   Protocol.params ->
   bounds ->
   Runner.job list
-(** The canonical job list (see above).  Runs one sequential probe
+(** The canonical job list (see above), under experiment name
+    ["explore"]; [Job.execute] runs it.  Runs one sequential probe
     execution to discover branchable points.  Raises [Invalid_argument]
-    on an unknown protocol name.  With [fingerprint] (normally
-    [Fingerprint.protocol]) each job gets a result-cache key covering
-    the protocol fingerprint, params, bounds and subtree label. *)
+    on an unknown protocol name.  [fingerprint] (protocol name → code
+    fingerprint) feeds each job's result-cache key, which covers the
+    protocol fingerprint, params, bounds and subtree label. *)
 
 val counterexamples : Runner.campaign -> Schedule.t list
 (** All counterexamples of the campaign, in canonical result order,
     deduplicated by serialized content. *)
-
-type outcome = { o_campaign : Runner.campaign; o_ces : Schedule.t list }
-
-val explore :
-  ?jobs:int ->
-  ?cache:Runner.Cache.t ->
-  ?fingerprint:(string -> string) ->
-  ?on_progress:(Runner.progress -> unit) ->
-  ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
-  ?stop:(unit -> bool) ->
-  protocol:string ->
-  Protocol.params ->
-  bounds ->
-  outcome
-(** [jobs ∘ Runner.run ∘ counterexamples].  The campaign is recorded in
-    the runner's triage sink under experiment name ["explore"]; cache,
-    progress and cancellation options pass through to {!Runner.run}. *)
 
 val write_counterexamples :
   ?dir:string -> protocol:string -> Schedule.t list -> string

@@ -155,18 +155,12 @@ let of_json j =
 let canonical spec = Json.to_string ~minify:true (to_json spec)
 let equal a b = canonical a = canonical b
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* Quarantine/handoff helper: persist a spec as a standalone JSON file
    that [fdkit submit --spec <path>] accepts verbatim.  [None] on write
    failure — callers (the daemon's poison path) degrade gracefully. *)
 let write_spec ~dir ~name spec =
   try
-    mkdir_p dir;
+    Files.mkdir_p dir;
     let path = Filename.concat dir name in
     Json.write_file path (to_json spec);
     Some path
@@ -229,26 +223,83 @@ let of_flags ?(seeds = 32) ?(protocols = []) ?(mixes = []) ?(honest = false)
 let registry_hint () =
   Printf.sprintf "protocols: %s" (String.concat ", " (Protocol.names ()))
 
+(* The record a replay spec names, or why it cannot be replayed: the
+   file loads, the index is in range, and the protocol is registered.
+   [validate] rejects a spec for the reason; the replay job checks again,
+   since the file can change between submit and execution. *)
+let replay_target source path index =
+  let pick ~none ~unit load =
+    match load path with
+    | Error e -> Error (Printf.sprintf "cannot load %s: %s" path e)
+    | Ok [] -> Error (Printf.sprintf "%s: no %s recorded" path none)
+    | Ok l -> (
+        match List.filteri (fun i _ -> i = index) l with
+        | [ x ] -> Ok x
+        | _ ->
+            Error
+              (Printf.sprintf "--index %d out of range (%d %s)" index
+                 (List.length l) unit))
+  in
+  match source with
+  | Faults_file ->
+      Result.bind
+        (pick ~none:"chaos failures" ~unit:"failure(s)" Chaos.load_failures)
+        (fun f ->
+          if f.Chaos.f_kind <> Chaos.Illegal && Protocol.find f.Chaos.f_protocol = None
+          then Error (Printf.sprintf "unknown protocol %S" f.Chaos.f_protocol)
+          else Ok (`Failure f))
+  | Schedule_file ->
+      Result.bind
+        (pick ~none:"counterexamples" ~unit:"counterexample(s)"
+           Explorer.load_counterexamples)
+        (fun s ->
+          if Protocol.find s.Schedule.protocol = None then
+            Error ("replay: unknown protocol " ^ s.Schedule.protocol)
+          else Ok (`Schedule s))
+
 let validate spec =
   let known_protocol name errs =
     if Protocol.find name = None then
       Printf.sprintf "unknown protocol %S; %s" name (registry_hint ()) :: errs
     else errs
   in
-  let legal_faults (p : Protocol.params) errs =
-    match Faults.legal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
-    | Ok () -> errs
-    | Error es -> List.map (fun e -> "illegal fault spec: " ^ e) es @ errs
+  (* Ranges come from the code that enforces them: the simulator's size
+     precondition, the reduce protocol's variants, fault-spec legality. *)
+  let checked protocols (p : Protocol.params) errs =
+    let size =
+      match Sim.check_size ~n:p.Protocol.n ~t:p.Protocol.t with
+      | Ok () -> []
+      | Error e -> [ Printf.sprintf "n=%d t=%d: %s" p.Protocol.n p.Protocol.t e ]
+    in
+    let variant =
+      if List.mem "reduce" protocols
+         && not (List.mem p.Protocol.variant Protocol.reduce_variants)
+      then
+        [
+          Printf.sprintf "unknown reduce variant %S; variants: %s" p.Protocol.variant
+            (String.concat ", " Protocol.reduce_variants);
+        ]
+      else []
+    in
+    let faults =
+      match Faults.legal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
+      | Ok () -> []
+      | Error es -> List.map (fun e -> "illegal fault spec: " ^ e) es
+    in
+    size @ variant @ faults @ errs
   in
   let errs =
     match spec with
-    | Run { protocol; params } -> known_protocol protocol (legal_faults params [])
+    | Run { protocol; params } | Explore { protocol; params; _ } ->
+        known_protocol protocol (checked [ protocol ] params [])
     | Campaign { protocol; params; seeds } ->
         let errs = if seeds < 1 then [ "seeds must be >= 1" ] else [] in
-        known_protocol protocol (legal_faults params errs)
-    | Chaos { protocols; mixes; seeds; _ } ->
+        known_protocol protocol (checked [ protocol ] params errs)
+    | Chaos { protocols; mixes; seeds; base } ->
         let errs = if seeds < 1 then [ "seeds must be >= 1" ] else [] in
-        let errs = List.fold_right known_protocol protocols errs in
+        let errs =
+          List.fold_right known_protocol protocols (checked protocols base errs)
+        in
         List.fold_right
           (fun m errs ->
             if Chaos.find_mix m = None then
@@ -257,12 +308,14 @@ let validate spec =
               :: errs
             else errs)
           mixes errs
-    | Explore { protocol; params; _ } ->
-        known_protocol protocol (legal_faults params [])
-    | Replay { path; index; _ } ->
+    | Replay { source; path; index } ->
         let errs = if index < 0 then [ "index must be >= 0" ] else [] in
-        if Sys.file_exists path then errs
-        else Printf.sprintf "no such file: %s" path :: errs
+        if not (Sys.file_exists path) then Printf.sprintf "no such file: %s" path :: errs
+        else if errs <> [] then errs
+        else (
+          match replay_target source path index with
+          | Ok _ -> []
+          | Error e -> [ e ])
   in
   if errs = [] then Ok () else Error errs
 
@@ -314,24 +367,20 @@ let protocol_body pk (p : Protocol.params) =
   else sim_body pk p
 
 (* One job of a single-protocol sweep (Run is a 1-seed Campaign). *)
-let protocol_job ~fingerprint ~exp protocol pk (base : Protocol.params) seed =
+let protocol_job ~fingerprint protocol pk (base : Protocol.params) seed =
   let p = { base with Protocol.seed } in
   let key =
     (* rt outcomes are wall-clock-dependent: never content-address them. *)
     if is_rt p.Protocol.backend then None
     else
       Some
-        (Runner.Cache.key
-           ~parts:
-             [
-               string_of_int Stamp.schema_version;
-               fingerprint protocol;
-               "run";
-               protocol;
-               Json.to_string ~minify:true (Json.Obj (Protocol.params_to_json p));
-             ])
+        (Runner.Cache.job_key ~fingerprint:(fingerprint protocol) ~kind:"run"
+           [
+             protocol;
+             Json.to_string ~minify:true (Json.Obj (Protocol.params_to_json p));
+           ])
   in
-  Runner.job ~exp ~seed
+  Runner.job ~exp:protocol ~seed
     ~params:(Protocol.params_to_json p)
     ~replay:(replay_command protocol p)
     ?key
@@ -345,121 +394,86 @@ type outcome = {
   o_exit : int;  (** CLI-convention exit code, see {!execute} *)
 }
 
-let campaign_exit c =
-  if c.Runner.c_cancelled then 4
-  else if Runner.failures c <> [] then 1
-  else 0
+let reproduced_line ok = if ok then "reproduced" else "NOT reproduced"
 
+(* A replay job's row is what [fdkit replay] prints. *)
 let replay_body source path index () =
-  match source with
-  | Faults_file -> (
-      match Chaos.load_failures path with
-      | Error e -> Runner.body ~notes:[ "cannot load " ^ path ^ ": " ^ e ] false
-      | Ok l -> (
-          match List.nth_opt l index with
-          | None ->
-              Runner.body
-                ~notes:
-                  [ Printf.sprintf "index %d out of range (%d failure(s))" index (List.length l) ]
-                false
-          | Some f -> (
-              match Chaos.reproduce f with
-              | None ->
-                  Runner.body ~notes:[ "unknown protocol " ^ f.Chaos.f_protocol ] false
-              | Some (reproduced, notes) ->
-                  Runner.body
-                    ~notes:(if reproduced then [] else "NOT reproduced" :: notes)
-                    reproduced)))
-  | Schedule_file -> (
-      match Explorer.load_counterexamples path with
-      | Error e -> Runner.body ~notes:[ "cannot load " ^ path ^ ": " ^ e ] false
-      | Ok l -> (
-          match List.nth_opt l index with
-          | None ->
-              Runner.body
-                ~notes:
-                  [
-                    Printf.sprintf "index %d out of range (%d counterexample(s))"
-                      index (List.length l);
-                  ]
-                false
-          | Some s -> (
-              match Explorer.replay s with
-              | Error e -> Runner.body ~notes:[ e ] false
-              | Ok (_, reproduced) ->
-                  Runner.body
-                    ~notes:(if reproduced then [] else [ "NOT reproduced" ])
-                    reproduced)))
+  match replay_target source path index with
+  | Error e -> Runner.body ~notes:[ e ] false
+  | Ok (`Failure f) -> (
+      let header =
+        Printf.sprintf "replaying chaos failure %s/%s seed=%d kind=%s\n  spec: %s"
+          f.Chaos.f_protocol f.Chaos.f_mix f.Chaos.f_params.Protocol.seed
+          (Chaos.kind_to_string f.Chaos.f_kind)
+          (Faults.summary f.Chaos.f_params.Protocol.faults)
+      in
+      match Chaos.reproduce f with
+      | None -> Runner.body ~notes:[ "unknown protocol " ^ f.Chaos.f_protocol ] false
+      | Some (reproduced, notes) ->
+          Runner.body
+            ~notes:(if reproduced then [] else "NOT reproduced" :: notes)
+            ~row:
+              (Printf.sprintf "%s\nrecorded: %s\nreplayed: %s\n%s" header
+                 (String.concat "; " f.Chaos.f_notes)
+                 (String.concat "; " notes) (reproduced_line reproduced))
+            reproduced)
+  | Ok (`Schedule s) -> (
+      match Explorer.replay s with
+      | Error e -> Runner.body ~notes:[ e ] false
+      | Ok (e, reproduced) ->
+          Runner.body
+            ~notes:(if reproduced then [] else [ "NOT reproduced" ])
+            ~row:
+              (Printf.sprintf
+                 "replaying %s schedule %s\nrecorded violation: %s\n\
+                  replayed violation: %s\n%s"
+                 s.Schedule.protocol
+                 (Format.asprintf "%a" Schedule.pp_choices s.Schedule.choices)
+                 (String.concat "; " s.Schedule.violation)
+                 (String.concat "; " e.Explore.ex_violation)
+                 (reproduced_line reproduced))
+            reproduced)
 
 let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
-    ?on_telemetry ?telemetry_every_s ?stop spec =
-  match spec with
-  | Run { protocol; params } | Campaign { protocol; params; seeds = _ } -> (
-      let seeds = match spec with Campaign { seeds; _ } -> seeds | _ -> 1 in
-      match Protocol.find protocol with
-      | None ->
-          invalid_arg ("Job.execute: unknown protocol " ^ protocol)
-      | Some pk ->
-          let mk i =
-            match spec with
-            | Run _ -> protocol_job ~fingerprint ~exp:protocol protocol pk params params.Protocol.seed
-            | _ -> protocol_job ~fingerprint ~exp:protocol protocol pk params (i + 1)
-          in
-          let joblist = List.init seeds mk in
-          let c =
-            Runner.run ?jobs ?cache ?on_progress ?on_telemetry
-              ?telemetry_every_s ?stop ~exp:protocol joblist
-          in
-          {
-            o_spec = spec;
-            o_campaign = c;
-            o_chaos = None;
-            o_ces = [];
-            o_exit = campaign_exit c;
-          })
-  | Chaos { protocols; mixes; seeds; base } ->
-      let o =
-        Chaos.run ?jobs ?cache ~fingerprint ?on_progress ?on_telemetry
-          ?telemetry_every_s ?stop ~protocols
-          ~mix_filter:mixes ~seeds ~base ()
-      in
-      let c = o.Chaos.o_campaign in
-      let exit =
-        if c.Runner.c_cancelled then 4
-        else if o.Chaos.o_safety > 0 then 2
-        else if o.Chaos.o_failures <> [] then 1
-        else 0
-      in
-      { o_spec = spec; o_campaign = c; o_chaos = Some o; o_ces = []; o_exit = exit }
-  | Explore { protocol; params; bounds } ->
-      let o =
-        Explorer.explore ?jobs ?cache ~fingerprint ?on_progress ?on_telemetry
-          ?telemetry_every_s ?stop ~protocol
-          params bounds
-      in
-      let c = o.Explorer.o_campaign in
-      {
-        o_spec = spec;
-        o_campaign = c;
-        o_chaos = None;
-        o_ces = o.Explorer.o_ces;
-        o_exit = (if c.Runner.c_cancelled then 4 else 0);
-      }
-  | Replay { source; path; index } ->
-      let j =
-        Runner.job ~exp:"replay"
-          ~label:(summary spec)
-          ~seed:index
-          (replay_body source path index)
-      in
-      let c =
-        Runner.run ~jobs:1 ?on_progress ?on_telemetry ?telemetry_every_s ?stop
-          ~exp:"replay" [ j ]
-      in
-      {
-        o_spec = spec;
-        o_campaign = c;
-        o_chaos = None;
-        o_ces = [];
-        o_exit = campaign_exit c;
-      }
+    ?on_telemetry ?stop spec =
+  let sweep protocol params seeds =
+    match Protocol.find protocol with
+    | None -> invalid_arg ("Job.execute: unknown protocol " ^ protocol)
+    | Some pk -> List.map (protocol_job ~fingerprint protocol pk params) seeds
+  in
+  let exp, joblist =
+    match spec with
+    | Run { protocol; params } ->
+        (protocol, sweep protocol params [ params.Protocol.seed ])
+    | Campaign { protocol; seeds; params } ->
+        (protocol, sweep protocol params (List.init seeds succ))
+    | Chaos { protocols; mixes; seeds; base } ->
+        ("chaos", Chaos.jobs ~fingerprint ~protocols ~mixes ~seeds base)
+    | Explore { protocol; params; bounds } ->
+        ("explore", Explorer.jobs ~fingerprint ~protocol params bounds)
+    | Replay { source; path; index } ->
+        ( "replay",
+          [
+            Runner.job ~exp:"replay" ~label:(summary spec) ~seed:index
+              (replay_body source path index);
+          ] )
+  in
+  (* Replays are unkeyed and bypass the cache. *)
+  let cache = match spec with Replay _ -> None | _ -> cache in
+  let c = Runner.run ?jobs ?cache ?on_progress ?on_telemetry ?stop ~exp joblist in
+  let o_chaos = match spec with Chaos _ -> Some (Chaos.outcome c) | _ -> None in
+  let o_exit =
+    match (spec, o_chaos) with
+    | _ when c.Runner.c_cancelled -> 4
+    | _, Some o when o.Chaos.o_safety > 0 -> 2
+    | _, Some o -> if o.Chaos.o_failures <> [] then 1 else 0
+    | Explore _, _ -> 0
+    | _ -> if Runner.failures c <> [] then 1 else 0
+  in
+  {
+    o_spec = spec;
+    o_campaign = c;
+    o_chaos;
+    o_ces = (match spec with Explore _ -> Explorer.counterexamples c | _ -> []);
+    o_exit;
+  }

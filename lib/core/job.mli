@@ -86,7 +86,11 @@ val of_flags :
 
 val validate : spec -> (unit, string list) result
 (** Static checks before running: protocol and mix names against the
-    registries, fault-spec legality, file existence for replays. *)
+    registries, n and t against {!Setagree_dsys.Sim.check_size}, a
+    [reduce] variant against {!Protocol.reduce_variants}, fault-spec
+    legality; for a replay, that the file exists and loads, the index is
+    in range and the recorded protocol is registered, with the messages
+    [fdkit replay] prints. *)
 
 (** {1 Execution} *)
 
@@ -118,13 +122,14 @@ val execute :
   ?fingerprint:(string -> string) ->
   ?on_progress:(Runner.progress -> unit) ->
   ?on_telemetry:(Runner.telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   spec ->
   outcome
-(** Run a validated spec through the campaign engine.  [fingerprint]
-    (default {!Fingerprint.protocol}) keys the cache per protocol —
-    override it only to test invalidation.  [Run] executes as a 1-job
-    campaign; [Replay] as a 1-job campaign whose job succeeds iff the
-    recorded violation reproduces.  Raises [Invalid_argument] on an
+(** Run a validated spec through the campaign engine: the only code that
+    turns a spec into a {!Runner.run} call.  [fingerprint] (default
+    {!Fingerprint.protocol}) keys the cache per protocol — override it
+    only to test invalidation.  [Run] executes as a 1-job campaign;
+    [Replay] as an unkeyed 1-job campaign, never cached, whose job
+    succeeds iff the recorded violation reproduces and whose row is the
+    report [fdkit replay] prints.  Raises [Invalid_argument] on an
     unknown protocol — call {!validate} first. *)

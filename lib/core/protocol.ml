@@ -300,25 +300,35 @@ module Reduce_p = struct
   let name = "reduce"
   let horizon_hint = 5000.0
 
+  (* The source class Ω_z is built from, by [p.variant]. *)
+  let variants =
+    [
+      ( "es",
+        fun sim p behavior ->
+          let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
+          let w = Reduce.omega_from_es sim ~suspector ~x:p.x () in
+          (Wheels.omega w, Wheels.z w) );
+      ( "phi",
+        fun sim p behavior ->
+          let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
+          let w = Reduce.omega_from_phi sim ~querier ~y:p.y () in
+          (Wheels.omega w, Wheels.z w) );
+      ( "psi",
+        fun sim p behavior ->
+          let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior () in
+          let h = Reduce.omega_from_psi sim ~querier ~y:p.y in
+          (Psi_to_omega.omega h, Psi_to_omega.z h) );
+    ]
+
   let install sim p =
     let behavior = behavior_of p in
     let omega, z =
-      match p.variant with
-      | "es" ->
-          let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
-          let w = Reduce.omega_from_es sim ~suspector ~x:p.x () in
-          (Wheels.omega w, Wheels.z w)
-      | "phi" ->
-          let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
-          let w = Reduce.omega_from_phi sim ~querier ~y:p.y () in
-          (Wheels.omega w, Wheels.z w)
-      | "psi" ->
-          let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior () in
-          let h = Reduce.omega_from_psi sim ~querier ~y:p.y in
-          (Psi_to_omega.omega h, Psi_to_omega.z h)
-      | v ->
+      match List.assoc_opt p.variant variants with
+      | Some build -> build sim p behavior
+      | None ->
           invalid_arg
-            (Printf.sprintf "Protocol.reduce: unknown variant %S (es|phi|psi)" v)
+            (Printf.sprintf "Protocol.reduce: unknown variant %S (%s)" p.variant
+               (String.concat "|" (List.map fst variants)))
     in
     let proposals = proposals_of p in
     let h = Reduce.solve_kset sim ~omega ~proposals () in
@@ -341,6 +351,8 @@ module Reduce_p = struct
 end
 
 (* ---- registry ---- *)
+
+let reduce_variants = List.map fst Reduce_p.variants
 
 let registry : (string * packed) list =
   [

@@ -89,6 +89,9 @@ val registry : (string * packed) list
 val find : string -> packed option
 val names : unit -> string list
 
+val reduce_variants : string list
+(** The [variant]s the [reduce] protocol accepts: [["es"; "phi"; "psi"]]. *)
+
 (** {1 Running} *)
 
 type report = {

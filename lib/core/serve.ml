@@ -1073,12 +1073,6 @@ let run_loop t sock =
 
 (* ---- startup: recovery, stale socket, bind ---- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* The daemon's exclusive per-out_dir lock, held for the whole run.
    Taken (with the socket probe) BEFORE the journal is loaded,
    compacted, or reopened: a second [fdkit serve] on the same out_dir
@@ -1116,14 +1110,14 @@ let probe_stale_socket path log =
   end
 
 let bind_socket path =
-  mkdir_p (Filename.dirname path);
+  Files.mkdir_p (Filename.dirname path);
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock 8;
   sock
 
 let serve ?(config = default_config) () =
-  mkdir_p config.out_dir;
+  Files.mkdir_p config.out_dir;
   (* Refuse a double start before anything under out_dir is touched:
      the lock catches a second daemon on the same out_dir, the probe a
      live daemon on the same socket.  Only then may the journal be

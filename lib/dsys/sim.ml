@@ -153,10 +153,16 @@ type _ Effect.t +=
 
 let nop () = ()
 
+let check_size ~n ~t =
+  if n < 2 then Error "n must be >= 2"
+  else if n > Pidset.max_size then
+    Error (Printf.sprintf "n must be <= %d" Pidset.max_size)
+  else if t < 0 || t >= n then Error "need 0 <= t < n"
+  else Ok ()
+
 let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
     ?(legacy_queue = false) ?(trace_level = Trace.Default) ?local ~n ~t ~seed () =
-  if n < 2 then invalid_arg "Sim.create: n must be >= 2";
-  if t < 0 || t >= n then invalid_arg "Sim.create: need 0 <= t < n";
+  Result.iter_error (fun e -> invalid_arg ("Sim.create: " ^ e)) (check_size ~n ~t);
   (match local with
   | Some p when p < 0 || p >= n -> invalid_arg "Sim.create: bad local pid"
   | _ -> ());

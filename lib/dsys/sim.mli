@@ -32,6 +32,11 @@ type t
 
 (** {1 Construction} *)
 
+val check_size : n:int -> t:int -> (unit, string) result
+(** {!create}'s precondition on the system size: [2 <= n <=
+    Pidset.max_size] and [0 <= t < n].  [Error] names the violated
+    bound. *)
+
 val create :
   ?horizon:float ->
   ?max_events:int ->

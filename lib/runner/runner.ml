@@ -127,74 +127,6 @@ module Live = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Bounded work queue (indices into the job array).  The producer (the
-   calling domain) blocks when the queue is full, workers block when it
-   is empty; [close] wakes everyone up for shutdown.                   *)
-(* ------------------------------------------------------------------ *)
-
-module Bqueue = struct
-  type 'a t = {
-    items : 'a Queue.t;
-    cap : int;
-    mutex : Mutex.t;
-    nonfull : Condition.t;
-    nonempty : Condition.t;
-    mutable closed : bool;
-  }
-
-  let create cap =
-    {
-      items = Queue.create ();
-      cap = max 1 cap;
-      mutex = Mutex.create ();
-      nonfull = Condition.create ();
-      nonempty = Condition.create ();
-      closed = false;
-    }
-
-  let push t v =
-    Mutex.lock t.mutex;
-    while Queue.length t.items >= t.cap && not t.closed do
-      Condition.wait t.nonfull t.mutex
-    done;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Bqueue.push: closed"
-    end;
-    Queue.push v t.items;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex
-
-  let close t =
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Condition.broadcast t.nonfull;
-    Mutex.unlock t.mutex
-
-  (* [None] once the queue is closed and drained. *)
-  let pop t =
-    Mutex.lock t.mutex;
-    let rec loop () =
-      match Queue.take_opt t.items with
-      | Some v ->
-          Condition.signal t.nonfull;
-          Mutex.unlock t.mutex;
-          Some v
-      | None ->
-          if t.closed then begin
-            Mutex.unlock t.mutex;
-            None
-          end
-          else begin
-            Condition.wait t.nonempty t.mutex;
-            loop ()
-          end
-    in
-    loop ()
-end
-
-(* ------------------------------------------------------------------ *)
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -321,14 +253,8 @@ module Cache = struct
 
   let default_dir = Filename.concat "_results" "cache"
 
-  let rec mkdir_p dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-    end
-
   let create ?(dir = default_dir) () =
-    mkdir_p dir;
+    Files.mkdir_p dir;
     {
       dir;
       hits = 0;
@@ -368,6 +294,9 @@ module Cache = struct
   (* MD5 over the NUL-joined parts: stable, dependency-free, and not
      security-sensitive (the cache is a local build artifact). *)
   let key ~parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
+  let job_key ~fingerprint ~kind parts =
+    key ~parts:(string_of_int Stamp.schema_version :: fingerprint :: kind :: parts)
 
   let path_of t k =
     let shard = if String.length k >= 2 then String.sub k 0 2 else "xx" in
@@ -430,7 +359,7 @@ module Cache = struct
 
   let store t k r =
     let path = path_of t k in
-    mkdir_p (Filename.dirname path);
+    Files.mkdir_p (Filename.dirname path);
     let tmp =
       Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
         (Domain.self () :> int)
@@ -457,8 +386,11 @@ let note_campaign c =
 
 let reset_sink () = Mutex.protect sink_mutex (fun () -> sink := [])
 
-let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
-    ?stop ~exp joblist =
+(* The least spacing of telemetry frames, apart from the start and final
+   frames, which always go out. *)
+let telemetry_period_s = 0.25
+
+let run ?jobs ?cache ?on_progress ?on_telemetry ?stop ~exp joblist =
   let workers = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs_a = Array.of_list joblist in
   let total = Array.length jobs_a in
@@ -496,13 +428,13 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
       counted_prefixes
   in
   (* Call with [emit_mutex] held.  Unless [force]d, a frame goes out only
-     when [telemetry_every_s] has passed since the previous one. *)
+     when [telemetry_period_s] has passed since the previous one. *)
   let emit_telemetry ?(force = false) () =
     match on_telemetry with
     | None -> ()
     | Some f ->
         let now = Unix.gettimeofday () in
-        if force || now -. !te_last >= telemetry_every_s then begin
+        if force || now -. !te_last >= telemetry_period_s then begin
           te_last := now;
           let wall = now -. t0 in
           let cum = Metrics.merge (Metrics.snapshot board) (Live.snapshot ()) in
@@ -566,7 +498,7 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
      instead of letting it read as a miss. *)
   let misses =
     match cache with
-    | None -> List.init total Fun.id
+    | None -> Array.init total Fun.id
     | Some cache ->
         let misses = ref [] in
         Array.iteri
@@ -580,7 +512,7 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
                 | Some r -> emit i { r with r_exp = j.exp } true
                 | None -> misses := i :: !misses))
           jobs_a;
-        List.rev !misses
+        Array.of_list (List.rev !misses)
   in
   (* Each executing job gets a poll, installed as this domain's [poll]:
      a rate-limited telemetry frame, then the [stop] hook.  A job whose
@@ -617,32 +549,27 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?(telemetry_every_s = 0.25)
       emit i r false
     end
   in
-  (* [stop] is also checked before each job is handed out: once the
-     campaign is cancelled, no further job starts. *)
+  (* Workers claim the next miss through [cursor], checking [stop] before
+     each claim: once the campaign is cancelled, no further job starts.
+     The calling domain works too.  Each miss has its own slot in [out];
+     the final read happens after [Domain.join], which synchronizes. *)
   let go () =
     (not (Atomic.get cancelled))
     && not (stopped () && (Atomic.set cancelled true; true))
   in
-  if workers <= 1 then List.iter (fun i -> if go () then execute i) misses
-  else begin
-    let q = Bqueue.create (2 * workers) in
-    let worker () =
-      let rec loop () =
-        match Bqueue.pop q with
-        | None -> ()
-        | Some i ->
-            (* Distinct slots per worker; the final read happens after
-               [Domain.join], which synchronizes. *)
-            if not (Atomic.get cancelled) then execute i;
-            loop ()
-      in
-      loop ()
-    in
-    let domains = List.init workers (fun _ -> Domain.spawn worker) in
-    List.iter (fun i -> if go () then Bqueue.push q i) misses;
-    Bqueue.close q;
-    List.iter Domain.join domains
-  end;
+  let cursor = Atomic.make 0 in
+  let rec worker () =
+    if go () then begin
+      let k = Atomic.fetch_and_add cursor 1 in
+      if k < Array.length misses then begin
+        execute misses.(k);
+        worker ()
+      end
+    end
+  in
+  let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join domains;
   if on_telemetry <> None then begin
     Mutex.protect emit_mutex (fun () -> emit_telemetry ~force:true ());
     Live.disable ()
@@ -776,12 +703,8 @@ let signature c =
          );
        ])
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-
 let write_artifact ?(dir = "_results") c =
-  ensure_dir dir;
+  Files.mkdir_p dir;
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" c.c_exp) in
   Json.write_file path (campaign_json c);
   path
@@ -799,7 +722,7 @@ let failure_json r =
     ]
 
 let flush_failures ?(dir = "_results") () =
-  ensure_dir dir;
+  Files.mkdir_p dir;
   let all = Mutex.protect sink_mutex (fun () -> List.rev !sink) in
   Json.write_file
     (Filename.concat dir "failures.json")

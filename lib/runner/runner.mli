@@ -4,8 +4,8 @@
     shape: a sweep of independent [(experiment, params, seed)] jobs,
     each of which builds its own simulator from its seed, runs it, and
     checks a class/agreement property.  This module shards such sweeps
-    across OCaml 5 [Domain]s through a bounded work queue while
-    preserving byte-for-byte determinism:
+    across OCaml 5 [Domain]s, each claiming the next job from a shared
+    atomic cursor, while preserving byte-for-byte determinism:
 
     - a job closure must derive {e all} of its randomness from its own
       seed (build a fresh [Rng]/[Sim.t] inside [run]; never read
@@ -128,8 +128,8 @@ type progress = {
 
     Snapshots of an in-flight campaign, taken at its start, at job
     completions and from the job {!poll} during long jobs, at most one
-    per [telemetry_every_s], plus one final snapshot after the last job,
-    so short campaigns still emit.  Telemetry is entirely read-side: it
+    per 0.25 s, plus one final snapshot after the last job, so short
+    campaigns still emit.  Telemetry is entirely read-side: it
     observes completed results and the {!Live} board, it never feeds
     anything back into a job — -j1 ≡ -jN signatures and replay
     fingerprints are byte-identical with telemetry on or off. *)
@@ -203,6 +203,11 @@ module Cache : sig
   val key : parts:string list -> string
   (** MD5 hex over the NUL-joined parts; order-sensitive. *)
 
+  val job_key : fingerprint:string -> kind:string -> string list -> string
+  (** The key of one job: {!key} over the schema version, the code
+      [fingerprint], the job [kind] (["run"], ["chaos"], ["explore"])
+      and the job's own parts (label, canonical params, …). *)
+
   val find : t -> string -> result option
   (** [None] on absent, unreadable, or malformed entries (all counted
       as misses).  Entries carry a content checksum; a truncated,
@@ -250,15 +255,15 @@ val run :
   ?cache:Cache.t ->
   ?on_progress:(progress -> unit) ->
   ?on_telemetry:(telemetry -> unit) ->
-  ?telemetry_every_s:float ->
   ?stop:(unit -> bool) ->
   exp:string ->
   job list ->
   campaign
 (** Execute every job and merge results in canonical order.  [jobs]
-    (default {!default_jobs}) is the worker-domain count; [jobs = 1]
-    runs inline on the calling domain.  A job that raises is captured
-    as a failed result ([r_error]), never aborting the campaign.  The
+    (default {!default_jobs}) is the worker-domain count, the calling
+    domain included; [jobs = 1] runs inline on the calling domain.  A
+    job that raises is captured as a failed result ([r_error]), never
+    aborting the campaign.  The
     campaign's failing results are recorded in the process-wide triage
     sink (see {!flush_failures}).
 
@@ -277,8 +282,8 @@ val run :
 
     With [on_telemetry], a {!telemetry} snapshot is delivered at the
     campaign's start, at job completions and from job polls, at most one
-    per [telemetry_every_s] (default 0.25), plus one final snapshot,
-    serialized under the same lock as [on_progress]; the {!Live} board
+    per 0.25 s, plus one final snapshot, serialized under the same lock
+    as [on_progress]; the {!Live} board
     is enabled for the campaign's duration.  No domain is spawned for
     telemetry: [jobs = 1], or a one-job campaign, runs entirely on the
     calling domain.  Telemetry is read-only — results, signatures and

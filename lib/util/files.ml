@@ -1,0 +1,7 @@
+(* File-system helpers shared by every artifact writer. *)
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end

@@ -17,12 +17,6 @@ type t = {
   fsync : bool;
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let meta_entry () = Json.Obj (("type", Json.String "meta") :: Stamp.fields ())
 
 let write_all fd s =
@@ -41,7 +35,7 @@ let append t j =
   if t.fsync then Unix.fsync t.fd
 
 let append_open ?(fsync = true) path =
-  mkdir_p (Filename.dirname path);
+  Files.mkdir_p (Filename.dirname path);
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   let t = { path; fd; fsync } in
   (* A fresh (empty) journal opens with a schema-stamped meta line so
@@ -81,7 +75,7 @@ let load path =
       { entries = List.rev !entries; dropped_lines = !dropped_lines; dropped_bytes }
 
 let rewrite path entries =
-  mkdir_p (Filename.dirname path);
+  Files.mkdir_p (Filename.dirname path);
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   write_all fd (String.concat "" (List.map line (meta_entry () :: entries)));

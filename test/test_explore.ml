@@ -209,28 +209,28 @@ let params z =
   }
 
 let test_misuse_finds_and_replays () =
-  let o = Explorer.explore ~jobs:1 ~protocol:"kset" (params 2) bounds in
-  check "z > k yields a counterexample" true (o.Explorer.o_ces <> []);
-  let ce = List.hd o.Explorer.o_ces in
+  let o = Job.execute ~jobs:1 (Job.Explore { protocol = "kset"; params = params 2; bounds }) in
+  check "z > k yields a counterexample" true (o.Job.o_ces <> []);
+  let ce = List.hd o.Job.o_ces in
   check "violation recorded" true (ce.Schedule.violation <> []);
   match Explorer.replay ce with
   | Ok (_, reproduced) -> check "replay reproduces the violation" true reproduced
   | Error e -> Alcotest.failf "replay failed: %s" e
 
 let test_explorer_jobs_deterministic () =
-  let o1 = Explorer.explore ~jobs:1 ~protocol:"kset" (params 2) bounds in
-  let o2 = Explorer.explore ~jobs:2 ~protocol:"kset" (params 2) bounds in
+  let o1 = Job.execute ~jobs:1 (Job.Explore { protocol = "kset"; params = params 2; bounds }) in
+  let o2 = Job.execute ~jobs:2 (Job.Explore { protocol = "kset"; params = params 2; bounds }) in
   Alcotest.(check string)
     "campaign signatures agree across -j"
-    (Setagree_runner.Runner.signature o1.Explorer.o_campaign)
-    (Setagree_runner.Runner.signature o2.Explorer.o_campaign);
+    (Setagree_runner.Runner.signature o1.Job.o_campaign)
+    (Setagree_runner.Runner.signature o2.Job.o_campaign);
   check "identical counterexample lists" true
-    (List.map Schedule.to_json o1.Explorer.o_ces
-    = List.map Schedule.to_json o2.Explorer.o_ces)
+    (List.map Schedule.to_json o1.Job.o_ces
+    = List.map Schedule.to_json o2.Job.o_ces)
 
 let test_safe_config_comes_up_dry () =
-  let o = Explorer.explore ~jobs:1 ~protocol:"kset" (params 1) bounds in
-  check "z <= k: no schedule violates (Lemma 2)" true (o.Explorer.o_ces = [])
+  let o = Job.execute ~jobs:1 (Job.Explore { protocol = "kset"; params = params 1; bounds }) in
+  check "z <= k: no schedule violates (Lemma 2)" true (o.Job.o_ces = [])
 
 let () =
   Alcotest.run "explore"

@@ -441,8 +441,11 @@ let differential_tests =
 
 let test_chaos_smoke () =
   let o =
-    Chaos.run ~jobs:2 ~protocols:[ "kset" ] ~mix_filter:[ "none"; "drop"; "stalls" ]
-      ~seeds:1 ()
+    Option.get
+      (Job.execute ~jobs:2
+         (Job.of_flags ~kind:`Chaos ~protocols:[ "kset" ]
+            ~mixes:[ "none"; "drop"; "stalls" ] ~seeds:1 ~protocol:"" Protocol.default))
+        .Job.o_chaos
   in
   check "all runs executed" true (o.Chaos.o_runs = 3);
   check "no safety violations" true (o.Chaos.o_safety = 0);

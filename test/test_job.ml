@@ -18,12 +18,6 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* A fresh scratch directory per test (deleted and recreated). *)
 let tmpdir name =
   let d =
@@ -32,7 +26,7 @@ let tmpdir name =
       (Printf.sprintf "fdkit_job_%s_%d" name (Unix.getpid ()))
   in
   rm_rf d;
-  mkdir_p d;
+  Files.mkdir_p d;
   d
 
 (* ------------------------------------------------------------------ *)
@@ -313,6 +307,63 @@ let test_cache_key_sensitivity () =
   check "part boundaries matter" true
     (key [ "ab"; "c" ] <> key [ "a"; "bc" ])
 
+(* The key recipe is the cache's address space: one that drifts turns
+   every warm cache cold.  Each spec runs cold into an empty cache under
+   a fixed fingerprint; the entry names are the keys, computed when the
+   recipe was written once for all kinds. *)
+let test_cache_keys_pinned () =
+  let entries spec =
+    let dir = tmpdir "keys" in
+    ignore
+      (Job.execute ~jobs:1 ~fingerprint:(fun p -> "fp-" ^ p)
+         ~cache:(Runner.Cache.create ~dir ()) spec);
+    let names =
+      Array.to_list (Sys.readdir dir)
+      |> List.concat_map (fun shard ->
+             Array.to_list (Sys.readdir (Filename.concat dir shard)))
+      |> List.map Filename.remove_extension
+      |> List.sort compare
+    in
+    rm_rf dir;
+    names
+  in
+  let explore =
+    Job.of_flags ~kind:`Explore ~protocol:"kset"
+      ~bounds:{ Explorer.default_bounds with Explorer.depth = 4; delays = 1 }
+      {
+        Protocol.default with
+        Protocol.n = 7;
+        t = 2;
+        z = 2;
+        k = 1;
+        crashes = Setagree_dsys.Crash.No_crashes;
+      }
+  in
+  List.iter
+    (fun (kind, spec, keys) ->
+      Alcotest.(check (list string)) (kind ^ " keys") keys (entries spec))
+    [
+      ( "run",
+        Job.of_flags ~kind:`Run ~protocol:"kset" Protocol.default,
+        [ "775851ef34c3b271aa617d44e4aa0767" ] );
+      ( "campaign",
+        Job.of_flags ~kind:`Campaign ~seeds:2 ~protocol:"wheels" Protocol.default,
+        [ "2f1c64aace934d0c9dfb5d336082fcf3"; "abfe1835a3a24ffa16cbcea5401994a7" ] );
+      ( "chaos",
+        Job.of_flags ~kind:`Chaos ~protocols:[ "kset" ] ~mixes:[ "none"; "drop" ]
+          ~seeds:1 ~protocol:"" Protocol.default,
+        [ "7be834ace8202d5c82373a4907365298"; "814f57a0d988e8c2410574438a4e7983" ] );
+      ( "explore",
+        explore,
+        [
+          "70e90fb3621e3826d986d41780be7d58";
+          "7d286e67bb7ba4e39b20966363923878";
+          "8e76f88cc0c65768ff7f8d5c9c4c3574";
+          "a1b6003b489895eeabc51cb1860613f3";
+          "e944d0806947d6a32edd845e1a84d9ea";
+        ] );
+    ]
+
 let test_rt_jobs_never_cached () =
   let dir = tmpdir "rt" in
   let spec =
@@ -327,6 +378,80 @@ let test_rt_jobs_never_cached () =
   check_int "nothing cached" 0 (Runner.Cache.stores cache);
   check_int "nothing hit" 0 o.Job.o_campaign.Runner.c_cache_hits;
   rm_rf dir
+
+(* ------------------------------------------------------------------ *)
+(* The fdkit command line                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the fdkit binary built beside this test; exit code and the
+   merged stdout/stderr. *)
+let fdkit args =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "fdkit.exe" ]
+  in
+  let out = Filename.temp_file "fdkit" ".out" in
+  let code = Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:out) in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+(* Every artifact writer creates the whole --out path, however deep. *)
+let test_cli_nested_out () =
+  let dir = tmpdir "nested" in
+  List.iter
+    (fun (cmd, args, artifacts) ->
+      let out = List.fold_left Filename.concat dir [ cmd; "a"; "b" ] in
+      let code, text = fdkit ((cmd :: args) @ [ "--out"; out ]) in
+      Alcotest.(check int) (cmd ^ " exit: " ^ text) 0 code;
+      List.iter
+        (fun a -> check (cmd ^ " wrote " ^ a) true (Sys.file_exists (Filename.concat out a)))
+        artifacts)
+    [
+      ( "campaign",
+        [ "--seeds"; "1" ],
+        [ "BENCH_kset.json"; "campaign_summary.json"; "failures.json" ] );
+      ( "chaos",
+        [ "--seeds"; "1"; "--protocols"; "kset"; "--mixes"; "none" ],
+        [ "BENCH_chaos.json"; "chaos_failures.json" ] );
+      ( "explore",
+        [ "-n"; "7"; "-t"; "2"; "--depth"; "2"; "--delays"; "1" ],
+        [ "BENCH_explore.json"; "counterexamples.json" ] );
+      ("trace", [ "--format"; "jsonl" ], [ "trace_kset_seed1.jsonl" ]);
+    ];
+  rm_rf dir
+
+(* Parameters outside what the engine accepts end as a refused spec
+   (exit 3: [Job.validate] says no, so the daemon refuses them at submit
+   too) or as a failed job (exit 1), never as an uncaught exception. *)
+let test_cli_bad_params () =
+  List.iter
+    (fun (args, expected) ->
+      let line = String.concat " " ("run" :: args) in
+      let code, text = fdkit ("run" :: args) in
+      check (line ^ ": no uncaught exception") false
+        (Strutil.contains text ~sub:"uncaught exception");
+      Alcotest.(check int) (line ^ ": exit") expected code)
+    [
+      ([ "-n"; "3"; "-t"; "3" ], 3);
+      ([ "-n"; "0" ], 3);
+      ([ "-z"; "0" ], 1);
+      ([ "-p"; "wheels"; "-x"; "0"; "-y"; "0" ], 1);
+      ([ "-p"; "psi"; "-y"; "9" ], 1);
+      ([ "-n"; "2000"; "-t"; "3"; "--horizon"; "1" ], 3);
+      ([ "-p"; "reduce"; "--variant"; "bogus" ], 3);
+    ];
+  List.iter
+    (fun (protocol, p) ->
+      check "validate refuses" true
+        (Result.is_error (Job.validate (Job.of_flags ~kind:`Run ~protocol p))))
+    [
+      ("kset", { Protocol.default with Protocol.n = 3; t = 3 });
+      ("kset", { Protocol.default with Protocol.n = 0 });
+      ("kset", { Protocol.default with Protocol.n = 2000 });
+      ("reduce", { Protocol.default with Protocol.variant = "bogus" });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The serve daemon, end to end                                        *)
@@ -1605,6 +1730,53 @@ type iop =
   | I_reconnect of int  (* hang up, then open a fresh connection *)
   | I_pump  (* a short pause, then read what has arrived *)
 
+(* [fdkit replay] and a daemon submit of the same replay spec agree: a
+   spec whose index is out of range is rejected at submit with the
+   message [fdkit replay] prints (exit 3), and the index-0 replay of a
+   recorded counterexample ends done with exit 0. *)
+let test_daemon_replay_paths_agree () =
+  let dir = tmpdir "replay" in
+  let misuse =
+    Job.of_flags ~kind:`Explore ~protocol:"kset"
+      ~bounds:{ Explorer.default_bounds with Explorer.depth = 4; delays = 1 }
+      {
+        Protocol.default with
+        Protocol.n = 7;
+        t = 2;
+        z = 2;
+        k = 1;
+        crashes = Setagree_dsys.Crash.No_crashes;
+      }
+  in
+  let ces = (Job.execute ~jobs:1 misuse).Job.o_ces in
+  check "the misuse exploration records a counterexample" true (ces <> []);
+  let path = Explorer.write_counterexamples ~dir ~protocol:"kset" ces in
+  let replay index = Job.Replay { source = Job.Schedule_file; path; index } in
+  let out_of_range =
+    Printf.sprintf "--index 99 out of range (%d counterexample(s))" (List.length ces)
+  in
+  check "validate rejects with fdkit replay's message" true
+    (Job.validate (replay 99) = Error [ out_of_range ]);
+  let config = daemon_config dir ~cache:true in
+  let d = start_daemon config in
+  let conn = connect config in
+  let ack = expect (Serve.Client.submit conn (replay 99)) in
+  check "rejected at submit" true
+    (frame_type ack = "ack" && Json.member "accepted" ack = Some (Json.Bool false));
+  check "with the message" true
+    (Json.member "errors" ack = Some (Json.List [ Json.String out_of_range ]));
+  (match record_of conn (ack_id ack) with
+  | Some r -> check "exit 3" true (Json.member "exit" r = Some (Json.Int 3))
+  | None -> Alcotest.fail "rejected record missing from status");
+  let v = expect (Serve.Client.submit conn (replay 0)) in
+  check "index 0 ends done" true
+    (frame_type v = "done" && Json.member "state" v = Some (Json.String "done"));
+  check "exit 0" true (Json.member "exit" v = Some (Json.Int 0));
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
 let iop_to_string = function
   | I_submit (c, s) -> Printf.sprintf "submit(%d,%d)" c s
   | I_cancel c -> Printf.sprintf "cancel(%d)" c
@@ -1889,7 +2061,13 @@ let () =
           Alcotest.test_case "fingerprint invalidation" `Quick
             test_cache_fingerprint_invalidation;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
+          Alcotest.test_case "key recipe pinned" `Quick test_cache_keys_pinned;
           Alcotest.test_case "rt never cached" `Quick test_rt_jobs_never_cached;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "nested --out directories" `Quick test_cli_nested_out;
+          Alcotest.test_case "bad params fail cleanly" `Quick test_cli_bad_params;
         ] );
       ( "daemon",
         [
@@ -1904,6 +2082,7 @@ let () =
             test_daemon_oversized_frame;
           Alcotest.test_case "history keeps the newest finished" `Quick
             test_daemon_history_bound;
+          Alcotest.test_case "replay paths agree" `Quick test_daemon_replay_paths_agree;
         ] );
       ( "telemetry",
         [
