@@ -35,18 +35,35 @@ let campaign ?header ?jobs ~exp joblist =
   c
 
 (* A bench job running one registered protocol: the registry wires it,
-   and the job records the [fdkit run] line that reproduces it
-   ([~replay:false] when no command line can express [p]). *)
-let protocol_job ~exp ~label ~params ?(replay = true) protocol (p : Protocol.params) body =
+   and the job records the [fdkit run] line that reproduces it, or, when
+   no command line expresses [p] ([Job.replay_command]), [p] itself. *)
+let protocol_job ~exp ~label ~params protocol (p : Protocol.params) body =
   let pk = Option.get (Protocol.find protocol) in
-  Runner.job ~exp ~seed:p.Protocol.seed ~label ~params
-    ?replay:(if replay then Some (Job.replay_command protocol p) else None)
-    (fun () -> body (Protocol.run pk p))
+  let replay = Job.replay_command protocol p in
+  let params =
+    if replay <> None then params
+    else params @ [ (protocol, Json.Obj (Protocol.params_to_json p)) ]
+  in
+  Runner.job ~exp ~seed:p.Protocol.seed ~label ~params ?replay (fun () ->
+      body (Protocol.run pk p))
 
 let metric (r : Protocol.report) name =
   Option.value ~default:0.0 (List.assoc_opt name r.Protocol.rp_metrics)
 
 let imetric r name = int_of_float (metric r name)
+
+(* A metric of a campaign result, as [imetric] reads a report's. *)
+let rmetric (r : Runner.result) name =
+  int_of_float (Option.value ~default:0.0 (List.assoc_opt name r.Runner.r_metrics))
+
+(* A search job: it records how many distinct values its run decided
+   and counts as ok; the experiment judges the sweep as a whole. *)
+let distinct_body (r : Protocol.report) =
+  let d = Indist.distinct_decisions (Trace.decisions (Sim.trace r.Protocol.rp_sim)) in
+  Runner.body ~metrics:(("distinct", float_of_int d) :: r.Protocol.rp_metrics) true
+
+(* The first result of a search that decided more than [k] values. *)
+let witness ~k results = List.find_opt (fun r -> rmetric r "distinct" > k) results
 
 let verdict_body ?metrics ?row (r : Protocol.report) =
   let v = r.Protocol.rp_verdict in
@@ -142,15 +159,36 @@ let e1 () =
 
 let e2 () =
   section "E2  Theorem 5 tightness: Omega_z vs k-set agreement (n=7, t=2)";
-  let seeds = List.init 25 (fun i -> i + 1) in
+  let cells = [ (2, 1); (3, 2); (3, 1); (1, 1); (2, 2); (3, 3) ] and seeds = 25 in
+  (* kset's misuse wiring: a legal, constant Ω_z over z live processes,
+     the By_pid tie-break, no crashes. *)
+  let misuse (z, k) seed =
+    protocol_job ~exp:"e2" ~label:(Printf.sprintf "z=%d k=%d seed=%d" z k seed) ~params:[] "kset"
+      { Protocol.default with n = 7; t = 2; z; k; seed; adversarial = true;
+        crashes = Crash.No_crashes; horizon = 400.0 }
+      distinct_body
+  in
+  let c =
+    campaign ~exp:"e2"
+      (List.concat_map (fun cell -> List.init seeds (fun i -> misuse cell (i + 1))) cells)
+  in
   Printf.printf "%-4s %-4s  %-12s  %s\n" "z" "k" "prediction" "outcome";
-  List.iter
-    (fun (z, k) ->
-      let r = Indist.kset_violation_search ~n:7 ~t:2 ~z ~k ~seeds in
-      Printf.printf "%-4d %-4d  %-12s  %s\n" z k
+  List.iteri
+    (fun i (z, k) ->
+      let results = List.init seeds (fun j -> c.Runner.c_results.((i * seeds) + j)) in
+      let worst = List.fold_left (fun acc r -> max acc (rmetric r "distinct")) 0 results in
+      let found = witness ~k results in
+      Printf.printf "%-4d %-4d  %-12s  %s | %d seeds tried; max distinct decisions = %d | %s\n" z k
         (if k < z then "violable" else "safe")
-        (String.concat " | " ((if r.ok then "as predicted" else "UNEXPECTED") :: r.details)))
-    [ (2, 1); (3, 2); (3, 1); (1, 1); (2, 2); (3, 3) ]
+        (if (k < z && found <> None) || (k >= z && worst <= k) then "as predicted"
+         else "UNEXPECTED")
+        seeds worst
+        (match found with
+        | Some r ->
+            Printf.sprintf "seed %d decided %d > k = %d distinct values" r.Runner.r_seed
+              (rmetric r "distinct") k
+        | None -> Printf.sprintf "no seed exceeded k = %d" k))
+    cells
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Figure 2 / Theorem 8 sufficiency: the full (x, y) sweep.       *)
@@ -200,61 +238,75 @@ let e3 () =
    certificate, and a legal Omega_z history breaks (z-1)-set agreement. *)
 (* ------------------------------------------------------------------ *)
 
+(* A run's Ω outputs, per process, re-read from its trace (the monitor's
+   [Fd_change] entries of kind "omega", values printed as "{p1,p8}"). *)
+let omega_history (r : Protocol.report) =
+  let sim = r.Protocol.rp_sim in
+  let hist = Array.make (Sim.n sim) [] in
+  let pid p = int_of_string (String.sub p 1 (String.length p - 1)) - 1 in
+  Trace.iter
+    (fun { Trace.time; entry } ->
+      match entry with
+      | Trace.Fd_change { pid = i; kind = "omega"; value } ->
+          let inner = String.sub value 1 (String.length value - 2) in
+          let set = if inner = "" then [] else List.map pid (String.split_on_char ',' inner) in
+          hist.(i) <- (time, Pidset.of_list set) :: hist.(i)
+      | _ -> ())
+    (Sim.trace sim);
+  List.init (Sim.n sim) (fun i -> (i, List.rev hist.(i)))
+
 let e4 () =
   section "E4  Theorem 8 necessity: x + y + z >= t + 2 is required";
-  let x = 2 and y = 1 in
+  let x = 2 and y = 1 and horizon = 400.0 and seeds = 20 in
   let z = Bounds.z_of_addition ~t ~x ~y in
-  let horizon = 400.0 in
-  let sim = setup ~horizon ~crashes:1 ~seed:3001 () in
-  let behavior = Behavior.stormy ~gst in
-  let suspector, _ = Oracle.es_x sim ~x ~behavior () in
-  let querier, _ = Oracle.ephi_y sim ~y ~behavior () in
-  let w = Wheels.install sim ~suspector ~querier ~x ~y () in
-  let omega = Wheels.omega w in
-  let mon = Monitor.watch sim ~every:0.5 ~read:(fun i -> omega.Iface.trusted i) () in
-  let _ = Sim.run sim in
-  let v_z = Check.omega_z sim ~z ~deadline:(horizon -. 80.0) mon in
-  let v_zm1 = Check.omega_z sim ~z:(z - 1) ~deadline:(horizon -. 80.0) mon in
-  Printf.printf "x=%d y=%d: construction delivers Omega_%d: %s\n" x y z (ok_str v_z);
-  Printf.printf "same history checked as Omega_%d: %s (as the theorem demands)\n" (z - 1)
-    (ok_str v_zm1);
+  (* The wheels at x + y + z = t + 2; their Ω history is checked once more,
+     as Ω_{z-1}. *)
+  let wheels =
+    protocol_job ~exp:"e4" ~label:"wheels" ~params:[] "wheels"
+      { (params ~seed:3001 ~horizon ~crashes:1 ()) with x; y }
+      (fun r ->
+        let ground =
+          { Check.g_n = n; g_correct = Sim.correct_set r.Protocol.rp_sim; g_crashes = [];
+            g_end = horizon }
+        in
+        let below =
+          Check.omega_z_history ground ~z:(z - 1) ~deadline:(horizon -. 80.0) (omega_history r)
+        in
+        verdict_body r
+          ~row:
+            (Printf.sprintf
+               "x=%d y=%d: construction delivers Omega_%d: %s\n\
+                same history checked as Omega_%d: %s (as the theorem demands)"
+               x y z (ok_str r.Protocol.rp_verdict) (z - 1) (ok_str below)))
+  in
+  (* And the constructed detector is not secretly stronger: Figure 3 with
+     k = z-1 over the wheels' own output admits agreement violations
+     (legal tie-breaks, perfect-from-start class inputs). *)
+  let search seed =
+    protocol_job ~exp:"e4"
+      ~label:(Printf.sprintf "kset over wheels seed=%d" seed)
+      ~params:[] "reduce"
+      { Protocol.default with x; y; seed; variant = "wheels"; adversarial = true; gst = 0.0;
+        crashes = Crash.No_crashes; horizon = 600.0 }
+      distinct_body
+  in
+  let c = campaign ~exp:"e4" (wheels :: List.init seeds (fun i -> search (i + 1))) in
   Printf.printf "semantic gap (legal Omega_%d cannot do %d-set): see E2 row (z=%d,k=%d)\n" z
     (z - 1) z (z - 1);
   Printf.printf "bounds: addition_possible x=%d y=%d z=%d -> %b; z-1 -> %b\n" x y z
     (Bounds.addition_possible ~t ~x ~y ~z)
     (Bounds.addition_possible ~t ~x ~y ~z:(z - 1));
-  (* And the constructed detector is not secretly stronger: driving k-set
-     agreement with k = z-1 over the wheels' own output admits agreement
-     violations (legal tie-breaks, perfect-from-start class inputs). *)
-  let violated = ref None in
-  let seeds = List.init 20 (fun i -> i + 1) in
-  List.iter
-    (fun seed ->
-      if !violated = None then begin
-        let sim = Sim.create ~horizon:600.0 ~n ~t ~seed () in
-        let suspector, _ = Oracle.es_x sim ~x ~behavior:Behavior.perfect () in
-        let querier, _ = Oracle.ephi_y sim ~y ~behavior:Behavior.perfect () in
-        let w = Wheels.install sim ~suspector ~querier ~x ~y () in
-        let proposals = Array.init n (fun i -> 100 + i) in
-        let h =
-          Kset.install sim ~omega:(Wheels.omega w) ~proposals ~tie_break:Kset.By_pid ()
-        in
-        let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-        let d = Indist.distinct_decisions (Kset.decisions h) in
-        if d > z - 1 then violated := Some (seed, d)
-      end)
-    seeds;
-  (match !violated with
-  | Some (seed, d) ->
+  match witness ~k:(z - 1) (List.tl (Array.to_list c.Runner.c_results)) with
+  | Some r ->
       Printf.printf
         "wheels-built Omega_%d driving %d-set agreement: %d distinct decisions at seed %d \
          (> k, as the lower bound demands)\n"
-        z (z - 1) d seed
+        z (z - 1) (rmetric r "distinct") r.Runner.r_seed
   | None ->
       Printf.printf
         "wheels-built Omega_%d: no %d-set violation in %d seeds (violations are \
          schedule-dependent; the oracle-based search in E2 is the canonical witness)\n"
-        z (z - 1) (List.length seeds))
+        z (z - 1) seeds
 
 (* ------------------------------------------------------------------ *)
 (* E5 — Figure 3 performance: rounds / messages / latency.             *)
@@ -306,21 +358,18 @@ let e5 () =
 
 let e5b () =
   subsection "E5b  oracle-efficiency / zero-degradation (perfect oracle => 1 round)";
-  Printf.printf "%-26s %-7s\n" "scenario" "rounds";
-  List.iter
-    (fun (name, crashes) ->
-      let sim = Sim.create ~horizon:3000.0 ~n ~t ~seed:4100 () in
-      Sim.install_crashes sim crashes;
-      let omega, _ = Oracle.omega_z sim ~z:1 ~behavior:Behavior.perfect () in
-      let proposals = Array.init n (fun i -> 100 + i) in
-      let h = Kset.install sim ~omega ~proposals () in
-      let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-      Printf.printf "%-26s %-7d\n" name (Kset.max_round h))
-    [
-      ("no crash", []);
-      ("1 initial crash", [ (7, 0.0) ]);
-      ("t initial crashes", [ (5, 0.0); (6, 0.0); (7, 0.0) ]);
-    ]
+  let job (name, crashes) =
+    protocol_job ~exp:"e5b" ~label:name ~params:[] "kset"
+      { Protocol.default with seed = 4100; gst = 0.0; horizon = 3000.0;
+        crashes = Crash.Explicit crashes }
+      (fun r -> verdict_body r ~row:(Printf.sprintf "%-26s %-7d" name (imetric r "rounds")))
+  in
+  ignore
+    (campaign ~exp:"e5b"
+       ~header:(Printf.sprintf "%-26s %-7s" "scenario" "rounds")
+       (List.map job
+          [ ("no crash", []); ("1 initial crash", [ (7, 0.0) ]);
+            ("t initial crashes", [ (5, 0.0); (6, 0.0); (7, 0.0) ]) ]))
 
 (* E5c — decision latency and round statistics over many seeds. *)
 
@@ -367,9 +416,9 @@ let e5c () =
 (* E6 — Figures 5-6: wheels convergence vs n, x, y, crash pattern.     *)
 (* ------------------------------------------------------------------ *)
 
-let e6_job ?replay ~label (p : Protocol.params) =
+let e6_job ~label (p : Protocol.params) =
   let x = p.Protocol.x and y = p.Protocol.y in
-  protocol_job ~exp:"e6" ?replay
+  protocol_job ~exp:"e6"
     ~label:(Printf.sprintf "%s n=%d x=%d y=%d" label p.Protocol.n x y)
     ~params:
       [
@@ -421,7 +470,7 @@ let e6 () =
            explicit crashes or the oracle adversary, so it records no
            replay. *)
         [
-          e6_job ~replay:false ~label:"initial X all dead"
+          e6_job ~label:"initial X all dead"
             {
               (p ~n:6 ~t:2 ~x:2 ~y:0 ~crashes:0 ~seed:5300) with
               Protocol.crashes = Crash.Explicit [ (0, 0.0); (1, 0.0) ];
@@ -467,32 +516,26 @@ let e6b () =
 
 let e7 () =
   section "E7  Psi_y -> Omega_{t+1-y} (Fig 8) vs the generic wheels route";
+  let ys = [ 1; 2; 3 ] in
+  (* Per y, the Ψ chain, then the wheels over the no-information ◇S_1. *)
+  let job y (protocol, x) =
+    protocol_job ~exp:"e7" ~label:(Printf.sprintf "%s y=%d" protocol y) ~params:[] protocol
+      { (params ~seed:(6000 + y) ~horizon:400.0 ~crashes:2 ()) with x; y }
+      (fun r -> verdict_body r)
+  in
+  let c =
+    campaign ~exp:"e7"
+      (List.concat_map (fun y -> List.map (job y) [ ("psi", 2); ("wheels", 1) ]) ys)
+  in
   Printf.printf "%-3s %-3s  %-14s %-14s  %-12s %-14s\n" "y" "z" "psi certified"
     "wheels certified" "psi msgs" "wheels msgs";
-  List.iter
-    (fun y ->
-      let z = t + 1 - y in
-      let horizon = 400.0 in
-      (* Psi route *)
-      let sim1 = setup ~horizon ~crashes:2 ~seed:(6000 + y) () in
-      let q1, _ = Oracle.psi_y sim1 ~y ~behavior:(Behavior.stormy ~gst) () in
-      let p = Reduce.omega_from_psi sim1 ~querier:q1 ~y in
-      let om1 = Psi_to_omega.omega p in
-      let mon1 = Monitor.watch sim1 ~every:0.5 ~read:(fun i -> om1.Iface.trusted i) () in
-      Sim.ticker sim1 ~every:1.0;
-      let _ = Sim.run sim1 in
-      let v1 = Check.omega_z sim1 ~z ~deadline:(horizon -. 80.0) mon1 in
-      (* Wheels route *)
-      let sim2 = setup ~horizon ~crashes:2 ~seed:(6000 + y) () in
-      let q2, _ = Oracle.ephi_y sim2 ~y ~behavior:(Behavior.stormy ~gst) () in
-      let w = Reduce.omega_from_phi sim2 ~querier:q2 ~y () in
-      let om2 = Wheels.omega w in
-      let mon2 = Monitor.watch sim2 ~every:0.5 ~read:(fun i -> om2.Iface.trusted i) () in
-      let _ = Sim.run sim2 in
-      let v2 = Check.omega_z sim2 ~z ~deadline:(horizon -. 80.0) mon2 in
-      Printf.printf "%-3d %-3d  %-14s %-14s  %-12d %-14d\n" y z (ok_str v1) (ok_str v2) 0
-        (Wheels.total_messages w))
-    [ 1; 2; 3 ]
+  let ok (r : Runner.result) = if r.Runner.r_ok then "OK" else "FAIL" in
+  List.iteri
+    (fun i y ->
+      let psi = c.Runner.c_results.(2 * i) and wheels = c.Runner.c_results.((2 * i) + 1) in
+      Printf.printf "%-3d %-3d  %-14s %-14s  %-12d %-14d\n" y (t + 1 - y) (ok psi) (ok wheels)
+        (rmetric psi "msgs") (rmetric wheels "msgs"))
+    ys
 
 (* ------------------------------------------------------------------ *)
 (* E8 — Figure 9: strengthening to full scope, both substrates.        *)
@@ -500,46 +543,29 @@ let e7 () =
 
 let e8 () =
   section "E8  Strengthening (Fig 9): S_x + phi_y -> S / ◇-variants, x+y >= t+1 (n=8, t=3)";
-  Printf.printf "%-4s %-3s %-3s %-10s %-10s  %-8s %-10s\n" "sub" "x" "y" "perpetual"
-    "◇S cert" "refresh" "msgs";
-  List.iter
-    (fun (sub, x, y, eventual, seed) ->
-      let horizon = 300.0 in
-      let sim = setup ~horizon ~crashes:2 ~seed () in
-      let behavior = Behavior.stormy ~gst:35.0 in
-      let suspector, _ =
-        if eventual then Oracle.es_x sim ~x ~behavior () else Oracle.s_x sim ~x ~behavior ()
-      in
-      let querier, _ =
-        if eventual then Oracle.ephi_y sim ~y ~behavior ()
-        else Oracle.phi_y sim ~y ~behavior ()
-      in
-      let st =
-        match sub with
-        | `Shm -> Strengthen.install_shm sim ~suspector ~querier ()
-        | `Mp -> Strengthen.install_mp sim ~suspector ~querier ()
-      in
-      let out = Strengthen.output st in
-      let mon = Monitor.watch sim ~every:0.5 ~read:(fun i -> out.Iface.suspected i) () in
-      let _ = Sim.run sim in
-      let v = Check.es_x sim ~x:n ~deadline:(horizon -. 80.0) mon in
-      let msgs = Trace.counter (Sim.trace sim) "strengthen.hb.sent" in
-      let refresh =
-        Pidset.fold (fun i acc -> max acc (Strengthen.refreshes st i)) (Sim.correct_set sim) 0
-      in
-      Printf.printf "%-4s %-3d %-3d %-10s %-10s  %-8d %-10d\n"
-        (match sub with `Shm -> "shm" | `Mp -> "mp")
-        x y
-        (if eventual then "no (◇)" else "yes")
-        (ok_str v) refresh msgs)
-    [
-      (`Shm, 2, 2, true, 7001);
-      (`Shm, 3, 1, true, 7002);
-      (`Shm, 2, 2, false, 7003);
-      (`Mp, 2, 2, true, 7004);
-      (`Mp, 1, 3, true, 7005);
-      (`Mp, 2, 2, false, 7006);
-    ]
+  let job (variant, x, y, seed) =
+    protocol_job ~exp:"e8" ~label:(Printf.sprintf "%s x=%d y=%d" variant x y) ~params:[]
+      "strengthen"
+      { (params ~seed ~horizon:300.0 ~crashes:2 ()) with gst = 35.0; x; y; variant }
+      (fun r ->
+        verdict_body r
+          ~row:
+            (Printf.sprintf "%-4s %-3d %-3d %-10s %-10s  %-8d %-10d"
+               (if String.ends_with ~suffix:"-mp" variant then "mp" else "shm")
+               x y
+               (if String.starts_with ~prefix:"es" variant then "no (◇)" else "yes")
+               (ok_str r.Protocol.rp_verdict) (imetric r "refresh") (imetric r "msgs")))
+  in
+  ignore
+    (campaign ~exp:"e8"
+       ~header:
+         (Printf.sprintf "%-4s %-3s %-3s %-10s %-10s  %-8s %-10s" "sub" "x" "y" "perpetual"
+            "◇S cert" "refresh" "msgs")
+       (List.map job
+          [
+            ("es", 2, 2, 7001); ("es", 3, 1, 7002); ("s", 2, 2, 7003);
+            ("es-mp", 2, 2, 7004); ("es-mp", 1, 3, 7005); ("s-mp", 2, 2, 7006);
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* E9 — Theorems 10-12: the information-cap / indistinguishability
@@ -565,20 +591,21 @@ let e9 () =
 
 let e10 () =
   section "E10  Zero-degradation ablation: consecutive instances, growing initial crashes";
-  Printf.printf "%-9s %-16s %-7s\n" "instance" "initial crashes" "rounds";
-  let crashed = ref [] in
-  List.iteri
-    (fun i _ ->
-      let sim = Sim.create ~horizon:3000.0 ~n ~t ~seed:(9000 + i) () in
-      Sim.install_crashes sim (List.map (fun p -> (p, 0.0)) !crashed);
-      let omega, _ = Oracle.omega_z sim ~z:1 ~behavior:Behavior.perfect () in
-      let proposals = Array.init n (fun j -> 100 + j) in
-      let h = Kset.install sim ~omega ~proposals () in
-      let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-      Printf.printf "%-9d %-16d %-7d\n" (i + 1) (List.length !crashed) (Kset.max_round h);
-      (* One more process fails before the next instance, up to t. *)
-      if List.length !crashed < t then crashed := (n - 1 - List.length !crashed) :: !crashed)
-    [ (); (); (); () ]
+  (* Instance i starts with the last i processes crashed, up to t. *)
+  let job i =
+    let crashed = List.init (min i t) (fun j -> (n - 1 - j, 0.0)) in
+    protocol_job ~exp:"e10" ~label:(Printf.sprintf "instance %d" (i + 1)) ~params:[] "kset"
+      { Protocol.default with seed = 9000 + i; gst = 0.0; horizon = 3000.0;
+        crashes = Crash.Explicit crashed }
+      (fun r ->
+        verdict_body r
+          ~row:
+            (Printf.sprintf "%-9d %-16d %-7d" (i + 1) (List.length crashed) (imetric r "rounds")))
+  in
+  ignore
+    (campaign ~exp:"e10"
+       ~header:(Printf.sprintf "%-9s %-16s %-7s" "instance" "initial crashes" "rounds")
+       (List.init 4 job))
 
 (* ------------------------------------------------------------------ *)
 (* E11 — the implemented stack: heartbeats + adaptive timeouts under
@@ -588,61 +615,41 @@ let e10 () =
 
 let e11 () =
   section "E11  Implemented detectors (heartbeats + adaptive timeouts, partial synchrony)";
-  let horizon = 300.0 in
-  let deadline = horizon -. 80.0 in
-  Printf.printf "%-28s %-14s  %-10s %-10s\n" "detector" "crashes" "certified" "hb msgs";
-  let crash_patterns =
-    [ ("none", []); ("early p8", [ (7, 5.0) ]); ("3 staggered", [ (5, 5.0); (6, 35.0); (7, 60.0) ]) ]
+  let impl ~label ~seed ~horizon crashes variant row =
+    protocol_job ~exp:"e11" ~label ~params:[] "impl"
+      { Protocol.default with seed; horizon; gst = 30.0; z = 1; y = 2;
+        crashes = Crash.Explicit crashes; variant }
+      (fun r -> verdict_body r ~row:(row r))
   in
-  List.iter
-    (fun (cname, crashes) ->
-      (* ◇P *)
-      let sim = Sim.create ~horizon ~n ~t ~seed:9100 () in
-      Sim.install_crashes sim crashes;
-      let hb = Impl.install sim () in
-      let susp = Impl.suspector hb in
-      let mon = Monitor.watch sim ~every:0.5 ~read:(fun i -> susp.Iface.suspected i) () in
-      let _ = Sim.run sim in
-      Printf.printf "%-28s %-14s  %-10s %-10d\n" "suspector (◇P)" cname
-        (ok_str (Check.es_x sim ~x:n ~deadline mon))
-        (Impl.heartbeats_sent hb);
-      (* Ω_1 *)
-      let sim = Sim.create ~horizon ~n ~t ~seed:9200 () in
-      Sim.install_crashes sim crashes;
-      let hb = Impl.install sim () in
-      let om = Impl.omega hb ~z:1 in
-      let mon = Monitor.watch sim ~every:0.5 ~read:(fun i -> om.Iface.trusted i) () in
-      let _ = Sim.run sim in
-      Printf.printf "%-28s %-14s  %-10s %-10d\n" "leader (Omega_1)" cname
-        (ok_str (Check.omega_z sim ~z:1 ~deadline mon))
-        (Impl.heartbeats_sent hb);
-      (* ◇φ_2 *)
-      let sim = Sim.create ~horizon ~n ~t ~seed:9300 () in
-      Sim.install_crashes sim crashes;
-      let hb = Impl.install sim () in
-      let q, qlog = Impl.querier hb ~y:2 in
-      Sim.spawn sim ~pid:0 (fun () ->
-          while true do
-            ignore (q.Iface.query 0 (Pidset.of_list [ 5; 6 ]));
-            ignore (q.Iface.query 0 (Pidset.of_list [ 0; 1 ]));
-            Sim.sleep 2.0
-          done);
-      let _ = Sim.run sim in
-      Printf.printf "%-28s %-14s  %-10s %-10d\n" "querier (◇φ_2)" cname
-        (ok_str (Check.phi_y sim ~y:2 ~eventual:true ~deadline qlog))
-        (Impl.heartbeats_sent hb))
-    crash_patterns;
+  let detectors =
+    List.concat_map
+      (fun (cname, crashes) ->
+        List.map
+          (fun (dname, variant, seed) ->
+            impl ~label:(variant ^ " " ^ cname) ~seed ~horizon:300.0 crashes variant
+              (fun r ->
+                Printf.sprintf "%-28s %-14s  %-10s %-10d" dname cname
+                  (ok_str r.Protocol.rp_verdict) (imetric r "heartbeats")))
+          [
+            ("suspector (◇P)", "es", 9100);
+            ("leader (Omega_1)", "omega", 9200);
+            ("querier (◇φ_2)", "phi", 9300);
+          ])
+      [ ("none", []); ("early p8", [ (7, 5.0) ]);
+        ("3 staggered", [ (5, 5.0); (6, 35.0); (7, 60.0) ]) ]
+  in
+  let c =
+    campaign ~exp:"e11"
+      ~header:
+        (Printf.sprintf "%-28s %-14s  %-10s %-10s" "detector" "crashes" "certified" "hb msgs")
+      (detectors @ [ impl ~label:"pipeline" ~seed:9400 ~horizon:600.0 [ (6, 7.0); (7, 22.0) ]
+                       "kset" (fun _ -> "") ])
+  in
   subsection "full implemented pipeline: heartbeats -> Omega_1 -> consensus";
-  let sim = Sim.create ~horizon:600.0 ~n ~t ~seed:9400 () in
-  Sim.install_crashes sim [ (6, 7.0); (7, 22.0) ];
-  let hb = Impl.install sim () in
-  let om = Impl.omega hb ~z:1 in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let h = Kset.install sim ~omega:om ~proposals () in
-  let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
+  let r = c.Runner.c_results.(List.length detectors) in
   Printf.printf "consensus: %s, rounds=%d, latency=%.1f (no oracle anywhere)\n"
-    (ok_str (Check.k_set_agreement sim ~k:1 ~proposals ~decisions:(Kset.decisions h)))
-    (Kset.max_round h) o.end_time
+    (if r.Runner.r_ok then "OK" else "FAIL")
+    (rmetric r "rounds") (List.assoc "latency" r.Runner.r_metrics)
 
 (* ------------------------------------------------------------------ *)
 (* E12 — baseline comparison: Omega-based consensus (Fig 3, k = 1) vs
@@ -671,10 +678,7 @@ let e12 () =
   let c = campaign ~exp:"e12" jobs in
   let route i =
     let r = c.Runner.c_results.(i) in
-    let get name =
-      int_of_float (Option.value ~default:0.0 (List.assoc_opt name r.Runner.r_metrics))
-    in
-    Printf.sprintf "%d, %d%s" (get "rounds") (get "msgs")
+    Printf.sprintf "%d, %d%s" (rmetric r "rounds") (rmetric r "msgs")
       (if r.Runner.r_ok then "" else " FAIL")
   in
   Printf.printf "%-10s %-8s %-22s %-22s\n" "crashes" "seed" "Omega route (r, msgs)"
@@ -813,7 +817,7 @@ let sched () =
             Runner.job ~exp:"sched" ~seed
               ~label:(Printf.sprintf "n=%d mode=cond seed=%d" nn seed)
               ~params:[ ("n", Json.Int nn); ("t", Json.Int tb); ("mode", Json.String "cond") ]
-              ~replay:(Job.replay_command "kset" p)
+              ?replay:(Job.replay_command "kset" p)
               (fun () ->
                 (* Built by hand, not through the registry: the big sizes
                    need a larger event budget, and the GC counters must
@@ -1050,7 +1054,7 @@ let obs () =
                       ("n", Json.Int nn);
                       ("level", Json.String level);
                     ]
-                  ~replay:(Job.replay_command "kset" (mk_params nn level seed))
+                  ?replay:(Job.replay_command "kset" (mk_params nn level seed))
                   (fun () ->
                     let p = mk_params nn level seed in
                     (* min-of-reps wall: same params → same execution, so
@@ -1869,7 +1873,7 @@ let rt () =
         Runner.job ~exp:"rt" ~seed
           ~label:(Printf.sprintf "kset sim-vs-rt n=%d" nn)
           ~params:[ ("kind", Json.String "kset_latency"); ("n", Json.Int nn) ]
-          ~replay:(Job.replay_command "kset" { p with Protocol.backend })
+          ?replay:(Job.replay_command "kset" { p with Protocol.backend })
           (fun () ->
             let sim_r = Protocol.run pk p in
             let sim_ok = Check.verdict_ok sim_r.Protocol.rp_verdict in

@@ -1,31 +1,26 @@
-(* fdkit: command-line driver for the setagree library.
+(* fdkit: the command line of the setagree library.  Every paper
+   stack is a protocol of Core.Protocol's registry, and every subcommand
+   that runs a spec executes it through Job.execute, the daemon's path:
 
-   Every registered protocol (Core.Protocol's registry) runs through one
-   subcommand, on the arena engine:
+     fdkit run -p kset       -n 9 -t 4 -z 2 -k 2 --crashes 3 --seed 7
+     fdkit run -p wheels     -x 2 -y 1 --crashes 2
+     fdkit run -p reduce     --variant phi -y 2
+     fdkit run -p strengthen -y 2 --variant es-mp
+     fdkit run -p impl       --gst 30 --horizon 400 --variant omega
 
-     fdkit run -p kset   -n 9 -t 4 -z 2 -k 2 --crashes 3 --seed 7
-     fdkit run -p wheels -x 2 -y 1 --crashes 2
-     fdkit run -p psi    -y 2 --crashes 3
-     fdkit run -p reduce --variant phi -y 2
+   A seed sweep, sharded across domains, with JSON artifacts and
+   failing-seed triage (here Theorem 5's tightness: Omega_2 with the
+   misuse wiring breaks 1-set agreement):
 
-   The simulator's reference engines are test-only: no flag selects
-   them.  The other experiments of the bench harness, one at a time:
+     fdkit campaign --exp kset -n 7 -t 2 -z 2 -k 1 --adversarial \
+       --crashes 0 --horizon 400 --seeds 25
 
-     fdkit strengthen  -x 2 -y 2 --substrate mp
-     fdkit violation   -z 2 -k 1 --tries 25
-     fdkit irreducibility
-
-   plus the multicore campaign engine: a seed sweep of any registered
-   protocol, sharded across domains, with JSON artifacts and
-   failing-seed triage:
-
-     fdkit campaign --exp kset --jobs 4 --seeds 64 --out _results
-*)
+   The simulator's reference engines are test-only.  The irreducibility
+   scenarios, which compare two runs, are bench experiment e9. *)
 
 open Cmdliner
 open Setagree_util
 open Setagree_dsys
-open Setagree_net
 open Setagree_fd
 open Setagree_core
 open Setagree_runner
@@ -37,28 +32,10 @@ let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of proc
 let t_arg = Arg.(value & opt int 3 & info [ "t" ] ~docv:"T" ~doc:"Max crashes (resilience).")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.")
 
-let crashes_arg =
-  Arg.(value & opt int 2 & info [ "crashes" ] ~docv:"C" ~doc:"Number of crashes to inject.")
-
 let gst_arg =
   Arg.(
     value & opt float 40.0
     & info [ "gst" ] ~docv:"TIME" ~doc:"Oracle stabilization time (0 = perfect).")
-
-let horizon_arg =
-  Arg.(value & opt float 400.0 & info [ "horizon" ] ~docv:"TIME" ~doc:"Virtual-time budget.")
-
-let behavior_of ~gst =
-  if gst <= 0.0 then Behavior.perfect else Behavior.stormy ~gst
-
-let setup ~n ~t ~seed ~crashes ~horizon () =
-  let sim = Sim.create ~horizon ~n ~t ~seed () in
-  let rng = Rng.split_named (Sim.rng sim) "crash" in
-  Sim.install_crashes sim
-    (Crash.generate
-       (Crash.Exactly { crashes = min crashes t; window = (0.0, 20.0) })
-       ~n ~t rng);
-  sim
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -92,12 +69,17 @@ let adversarial_arg =
         ~doc:
           "kset mis-use configuration (Theorem 5 tightness): constant Omega_z trusted \
            set and the By_pid tie-break.  With z > k the explorer finds agreement \
-           violations.")
+           violations.  reduce --variant wheels: the By_pid tie-break.")
 
 let variant_arg =
+  let table (name, (module P : Protocol.S)) =
+    if P.variants = [] then None else Some (name ^ ": " ^ String.concat "|" P.variants)
+  in
+  let tables = String.concat "; " (List.filter_map table Protocol.registry) in
   Arg.(
     value & opt string "es"
-    & info [ "variant" ] ~docv:"es|phi|psi" ~doc:"Source class of the reduce protocol.")
+    & info [ "variant" ] ~docv:"NAME"
+        ~doc:("Protocol variant, the first the default (" ^ tables ^ ")."))
 
 let trace_arg =
   Arg.(
@@ -184,16 +166,18 @@ let mk_params n t seed crashes gst horizon z k x y adversarial variant trace fau
 
 let params_term ?(default_z = 1) ?(default_k = 1) ?(default_crashes = 2) () =
   let z_arg =
-    Arg.(value & opt int default_z & info [ "z" ] ~doc:"Oracle class Omega_z (kset).")
+    Arg.(value & opt int default_z & info [ "z" ] ~doc:"Oracle class Omega_z (kset, impl).")
   in
   let k_arg =
     Arg.(value & opt int default_k & info [ "k" ] ~doc:"Agreement degree checked (kset).")
   in
   let x_arg =
-    Arg.(value & opt int 2 & info [ "x" ] ~doc:"◇S_x scope (wheels, reduce).")
+    Arg.(value & opt int 2 & info [ "x" ] ~doc:"◇S_x scope (wheels, reduce, strengthen).")
   in
   let y_arg =
-    Arg.(value & opt int 1 & info [ "y" ] ~doc:"◇φ_y / Ψ_y strength (wheels, psi, reduce).")
+    Arg.(
+      value & opt int 1
+      & info [ "y" ] ~doc:"◇φ_y / Ψ_y strength (wheels, psi, reduce, strengthen, impl).")
   in
   let crashes_arg =
     Arg.(
@@ -219,27 +203,11 @@ let exec_run protocol (p : Protocol.params) =
   let spec = Job.of_flags ~kind:`Run ~protocol p in
   match Job.validate spec with
   | Error errs ->
-      (match Protocol.find protocol with
-      | None -> Printf.eprintf "unknown protocol %S; %s\n" protocol (registry_doc ())
-      | Some _ -> ());
-      let fault_errs, others =
-        List.partition (String.starts_with ~prefix:"illegal fault spec") errs
-      in
-      List.iter
-        (fun e ->
-          if not (String.starts_with ~prefix:"unknown protocol" e) then prerr_endline e)
-        others;
-      if fault_errs <> [] then begin
-        Printf.eprintf "illegal fault spec (refusing to run):\n";
-        List.iter
-          (fun e -> Printf.eprintf "  - %s\n" e)
-          (match Faults.legal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
-          | Error es -> es
-          | Ok () -> []);
-        match Chaos.minimize_illegal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
-        | Some s -> Printf.eprintf "minimized to: %s\n" (Faults.summary s)
-        | None -> ()
-      end;
+      List.iter prerr_endline errs;
+      (if List.exists (String.starts_with ~prefix:"illegal fault spec") errs then
+         match Chaos.minimize_illegal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
+         | Some s -> Printf.eprintf "minimized to: %s\n" (Faults.summary s)
+         | None -> ());
       3
   | Ok () ->
       let o = Job.execute spec in
@@ -266,118 +234,6 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:("Run any registered protocol once. " ^ registry_doc ()))
     Term.(const exec_run $ protocol_arg $ params_term ())
-
-(* ---- strengthen ---- *)
-
-let strengthen_cmd =
-  let run n t seed crashes gst horizon x y substrate =
-    let sim = setup ~n ~t ~seed ~crashes ~horizon () in
-    let behavior = behavior_of ~gst in
-    let suspector, _ = Oracle.es_x sim ~x ~behavior () in
-    let querier, _ = Oracle.ephi_y sim ~y ~behavior () in
-    let st =
-      match substrate with
-      | `Shm -> Strengthen.install_shm sim ~suspector ~querier ()
-      | `Mp -> Strengthen.install_mp sim ~suspector ~querier ()
-    in
-    let out = Strengthen.output st in
-    let mon = Monitor.watch sim ~every:0.5 ~read:(fun i -> out.Iface.suspected i) () in
-    let _ = Sim.run sim in
-    let v = Check.es_x sim ~x:n ~deadline:(horizon -. 80.0) mon in
-    Printf.printf "◇S_%d + ◇φ_%d -> ◇S (Fig 9, %s): %s\n" x y
-      (match substrate with `Shm -> "shared memory" | `Mp -> "message passing")
-      (Format.asprintf "%a" Check.pp_verdict v);
-    if Check.verdict_ok v then 0 else 1
-  in
-  let x_arg = Arg.(value & opt int 2 & info [ "x" ] ~doc:"◇S_x scope.") in
-  let y_arg = Arg.(value & opt int 2 & info [ "y" ] ~doc:"◇φ_y strength.") in
-  let substrate_arg =
-    Arg.(
-      value
-      & opt (enum [ ("shm", `Shm); ("mp", `Mp) ]) `Shm
-      & info [ "substrate" ] ~docv:"shm|mp" ~doc:"Shared memory or message passing.")
-  in
-  Cmd.v
-    (Cmd.info "strengthen"
-       ~doc:"Run the Appendix-B strengthening S_x + φ_y -> S (Figure 9).")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ crashes_arg $ gst_arg $ horizon_arg $ x_arg
-      $ y_arg $ substrate_arg)
-
-(* ---- implemented detectors ---- *)
-
-let impl_cmd =
-  let run n t seed crashes gst horizon z =
-    let sim = setup ~n ~t ~seed ~crashes ~horizon () in
-    let delay = Delay.Psync { gst; bound = 2.0; pre_spread = gst -. 5.0 } in
-    let hb = Impl.install sim ~delay () in
-    let susp = Impl.suspector hb in
-    let om = Impl.omega hb ~z in
-    let mon_s = Monitor.watch sim ~every:0.5 ~read:(fun i -> susp.Iface.suspected i) () in
-    let mon_o = Monitor.watch sim ~every:0.5 ~read:(fun i -> om.Iface.trusted i) () in
-    let proposals = Array.init n (fun i -> 100 + i) in
-    let h = Kset.install sim ~omega:om ~proposals () in
-    let _ = Sim.run sim in
-    let deadline = horizon -. 80.0 in
-    let v_s = Check.es_x sim ~x:n ~deadline mon_s in
-    let v_o = Check.omega_z sim ~z ~deadline mon_o in
-    let v_k = Check.k_set_agreement sim ~k:z ~proposals ~decisions:(Kset.decisions h) in
-    Printf.printf
-      "heartbeat detectors under partial synchrony (network gst=%.0f)\n\
-       suspector as ◇P: %s\nleader as Omega_%d: %s\n%d-set agreement on top: %s\n\
-       heartbeats=%d\n"
-      gst
-      (Format.asprintf "%a" Check.pp_verdict v_s)
-      z
-      (Format.asprintf "%a" Check.pp_verdict v_o)
-      z
-      (Format.asprintf "%a" Check.pp_verdict v_k)
-      (Impl.heartbeats_sent hb);
-    if Check.verdict_ok v_s && Check.verdict_ok v_o && Check.verdict_ok v_k then 0 else 1
-  in
-  let z_arg = Arg.(value & opt int 1 & info [ "z" ] ~doc:"Leader width.") in
-  Cmd.v
-    (Cmd.info "impl"
-       ~doc:
-         "Run the fully implemented stack: heartbeats + adaptive timeouts -> ◇P / \
-          Omega_z -> set agreement; no oracle reads ground truth.")
-    Term.(
-      const run $ n_arg $ t_arg $ seed_arg $ crashes_arg
-      $ Arg.(value & opt float 30.0 & info [ "gst" ] ~doc:"Network stabilization time.")
-      $ horizon_arg $ z_arg)
-
-(* ---- violation search ---- *)
-
-let violation_cmd =
-  let run n t z k tries =
-    let r = Indist.kset_violation_search ~n ~t ~z ~k ~seeds:(List.init tries (fun i -> i + 1)) in
-    Format.printf "%a@." Indist.pp_report r;
-    if r.ok then 0 else 1
-  in
-  let z_arg = Arg.(value & opt int 2 & info [ "z" ] ~doc:"Omega_z oracle.") in
-  let k_arg = Arg.(value & opt int 1 & info [ "k" ] ~doc:"Agreement degree demanded.") in
-  let tries_arg = Arg.(value & opt int 25 & info [ "tries" ] ~doc:"Seeds to try.") in
-  Cmd.v
-    (Cmd.info "violation"
-       ~doc:
-         "Search for agreement violations when running k-set agreement with an Omega_z \
-          oracle (Theorem 5 tightness).")
-    Term.(const run $ Arg.(value & opt int 7 & info [ "n" ] ~doc:"Processes.") $ Arg.(value & opt int 2 & info [ "t" ] ~doc:"Resilience.") $ z_arg $ k_arg $ tries_arg)
-
-(* ---- irreducibility ---- *)
-
-let irreducibility_cmd =
-  let run n t seed =
-    let show r = Format.printf "%a@.@." Indist.pp_report r in
-    show (Indist.phi_blind_to_victims ~n ~t ~y:1 ~crashes:(min 2 (t - 1)) ~seed);
-    show (Indist.omega_blind_to_crashes ~n ~t ~z:1 ~seed);
-    show (Indist.thm10_pair ~n ~t ~x:(n / 2) ~y:1 ~seed ());
-    0
-  in
-  Cmd.v
-    (Cmd.info "irreducibility"
-       ~doc:"Run the executable impossibility scenarios (Theorems 10-12, O1).")
-    Term.(const run $ n_arg $ t_arg $ seed_arg)
 
 (* ---- campaign ---- *)
 
@@ -520,13 +376,15 @@ let campaign_cmd =
         prerr_endline "determinism violation: -j 1 and -j N merged outputs differ"
     | _ -> ());
     if nfail > 0 then begin
+      let failures = Filename.concat out "failures.json" in
       Printf.printf "%d failing seed(s) — triage records (with replay commands) in %s\n" nfail
-        (Filename.concat out "failures.json");
+        failures;
+      let none = "none: no command line expresses this job's params; see " ^ failures in
       List.iter
         (fun r ->
           Printf.printf "  seed %d: %s\n    replay: %s\n" r.Runner.r_seed
             (String.concat "; " r.Runner.r_notes)
-            (Option.value ~default:"-" r.Runner.r_replay))
+            (Option.value ~default:none r.Runner.r_replay))
         (Runner.failures c)
     end;
     match seq with
@@ -1711,15 +1569,11 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            strengthen_cmd;
-            impl_cmd;
             campaign_cmd;
             chaos_cmd;
             trace_cmd;
             explore_cmd;
             replay_cmd;
-            violation_cmd;
-            irreducibility_cmd;
             grid_cmd;
             reducible_cmd;
             serve_cmd;

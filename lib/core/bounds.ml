@@ -1,6 +1,8 @@
-let valid_x ~n ~x = 1 <= x && x <= n
-let valid_y ~t ~y = 0 <= y && y <= t
-let valid_z ~n ~z = 1 <= z && z <= n
+open Setagree_fd
+
+let valid_x ~n ~x = Result.is_ok (Oracle.check_x ~n ~x)
+let valid_y ~t ~y = Result.is_ok (Oracle.check_y ~t ~y)
+let valid_z ~n ~z = Result.is_ok (Oracle.check_z ~n ~z)
 let addition_possible ~t ~x ~y ~z = x + y + z >= t + 2
 let z_of_addition ~t ~x ~y = max 1 (t + 2 - x - y)
 

@@ -50,18 +50,24 @@ let root () =
       root_cache := Some r;
       r
 
-(* Protocol-specific sources, relative to the repo root.  Everything
-   else under lib/ (except lib/rt, whose wall-clock backend is never
-   cached) is shared substrate. *)
+(* Protocol-specific sources, relative to the repo root: each registered
+   protocol lists every one its [install] reaches.  Everything else under
+   lib/ (except lib/rt, whose wall-clock backend is never cached) is
+   shared substrate; consensus.ml, which no protocol runs, stays out of
+   it under consensus_s. *)
+let wheels_files =
+  [ "lib/core/wheels.ml"; "lib/core/wheels_upper.ml"; "lib/core/wheels_lower.ml" ]
+
 let protocol_files =
   [
     ("kset", [ "lib/core/kset.ml" ]);
-    ( "consensus_s",
-      [ "lib/core/consensus_s.ml"; "lib/core/consensus.ml"; "lib/core/strengthen.ml" ] );
-    ( "wheels",
-      [ "lib/core/wheels.ml"; "lib/core/wheels_upper.ml"; "lib/core/wheels_lower.ml" ] );
+    ("consensus_s", [ "lib/core/consensus_s.ml"; "lib/core/consensus.ml" ]);
+    ("wheels", wheels_files);
     ("psi", [ "lib/core/psi_to_omega.ml" ]);
-    ("reduce", [ "lib/core/reduce.ml" ]);
+    ( "reduce",
+      [ "lib/core/reduce.ml"; "lib/core/kset.ml"; "lib/core/psi_to_omega.ml" ] @ wheels_files );
+    ("strengthen", [ "lib/core/strengthen.ml" ]);
+    ("impl", [ "lib/core/kset.ml" ]);
   ]
 
 let all_protocol_files = List.concat_map snd protocol_files

@@ -10,13 +10,16 @@ val whole : unit -> string
 (** One digest over every [lib/] source file (except [lib/rt], whose
     wall-clock backend is never cached).  Memoized. *)
 
+val protocol_files : (string * string list) list
+(** Per registered protocol, the protocol-specific sources its [install]
+    reaches (e.g. [reduce] → reduce.ml, kset.ml, psi_to_omega.ml and the
+    three wheels files); every other [lib/] source is shared substrate. *)
+
 val protocol : string -> string
-(** Digest over the shared substrate plus the named protocol's own
-    source files ([kset] → kset.ml; [consensus_s] → consensus_s.ml,
-    consensus.ml, strengthen.ml; [wheels] → wheels{,_upper,_lower}.ml;
-    [psi] → psi_to_omega.ml; [reduce] → reduce.ml) — so editing one
-    protocol invalidates exactly its cache entries.  Unknown names
-    digest the shared substrate alone.  Memoized per name. *)
+(** Digest over the shared substrate plus the named protocol's
+    {!protocol_files} — so editing one protocol's code invalidates exactly
+    the cache entries of the protocols that run it.  Unknown names digest
+    the shared substrate alone.  Memoized per name. *)
 
 val install : unit -> unit
 (** [Stamp.set_fingerprint (whole ())] — call once at process start

@@ -239,38 +239,3 @@ let thm12_pair ~n ~t ~z ~y ~seed =
         ];
     }
   end
-
-let kset_violation_search ~n ~t ~z ~k ~seeds =
-  let title =
-    Printf.sprintf
-      "Thm 5 tightness: Omega_%d %s solve %d-set agreement (n=%d, t=%d)" z
-      (if k < z then "does NOT" else "does")
-      k n t
-  in
-  let run_one seed =
-    let sim = Sim.create ~horizon:400.0 ~n ~t ~seed () in
-    (* Legal, perfect-from-the-start Omega_z: z live processes, constant. *)
-    let lset = Pidset.of_list (List.init z Fun.id) in
-    let omega = { Iface.trusted = (fun _ -> lset) } in
-    let proposals = Array.init n (fun i -> 100 + i) in
-    let h = Kset.install sim ~omega ~proposals ~tie_break:Kset.By_pid () in
-    let _ = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-    distinct_decisions (Kset.decisions h)
-  in
-  let results = List.map (fun s -> (s, run_one s)) seeds in
-  let worst = List.fold_left (fun acc (_, d) -> max acc d) 0 results in
-  let witness = List.find_opt (fun (_, d) -> d > k) results in
-  let ok = if k < z then witness <> None else worst <= k in
-  {
-    title;
-    ok;
-    details =
-      [
-        Printf.sprintf "%d seeds tried; max distinct decisions = %d" (List.length seeds)
-          worst;
-        (match witness with
-        | Some (s, d) ->
-            Printf.sprintf "seed %d decided %d > k = %d distinct values" s d k
-        | None -> Printf.sprintf "no seed exceeded k = %d" k);
-      ];
-  }

@@ -17,10 +17,10 @@
       failure-detector outputs; any candidate ◇φ_y-builder must answer
       query(E) identically in both, so it violates liveness in R1 or
       (eventual) safety in R2.
-    - {!kset_violation_search} — Theorem 5's z <= k tightness: a legal
-      Ω_z history plus legal "arbitrary" choices in Figure 3 drive k-set
-      agreement with k < z to an agreement violation; for k >= z no seed
-      ever violates. *)
+
+    Theorem 5's z <= k tightness needs one run per seed, not a pair: it is
+    the registry's kset with [adversarial] set (a constant Ω_z over z live
+    processes, the [By_pid] tie-break), swept by bench E2. *)
 
 open Setagree_util
 
@@ -70,13 +70,5 @@ val thm12_pair : n:int -> t:int -> z:int -> y:int -> seed:int -> report
     natural candidate querier built from the Ω_z output answers query(E)
     identically in both, so it violates ◇φ_y liveness in the crashing run
     or eventual safety in the other. *)
-
-val kset_violation_search :
-  n:int -> t:int -> z:int -> k:int -> seeds:int list -> report
-(** Runs Figure 3 with a perfect Ω_z whose set holds z live processes and
-    the adversarial (but legal) [By_pid] tie-break.  For k < z the report
-    is [ok] when some seed yields more than k distinct decisions; for
-    k >= z it is [ok] when no seed yields more than k (and notes the
-    count). *)
 
 val distinct_decisions : (Pid.t * int * int * float) list -> int

@@ -264,29 +264,31 @@ let validate spec =
     else errs
   in
   (* Ranges come from the code that enforces them: the simulator's size
-     precondition, the reduce protocol's variants, fault-spec legality. *)
+     precondition, each protocol's variant table and constructor ranges,
+     fault-spec legality. *)
+  let protocol_errors (p : Protocol.params) name =
+    match Protocol.find name with
+    | None -> []
+    | Some (module P) ->
+        if P.variants <> [] && not (List.mem p.Protocol.variant P.variants) then
+          [
+            Printf.sprintf "unknown %s variant %S; variants: %s" name p.Protocol.variant
+              (String.concat ", " P.variants);
+          ]
+        else List.map (Printf.sprintf "%s: %s" name) (P.validate p)
+  in
   let checked protocols (p : Protocol.params) errs =
     let size =
       match Sim.check_size ~n:p.Protocol.n ~t:p.Protocol.t with
       | Ok () -> []
       | Error e -> [ Printf.sprintf "n=%d t=%d: %s" p.Protocol.n p.Protocol.t e ]
     in
-    let variant =
-      if List.mem "reduce" protocols
-         && not (List.mem p.Protocol.variant Protocol.reduce_variants)
-      then
-        [
-          Printf.sprintf "unknown reduce variant %S; variants: %s" p.Protocol.variant
-            (String.concat ", " Protocol.reduce_variants);
-        ]
-      else []
-    in
     let faults =
       match Faults.legal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
       | Ok () -> []
       | Error es -> List.map (fun e -> "illegal fault spec: " ^ e) es
     in
-    size @ variant @ faults @ errs
+    size @ List.concat_map (protocol_errors p) protocols @ faults @ errs
   in
   let errs =
     match spec with
@@ -330,22 +332,33 @@ let rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref =
 
 let is_rt backend = String.length backend >= 2 && String.sub backend 0 2 = "rt"
 
-let crashes_count = function
-  | Crash.No_crashes -> 0
-  | Crash.Exactly { crashes; _ } -> crashes
-  | Crash.Random_up_to { max_crashes; _ } -> max_crashes
-  | Crash.Explicit l -> List.length l
-  | Crash.Initial l -> List.length l
+(* A float flag that parses back to itself: [%g] whenever that
+   round-trips, so such replays keep a stable text; all digits otherwise. *)
+let float_flag f =
+  let s = Printf.sprintf "%g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
+(* The flags name no fault spec, and their crash flag means [--crashes 0]
+   = none, [--crashes c] = c random crashes in [0, 20). *)
 let replay_command family (p : Protocol.params) =
-  Printf.sprintf
-    "dune exec bin/fdkit.exe -- run --protocol %s -n %d -t %d -z %d -k %d -x %d -y %d \
-     --crashes %d --gst %g --horizon %g --variant %s --seed %d%s%s"
-    family p.Protocol.n p.Protocol.t p.Protocol.z p.Protocol.k p.Protocol.x p.Protocol.y
-    (crashes_count p.Protocol.crashes)
-    p.Protocol.gst p.Protocol.horizon p.Protocol.variant p.Protocol.seed
-    (if p.Protocol.backend = "sim" then "" else " --backend " ^ p.Protocol.backend)
-    (if p.Protocol.adversarial then " --adversarial" else "")
+  let crashes =
+    match p.Protocol.crashes with
+    | Crash.No_crashes | Crash.Explicit [] -> Some 0
+    | Crash.Exactly { crashes; window = 0.0, 20.0 } when crashes >= 0 -> Some crashes
+    | _ -> None
+  in
+  match crashes with
+  | Some crashes when Faults.equal p.Protocol.faults Faults.none ->
+      Some
+        (Printf.sprintf
+           "dune exec bin/fdkit.exe -- run --protocol %s -n %d -t %d -z %d -k %d -x %d \
+            -y %d --crashes %d --gst %s --horizon %s --variant %s --seed %d%s%s"
+           family p.Protocol.n p.Protocol.t p.Protocol.z p.Protocol.k p.Protocol.x
+           p.Protocol.y crashes (float_flag p.Protocol.gst)
+           (float_flag p.Protocol.horizon) p.Protocol.variant p.Protocol.seed
+           (if p.Protocol.backend = "sim" then "" else " --backend " ^ p.Protocol.backend)
+           (if p.Protocol.adversarial then " --adversarial" else ""))
+  | _ -> None
 
 let sim_body pk (p : Protocol.params) =
   let r = Protocol.run pk p in
@@ -382,7 +395,7 @@ let protocol_job ~fingerprint protocol pk (base : Protocol.params) seed =
   in
   Runner.job ~exp:protocol ~seed
     ~params:(Protocol.params_to_json p)
-    ~replay:(replay_command protocol p)
+    ?replay:(replay_command protocol p)
     ?key
     (fun () -> protocol_body pk p)
 

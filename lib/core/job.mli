@@ -86,11 +86,13 @@ val of_flags :
 
 val validate : spec -> (unit, string list) result
 (** Static checks before running: protocol and mix names against the
-    registries, n and t against {!Setagree_dsys.Sim.check_size}, a
-    [reduce] variant against {!Protocol.reduce_variants}, fault-spec
-    legality; for a replay, that the file exists and loads, the index is
-    in range and the recorded protocol is registered, with the messages
-    [fdkit replay] prints. *)
+    registries, n and t against {!Setagree_dsys.Sim.check_size}, the
+    variant against the protocol's {!Protocol.S.variants}, the oracle
+    parameters it reads against {!Protocol.S.validate} (for a chaos
+    spec, every swept protocol's), fault-spec legality; for a replay,
+    that the file exists and loads, the index is in range and the
+    recorded protocol is registered, with the messages [fdkit replay]
+    prints. *)
 
 (** {1 Execution} *)
 
@@ -101,10 +103,12 @@ val rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref
     explanatory note.  rt jobs are never cached (wall-clock
     nondeterministic). *)
 
-val replay_command : string -> Protocol.params -> string
+val replay_command : string -> Protocol.params -> string option
 (** The ready-to-paste [fdkit run] command reproducing one job (goes
-    into triage records and bench artifacts).  It names the backend
-    whenever that is not ["sim"]. *)
+    into triage records and bench artifacts), naming the backend unless
+    ["sim"]; [None] when no command line expresses [params]: a fault spec
+    other than [Faults.none], or crashes other than none or [Exactly] in
+    the CLI's window [(0, 20)].  Floats print exactly. *)
 
 type outcome = {
   o_spec : spec;

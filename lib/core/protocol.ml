@@ -1,5 +1,6 @@
 open Setagree_util
 open Setagree_dsys
+open Setagree_net
 open Setagree_fd
 
 type params = {
@@ -111,6 +112,8 @@ module type S = sig
 
   val name : string
   val horizon_hint : float
+  val variants : string list
+  val validate : params -> string list
   val install : Sim.t -> params -> t
   val stop : t -> unit -> bool
   val check : t -> Check.verdict
@@ -128,6 +131,17 @@ type packed = (module S)
 let behavior_of p = Behavior.of_adversary p.faults.Faults.adversary ~gst:p.gst
 
 let proposals_of p = Array.init p.n (fun i -> 100 + i)
+
+let errors checks = List.filter_map (function Ok () -> None | Error e -> Some e) checks
+
+(* The entry of a protocol's variant table that [p.variant] names. *)
+let variant_entry name table p =
+  match List.assoc_opt p.variant table with
+  | Some entry -> entry
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Protocol.%s: unknown variant %S (%s)" name p.variant
+           (String.concat "|" (List.map fst table)))
 
 (* Safety-only k-set verdict: validity, agreement and single-decision,
    but NOT termination — meaningful on partial (explored) runs, where
@@ -164,6 +178,8 @@ module Kset_p = struct
 
   let name = "kset"
   let horizon_hint = 5000.0
+  let variants = []
+  let validate p = errors [ Oracle.check_z ~n:p.n ~z:p.z ]
 
   let install sim p =
     let proposals = proposals_of p in
@@ -201,6 +217,8 @@ module Consensus_p = struct
 
   let name = "consensus_s"
   let horizon_hint = 5000.0
+  let variants = []
+  let validate _ = []
 
   let install sim p =
     let proposals = proposals_of p in
@@ -229,6 +247,8 @@ module Wheels_p = struct
 
   let name = "wheels"
   let horizon_hint = 400.0
+  let variants = []
+  let validate p = errors [ Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:p.y ]
 
   let install sim p =
     let behavior = behavior_of p in
@@ -267,6 +287,8 @@ module Psi_p = struct
 
   let name = "psi"
   let horizon_hint = 400.0
+  let variants = []
+  let validate p = errors [ Oracle.check_y ~t:p.t ~y:p.y ]
 
   let install sim p =
     let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior:(behavior_of p) () in
@@ -300,38 +322,54 @@ module Reduce_p = struct
   let name = "reduce"
   let horizon_hint = 5000.0
 
-  (* The source class Ω_z is built from, by [p.variant]. *)
-  let variants =
+  (* The source class Ω_z is built from, by [p.variant]: the ranges its
+     constructors enforce, and the construction with the tie-break
+     Figure 3 then uses. *)
+  let table =
     [
       ( "es",
-        fun sim p behavior ->
-          let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
-          let w = Reduce.omega_from_es sim ~suspector ~x:p.x () in
-          (Wheels.omega w, Wheels.z w) );
+        ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:0),
+          fun sim p behavior ->
+            let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
+            let w = Reduce.omega_from_es sim ~suspector ~x:p.x () in
+            (Wheels.omega w, Wheels.z w, Kset.Smallest) ) );
       ( "phi",
-        fun sim p behavior ->
-          let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
-          let w = Reduce.omega_from_phi sim ~querier ~y:p.y () in
-          (Wheels.omega w, Wheels.z w) );
+        ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:1 ~y:p.y),
+          fun sim p behavior ->
+            let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
+            let w = Reduce.omega_from_phi sim ~querier ~y:p.y () in
+            (Wheels.omega w, Wheels.z w, Kset.Smallest) ) );
       ( "psi",
-        fun sim p behavior ->
-          let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior () in
-          let h = Reduce.omega_from_psi sim ~querier ~y:p.y in
-          (Psi_to_omega.omega h, Psi_to_omega.z h) );
+        ( (fun p -> Oracle.check_y ~t:p.t ~y:p.y),
+          fun sim p behavior ->
+            let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior () in
+            let h = Reduce.omega_from_psi sim ~querier ~y:p.y in
+            (Psi_to_omega.omega h, Psi_to_omega.z h, Kset.Smallest) ) );
+      (* Theorem 8's addition: ◇S_x + ◇φ_y through both wheels.  With
+         [adversarial] set Figure 3 breaks ties by pid, as kset's misuse
+         wiring does. *)
+      ( "wheels",
+        ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:p.y),
+          fun sim p behavior ->
+            let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
+            let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
+            let w = Wheels.install sim ~suspector ~querier ~x:p.x ~y:p.y () in
+            let tie_break = if p.adversarial then Kset.By_pid else Kset.Smallest in
+            (Wheels.omega w, Wheels.z w, tie_break) ) );
     ]
 
+  let variants = List.map fst table
+
+  let validate p =
+    match List.assoc_opt p.variant table with
+    | Some (check, _) -> errors [ check p ]
+    | None -> []
+
   let install sim p =
-    let behavior = behavior_of p in
-    let omega, z =
-      match List.assoc_opt p.variant variants with
-      | Some build -> build sim p behavior
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Protocol.reduce: unknown variant %S (%s)" p.variant
-               (String.concat "|" (List.map fst variants)))
-    in
+    let _, build = variant_entry name table p in
+    let omega, z, tie_break = build sim p (behavior_of p) in
     let proposals = proposals_of p in
-    let h = Reduce.solve_kset sim ~omega ~proposals () in
+    let h = Reduce.solve_kset sim ~omega ~proposals ~tie_break () in
     { sim; z; proposals; h }
 
   let stop t () = Kset.all_correct_decided t.h
@@ -350,9 +388,131 @@ module Reduce_p = struct
     ]
 end
 
-(* ---- registry ---- *)
+module Strengthen_p = struct
+  type t = { sim : Sim.t; st : Strengthen.t; mon : Monitor.t }
 
-let reduce_variants = List.map fst Reduce_p.variants
+  let name = "strengthen"
+  let horizon_hint = 400.0
+
+  (* Figure 9 (Appendix B), by [p.variant]: from ◇S_x + ◇φ_y or from
+     the perpetual S_x + φ_y, in shared memory or message passing. *)
+  let table =
+    [
+      ("es", (true, `Shm)); ("s", (false, `Shm)); ("es-mp", (true, `Mp)); ("s-mp", (false, `Mp));
+    ]
+
+  let variants = List.map fst table
+  let validate p = errors [ Oracle.check_x ~n:p.n ~x:p.x; Oracle.check_y ~t:p.t ~y:p.y ]
+
+  let install sim p =
+    let eventual, substrate = variant_entry name table p in
+    let behavior = behavior_of p in
+    let suspector, _ =
+      (if eventual then Oracle.es_x else Oracle.s_x) sim ~x:p.x ~behavior ()
+    in
+    let querier, _ =
+      (if eventual then Oracle.ephi_y else Oracle.phi_y) sim ~y:p.y ~behavior ()
+    in
+    let st =
+      match substrate with
+      | `Shm -> Strengthen.install_shm sim ~suspector ~querier ()
+      | `Mp -> Strengthen.install_mp sim ~suspector ~querier ()
+    in
+    let read = (Strengthen.output st).Iface.suspected in
+    { sim; st; mon = Monitor.watch sim ~kind:"es" ~read () }
+
+  let stop _ () = false
+
+  (* The strengthened output is checked at full scope: ◇S = ◇S_n. *)
+  let check t =
+    Check.es_x t.sim ~x:(Sim.n t.sim) ~deadline:(Sim.horizon t.sim -. 80.0) t.mon
+
+  let violation _ = []
+
+  let metrics t =
+    let refresh i acc = max acc (Strengthen.refreshes t.st i) in
+    [
+      ("refresh", float_of_int (Pidset.fold refresh (Sim.correct_set t.sim) 0));
+      ("msgs", float_of_int (Trace.counter (Sim.trace t.sim) "strengthen.hb.sent"));
+    ]
+end
+
+module Impl_p = struct
+  type t = {
+    hb : Impl.t;
+    kset : Kset.t option;  (** the kset variant's Figure 3 *)
+    certify : unit -> Check.verdict;
+    safety : unit -> string list;
+  }
+
+  let name = "impl"
+  let horizon_hint = 300.0
+
+  (* What is built on the heartbeat detectors and checked, by
+     [p.variant]: the suspector as ◇P, the leader as Ω_z, the querier as
+     ◇φ_y, or z-set agreement over the implemented Ω_z. *)
+  let table = [ ("es", `Es); ("omega", `Omega); ("phi", `Phi); ("kset", `Kset) ]
+  let variants = List.map fst table
+
+  (* p1 probes the querier on two disjoint regions, one at each end of
+     the pid range. *)
+  let regions ~n =
+    if n < 5 then Error (Printf.sprintf "n=%d: impl/phi probes two disjoint regions, n >= 5" n)
+    else Ok [ Pidset.of_list [ n - 3; n - 2 ]; Pidset.of_list [ 0; 1 ] ]
+
+  let validate p =
+    match List.assoc_opt p.variant table with
+    | Some (`Omega | `Kset) -> errors [ Oracle.check_z ~n:p.n ~z:p.z ]
+    | Some `Phi ->
+        errors [ Oracle.check_y ~t:p.t ~y:p.y; Result.map ignore (regions ~n:p.n) ]
+    | Some `Es | None -> []
+
+  let install sim p =
+    let what = variant_entry name table p in
+    let delay = Delay.Psync { gst = p.gst; bound = 2.0; pre_spread = p.gst -. 5.0 } in
+    let hb = Impl.install sim ~delay () in
+    let deadline = Sim.horizon sim -. 80.0 in
+    let detector certify = { hb; kset = None; certify; safety = (fun () -> []) } in
+    let watch kind read check =
+      let mon = Monitor.watch sim ~kind ~read () in
+      detector (fun () -> check ~deadline mon)
+    in
+    match what with
+    | `Es -> watch "es" (Impl.suspector hb).Iface.suspected (Check.es_x sim ~x:p.n)
+    | `Omega ->
+        watch "omega" (Impl.omega hb ~z:p.z).Iface.trusted (Check.omega_z sim ~z:p.z)
+    | `Phi ->
+        let regions = Result.fold ~ok:Fun.id ~error:invalid_arg (regions ~n:p.n) in
+        let q, log = Impl.querier hb ~y:p.y in
+        Sim.spawn sim ~pid:0 (fun () ->
+            while true do
+              List.iter (fun x -> ignore (q.Iface.query 0 x)) regions;
+              Sim.sleep 2.0
+            done);
+        detector (fun () -> Check.phi_y sim ~y:p.y ~eventual:true ~deadline log)
+    | `Kset ->
+        let proposals = proposals_of p in
+        let h = Kset.install sim ~omega:(Impl.omega hb ~z:p.z) ~proposals () in
+        let decisions () = Kset.decisions h and k = p.z in
+        {
+          hb;
+          kset = Some h;
+          certify = (fun () -> Check.k_set_agreement sim ~k ~proposals ~decisions:(decisions ()));
+          safety = (fun () -> kset_safety ~k ~proposals (decisions ()));
+        }
+
+  let stop t () = Option.fold ~none:false ~some:Kset.all_correct_decided t.kset
+  let check t = t.certify ()
+  let violation t = t.safety ()
+
+  let metrics t =
+    ("heartbeats", float_of_int (Impl.heartbeats_sent t.hb))
+    :: Option.fold ~none:[]
+         ~some:(fun h -> [ ("rounds", float_of_int (Kset.max_round h)) ])
+         t.kset
+end
+
+(* ---- registry ---- *)
 
 let registry : (string * packed) list =
   [
@@ -361,6 +521,8 @@ let registry : (string * packed) list =
     ("wheels", (module Wheels_p));
     ("psi", (module Psi_p));
     ("reduce", (module Reduce_p));
+    ("strengthen", (module Strengthen_p));
+    ("impl", (module Impl_p));
   ]
 
 let find name = List.assoc_opt name registry

@@ -2,10 +2,12 @@
 
     Every runnable artifact of the reproduction — the k-set agreement
     algorithm, the ◇S-based consensus baseline, the two-wheels and Ψ-chain
-    transformations, and the generic reduction pipelines — is exposed
-    behind one module type {!S} and a by-name {!registry}, so the CLI
-    ([fdkit run/campaign/explore/replay]) and the bench harness share a
-    single wiring instead of duplicating per-protocol setup.
+    transformations, the generic reduction pipelines, the Figure 9
+    strengthening and the heartbeat-implemented detectors — is exposed
+    behind one module type {!S} and a by-name {!registry}.  This is the
+    one place each paper stack is wired: the CLI
+    ([fdkit run/campaign/explore/replay]), the daemon and the bench
+    harness all run it through {!Job.execute} or {!run}.
 
     A protocol takes the flat {!params} record (unused fields are simply
     ignored by a given protocol), installs itself on a fresh simulator,
@@ -21,11 +23,11 @@ type params = {
   n : int;
   t : int;
   seed : int;
-  z : int;  (** Ω_z width (kset) *)
+  z : int;  (** Ω_z width (kset, impl) *)
   k : int;  (** agreement degree checked (kset) *)
-  x : int;  (** ◇S_x scope (wheels, reduce/es) *)
-  y : int;  (** ◇φ_y / Ψ_y strength (wheels, psi, reduce) *)
-  gst : float;  (** oracle stabilization time; 0 = perfect behavior *)
+  x : int;  (** ◇S_x scope (wheels, reduce, strengthen) *)
+  y : int;  (** ◇φ_y / Ψ_y strength (wheels, psi, reduce, strengthen, impl) *)
+  gst : float;  (** oracle (impl: network) stabilization time; 0 = perfect *)
   horizon : float;  (** virtual-time budget; 0 = the protocol's hint *)
   crashes : Crash.spec;
   faults : Faults.t;
@@ -35,8 +37,11 @@ type params = {
           name feeds [Behavior.of_adversary] against [gst]. *)
   adversarial : bool;
       (** kset: constant Ω_z trusted set + [By_pid] tie-break — the E2
-          mis-use configuration the explorer attacks (z > k violates) *)
-  variant : string;  (** reduce source: ["es"], ["phi"] or ["psi"] *)
+          mis-use configuration the explorer attacks (z > k violates);
+          reduce/wheels: the [By_pid] tie-break *)
+  variant : string;
+      (** one of {!S.variants}: reduce's source class, strengthen's
+          classes and substrate, impl's certificate *)
   trace : string;
       (** trace level: ["off"], ["default"] or ["full"] (unknown strings
           fall back to ["default"]).  Pure observability — the level
@@ -64,6 +69,17 @@ module type S = sig
   val horizon_hint : float
   (** Default virtual-time budget when [params.horizon = 0]. *)
 
+  val variants : string list
+  (** The [params.variant]s its one table holds, the default (["es"])
+      first; [[]] when it reads no variant. *)
+
+  val validate : params -> string list
+  (** Why {!install} would refuse [params] (a variant from {!variants}):
+      one message per out-of-range field it reads, with the ranges of the
+      constructors that raise on them.  Theorem preconditions (z <= k,
+      x + y >= t + 1, ...) are not refused; n and t are
+      {!Sim.check_size}'s. *)
+
   val install : Sim.t -> params -> t
   (** Wire the protocol (and the oracles it consumes) onto the simulator.
       Call before [Sim.run]. *)
@@ -88,9 +104,6 @@ type packed = (module S)
 val registry : (string * packed) list
 val find : string -> packed option
 val names : unit -> string list
-
-val reduce_variants : string list
-(** The [variant]s the [reduce] protocol accepts: [["es"; "phi"; "psi"]]. *)
 
 (** {1 Running} *)
 

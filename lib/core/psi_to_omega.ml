@@ -11,7 +11,8 @@ type t = {
 let create sim ~(querier : Iface.querier) ~y =
   let n = Sim.n sim in
   let tb = Sim.t_bound sim in
-  if y < 0 || y > tb then invalid_arg "Psi_to_omega.create: bad y";
+  Result.iter_error (fun e -> invalid_arg ("Psi_to_omega.create: " ^ e))
+    (Oracle.check_y ~t:tb ~y);
   let z = tb + 1 - y in
   let len = Bounds.psi_chain_length ~n ~z in
   let chain =

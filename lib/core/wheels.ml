@@ -11,12 +11,17 @@ type t = {
   upper : Wheels_upper.t;
 }
 
+let check ~n ~t ~x ~y =
+  if Bounds.wheels_admissible ~n ~t ~x ~y then Ok ()
+  else
+    Error (Printf.sprintf "x=%d y=%d: the wheels need 1 <= x, 0 <= y, x + y <= t + 1 <= n + y" x y)
+
 let install sim ~(suspector : Iface.suspector) ~(querier : Iface.querier) ~x ~y
     ?(step = 1.0) ?(delay = Delay.default) () =
   let n = Sim.n sim in
   let tb = Sim.t_bound sim in
-  if not (Bounds.wheels_admissible ~n ~t:tb ~x ~y) then
-    invalid_arg "Wheels.install: inadmissible (x, y) for this (n, t)";
+  Result.iter_error (fun e -> invalid_arg ("Wheels.install: " ^ e))
+    (check ~n ~t:tb ~x ~y);
   let z = Bounds.z_of_addition ~t:tb ~x ~y in
   let lower = Wheels_lower.install sim ~suspector ~x ~step ~delay () in
   let upper =

@@ -17,6 +17,9 @@ open Setagree_fd
 
 type t
 
+val check : n:int -> t:int -> x:int -> y:int -> (unit, string) result
+(** {!Bounds.wheels_admissible}, with the bounds {!install} refuses. *)
+
 val install :
   Sim.t ->
   suspector:Iface.suspector ->

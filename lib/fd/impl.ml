@@ -54,7 +54,7 @@ let suspector t =
 
 let omega t ~z =
   let n = Sim.n t.sim in
-  if z < 1 || z > n then invalid_arg "Impl.omega: bad z";
+  Result.iter_error (fun e -> invalid_arg ("Impl.omega: " ^ e)) (Oracle.check_z ~n ~z);
   {
     Iface.trusted =
       (fun i ->
@@ -71,7 +71,7 @@ let omega t ~z =
 
 let querier t ~y =
   let tb = Sim.t_bound t.sim in
-  if y < 0 || y > tb then invalid_arg "Impl.querier: bad y";
+  Result.iter_error (fun e -> invalid_arg ("Impl.querier: " ^ e)) (Oracle.check_y ~t:tb ~y);
   let log : Oracle.query_log = ref [] in
   let query i x =
     let c = Pidset.cardinal x in

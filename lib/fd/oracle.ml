@@ -48,6 +48,16 @@ let draw_rng ~seed parts =
 
 let epoch_of (b : Behavior.t) now = int_of_float (now /. b.epoch)
 
+let in_range name v ~lo ~hi bound =
+  if lo <= v && v <= hi then Ok ()
+  else Error (Printf.sprintf "%s=%d: need %d <= %s <= %s = %d" name v lo name bound hi)
+
+let check_x ~n ~x = in_range "x" x ~lo:1 ~hi:n "n"
+let check_z ~n ~z = in_range "z" z ~lo:1 ~hi:n "n"
+let check_y ~t ~y = in_range "y" y ~lo:0 ~hi:t "t"
+
+let require who = Result.iter_error (fun e -> invalid_arg (who ^ ": " ^ e))
+
 let min_correct sim =
   match Pidset.min_elt_opt (Sim.correct_set sim) with
   | Some p -> p
@@ -58,7 +68,7 @@ let min_correct sim =
    and it is harder on client algorithms). *)
 let pick_scope sim ~x ~seed ~protected =
   let n = Sim.n sim in
-  if x < 1 || x > n then invalid_arg "Oracle: scope size x out of range";
+  require "Oracle: scope size" (check_x ~n ~x);
   let rng = draw_rng ~seed [ 7; x ] in
   let others = List.filter (fun p -> p <> protected) (Pid.all ~n) in
   let chosen = List.filteri (fun i _ -> i < x - 1) (Rng.shuffle rng others) in
@@ -201,7 +211,7 @@ let eventually_p sim ?(behavior = Behavior.stormy ~gst:50.0) ?(seed = 0x5EED) ()
 
 let omega_z sim ~z ?(behavior = Behavior.stormy ~gst:50.0) ?(seed = 0x5EED) () =
   let n = Sim.n sim in
-  if z < 1 || z > n then invalid_arg "Oracle.omega_z: z out of range";
+  require "Oracle.omega_z" (check_z ~n ~z);
   match external_source () with
   | Some e ->
       (* The eventual set is not known in advance for an extracted
@@ -259,7 +269,7 @@ let omega_z sim ~z ?(behavior = Behavior.stormy ~gst:50.0) ?(seed = 0x5EED) () =
 
 let querier_of sim ~y ~(behavior : Behavior.t) ~seed ~perpetual =
   let t = Sim.t_bound sim in
-  if y < 0 || y > t then invalid_arg "Oracle: phi parameter y out of range";
+  require "Oracle: phi parameter" (check_y ~t ~y);
   match external_source () with
   | Some e ->
       ignore perpetual;

@@ -38,6 +38,16 @@ val set_external : external_source option -> unit
 
 val external_source : unit -> external_source option
 
+(** {1 Parameter ranges}
+
+    ◇S_x / S_x scope [1 <= x <= n], Ω_z width [1 <= z <= n], φ_y / ◇φ_y /
+    Ψ_y strength [0 <= y <= t].  The constructors below raise
+    [Invalid_argument] exactly when these return [Error]. *)
+
+val check_x : n:int -> x:int -> (unit, string) result
+val check_z : n:int -> z:int -> (unit, string) result
+val check_y : t:int -> y:int -> (unit, string) result
+
 (** {1 Suspector classes} *)
 
 val es_x :

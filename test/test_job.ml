@@ -292,6 +292,19 @@ let test_cache_fingerprint_invalidation () =
     (Runner.signature o) (Runner.signature warm);
   rm_rf dir
 
+(* Every registered protocol names the modules its [install] reaches:
+   reduce runs Figure 3 (kset.ml) over a wheels or Psi-chain Omega_z. *)
+let test_fingerprint_lists () =
+  List.iter
+    (fun name ->
+      check (name ^ " has a source list") true
+        (List.mem_assoc name Fingerprint.protocol_files))
+    (Protocol.names ());
+  let reduce = List.assoc "reduce" Fingerprint.protocol_files in
+  List.iter
+    (fun f -> check ("reduce covers " ^ f) true (List.mem f reduce))
+    [ "lib/core/kset.ml"; "lib/core/wheels.ml"; "lib/core/psi_to_omega.ml" ]
+
 let test_cache_key_sensitivity () =
   let key parts = Runner.Cache.key ~parts in
   let base = [ "1"; "fp"; "run"; "kset"; "{\"n\":8,\"seed\":1}" ] in
@@ -424,7 +437,9 @@ let test_cli_nested_out () =
 
 (* Parameters outside what the engine accepts end as a refused spec
    (exit 3: [Job.validate] says no, so the daemon refuses them at submit
-   too) or as a failed job (exit 1), never as an uncaught exception. *)
+   too) or as a failed job (exit 1), never as an uncaught exception.
+   Oracle ranges (z, x, y, wheels admissibility) are refused like n and
+   t. *)
 let test_cli_bad_params () =
   List.iter
     (fun (args, expected) ->
@@ -436,9 +451,9 @@ let test_cli_bad_params () =
     [
       ([ "-n"; "3"; "-t"; "3" ], 3);
       ([ "-n"; "0" ], 3);
-      ([ "-z"; "0" ], 1);
-      ([ "-p"; "wheels"; "-x"; "0"; "-y"; "0" ], 1);
-      ([ "-p"; "psi"; "-y"; "9" ], 1);
+      ([ "-z"; "0" ], 3);
+      ([ "-p"; "wheels"; "-x"; "0"; "-y"; "0" ], 3);
+      ([ "-p"; "psi"; "-y"; "9" ], 3);
       ([ "-n"; "2000"; "-t"; "3"; "--horizon"; "1" ], 3);
       ([ "-p"; "reduce"; "--variant"; "bogus" ], 3);
     ];
@@ -452,6 +467,101 @@ let test_cli_bad_params () =
       ("kset", { Protocol.default with Protocol.n = 2000 });
       ("reduce", { Protocol.default with Protocol.variant = "bogus" });
     ]
+
+(* Theorem 5's explorer refuses an Ω_0 configuration instead of
+   searching it: the adversarial kset wiring never builds the oracle
+   that checks z, so [Job.validate] must. *)
+let test_cli_oracle_ranges () =
+  let code, text =
+    fdkit
+      [ "explore"; "-p"; "kset"; "-n"; "7"; "-t"; "2"; "-z"; "0"; "-k"; "1"; "--depth"; "6";
+        "--delays"; "1"; "--walks"; "0" ]
+  in
+  check_int ("explore -z 0: exit\n" ^ text) 3 code;
+  List.iter
+    (fun (protocol, p) ->
+      check (protocol ^ ": validate refuses") true
+        (Result.is_error (Job.validate (Job.of_flags ~kind:`Run ~protocol p))))
+    [
+      ("kset", { Protocol.default with Protocol.z = 9 });
+      ("reduce", { Protocol.default with Protocol.variant = "es"; x = 5 });
+      ("reduce", { Protocol.default with Protocol.variant = "wheels"; x = 3; y = 2 });
+      ("strengthen", { Protocol.default with Protocol.x = 0 });
+      ("impl", { Protocol.default with Protocol.variant = "phi"; n = 4; t = 1 });
+      ("impl", { Protocol.default with Protocol.variant = "omega"; z = 0 });
+    ];
+  (* Theorem preconditions are swept, not refused: z > k (misuse),
+     x + y < t + 1 for strengthen. *)
+  List.iter
+    (fun (protocol, p) ->
+      check (protocol ^ ": validate accepts") true
+        (Job.validate (Job.of_flags ~kind:`Run ~protocol p) = Ok ()))
+    [
+      ("kset", { Protocol.default with Protocol.z = 2; k = 1; adversarial = true });
+      ("strengthen", { Protocol.default with Protocol.x = 1; y = 0 });
+      ("impl", { Protocol.default with Protocol.variant = "phi" });
+    ]
+
+(* A bench or triage replay command is either absent, because no flags
+   express the params, or reproduces through the built fdkit the verdict
+   line and the metrics [Job.execute] gives the same params. *)
+let test_cli_replay_commands () =
+  let prefix = "dune exec bin/fdkit.exe -- " in
+  let cases =
+    List.concat_map
+      (fun (protocol, (module P : Protocol.S)) ->
+        List.map
+          (fun variant -> (protocol, { Protocol.default with Protocol.variant }))
+          (match P.variants with [] -> [ "es" ] | l -> l))
+      Protocol.registry
+    @ [
+        ("kset", { Protocol.default with Protocol.gst = 12.3456789 });
+        ("kset", { Protocol.default with Protocol.crashes = Setagree_dsys.Crash.No_crashes });
+        ( "kset",
+          { Protocol.default with Protocol.crashes = Setagree_dsys.Crash.Explicit [ (7, 0.0) ] } );
+        ( "kset",
+          {
+            Protocol.default with
+            Protocol.faults = { Setagree_dsys.Faults.none with Setagree_dsys.Faults.adversary = "calm" };
+          } );
+      ]
+  in
+  List.iter
+    (fun (protocol, (p : Protocol.params)) ->
+      let label = Printf.sprintf "%s/%s gst=%g" protocol p.Protocol.variant p.Protocol.gst in
+      let expressible =
+        Setagree_dsys.Faults.equal p.Protocol.faults Setagree_dsys.Faults.none
+        && (match p.Protocol.crashes with Setagree_dsys.Crash.Explicit _ -> false | _ -> true)
+      in
+      match Job.replay_command protocol p with
+      | None -> check (label ^ ": no replay only when inexpressible") false expressible
+      | Some cmd ->
+          check (label ^ ": replay when expressible") true expressible;
+          check (label ^ ": fdkit command") true (String.starts_with ~prefix cmd);
+          let args =
+            String.split_on_char ' '
+              (String.sub cmd (String.length prefix) (String.length cmd - String.length prefix))
+          in
+          let rec flag = function
+            | "--gst" :: v :: _ -> float_of_string v
+            | _ :: rest -> flag rest
+            | [] -> nan
+          in
+          check (label ^ ": --gst parses back exactly") true (flag args = p.Protocol.gst);
+          let code, text = fdkit args in
+          let r =
+            (Job.execute (Job.Run { protocol; params = p })).Job.o_campaign.Runner.c_results.(0)
+          in
+          let expected =
+            Printf.sprintf "%s seed=%d: %s\n" protocol p.Protocol.seed
+              (Format.asprintf "%a" Setagree_fd.Check.pp_verdict
+                 { Setagree_fd.Check.ok = r.Runner.r_ok; notes = r.Runner.r_notes })
+            ^ String.concat ""
+                (List.map (fun (k, v) -> Printf.sprintf "  %-18s %g\n" k v) r.Runner.r_metrics)
+          in
+          Alcotest.(check string) (label ^ ": " ^ cmd) expected text;
+          check_int (label ^ ": exit") (if r.Runner.r_ok then 0 else 1) code)
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* The serve daemon, end to end                                        *)
@@ -1777,6 +1887,36 @@ let test_daemon_replay_paths_agree () =
   Domain.join d;
   rm_rf dir
 
+(* The daemon refuses at submit what [fdkit explore -z 0] refuses. *)
+let test_daemon_refuses_oracle_range () =
+  let dir = tmpdir "zrange" in
+  let spec =
+    Job.of_flags ~kind:`Explore ~protocol:"kset"
+      ~bounds:{ Explorer.default_bounds with Explorer.depth = 6; delays = 1; walks = 0 }
+      {
+        Protocol.default with
+        Protocol.n = 7;
+        t = 2;
+        z = 0;
+        k = 1;
+        crashes = Setagree_dsys.Crash.No_crashes;
+      }
+  in
+  check "validate refuses z = 0" true (Result.is_error (Job.validate spec));
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  let ack = expect (Serve.Client.submit conn spec) in
+  check "rejected at submit" true
+    (frame_type ack = "ack" && Json.member "accepted" ack = Some (Json.Bool false));
+  (match record_of conn (ack_id ack) with
+  | Some r -> check "exit 3" true (Json.member "exit" r = Some (Json.Int 3))
+  | None -> Alcotest.fail "rejected record missing from status");
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
 let iop_to_string = function
   | I_submit (c, s) -> Printf.sprintf "submit(%d,%d)" c s
   | I_cancel c -> Printf.sprintf "cancel(%d)" c
@@ -2061,6 +2201,7 @@ let () =
           Alcotest.test_case "fingerprint invalidation" `Quick
             test_cache_fingerprint_invalidation;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
+          Alcotest.test_case "fingerprint lists" `Quick test_fingerprint_lists;
           Alcotest.test_case "key recipe pinned" `Quick test_cache_keys_pinned;
           Alcotest.test_case "rt never cached" `Quick test_rt_jobs_never_cached;
         ] );
@@ -2068,6 +2209,8 @@ let () =
         [
           Alcotest.test_case "nested --out directories" `Quick test_cli_nested_out;
           Alcotest.test_case "bad params fail cleanly" `Quick test_cli_bad_params;
+          Alcotest.test_case "oracle ranges refused" `Quick test_cli_oracle_ranges;
+          Alcotest.test_case "replay commands reproduce" `Quick test_cli_replay_commands;
         ] );
       ( "daemon",
         [
@@ -2083,6 +2226,7 @@ let () =
           Alcotest.test_case "history keeps the newest finished" `Quick
             test_daemon_history_bound;
           Alcotest.test_case "replay paths agree" `Quick test_daemon_replay_paths_agree;
+          Alcotest.test_case "oracle range refused" `Quick test_daemon_refuses_oracle_range;
         ] );
       ( "telemetry",
         [

@@ -427,10 +427,12 @@ let qcheck_differential_cons_s =
    event count and end time.  It was generated while the arena, the
    legacy-poll scheduler and the legacy queue could all be selected
    through [Protocol.params]; both legacy engines reproduced every entry.
-   Cases: every registered protocol (reduce with each variant) x seeds
-   1-3 x 0 or 2 crashes, kset under each chaos mix at seed 1, and the
-   first counterexample of CI's misuse exploration.  A mismatch prints
-   the case and its new entry; the file is only ever edited by hand. *)
+   Cases: every registered protocol (each variant of those that have
+   some) x seeds 1-3 x 0 or 2 crashes, kset under each chaos mix at seed
+   1, and the first counterexample of CI's misuse exploration.  The
+   strengthen, impl and reduce/wheels cases were appended after the
+   legacy engines had gone, from the arena alone.  A mismatch prints the
+   case and its new entry; the file is only ever edited by hand. *)
 
 let corpus_file =
   (* [dune runtest] runs next to the copied file; [dune exec] from the
@@ -490,6 +492,28 @@ let test_golden_corpus () =
   let cases = List.filter (( <> ) "") (String.split_on_char '\n' (In_channel.input_all ic)) in
   close_in ic;
   check "corpus is not empty" true (cases <> []);
+  let covered =
+    List.filter_map
+      (fun line ->
+        let j = Json.of_string_exn line in
+        match (Json.member "protocol" j, Json.member "params" j) with
+        | Some (Json.String protocol), Some (Json.Obj params) ->
+            Some (protocol, (Protocol.params_of_json params).Protocol.variant)
+        | _ -> None)
+      cases
+  in
+  List.iter
+    (fun (name, (module P : Protocol.S)) ->
+      List.iter
+        (fun variant ->
+          check
+            (Printf.sprintf "corpus covers %s/%s" name variant)
+            true
+            (List.exists
+               (fun (protocol, v) -> protocol = name && (P.variants = [] || v = variant))
+               covered))
+        (match P.variants with [] -> [ "" ] | l -> l))
+    Protocol.registry;
   let changed =
     List.filter_map
       (fun line ->
