@@ -19,10 +19,12 @@ let ok_str v = if Check.verdict_ok v then "OK" else "FAIL"
 (* Seed sweeps go through the campaign engine: jobs run on
    [Runner.default_jobs] domains (override with BENCH_JOBS), rows print
    in canonical job order regardless of interleaving, and every
-   campaign lands in _results/BENCH_<exp>.json.  Failing jobs are
-   collected by [Bench_main] into _results/failures.json. *)
+   campaign lands in _results/BENCH_<exp>.json.  Every campaign an
+   experiment runs is noted in the triage sink ([Runner.note_campaign]),
+   whose failing jobs [Bench_main] writes to _results/failures.json. *)
 let campaign ?header ?jobs ~exp joblist =
   let c = Runner.run ?jobs ~exp joblist in
+  Runner.note_campaign c;
   (match header with Some h -> print_endline h | None -> ());
   List.iter print_endline (Runner.rows c);
   let path = Runner.write_artifact c in
@@ -173,22 +175,27 @@ let e2 () =
       (List.concat_map (fun cell -> List.init seeds (fun i -> misuse cell (i + 1))) cells)
   in
   Printf.printf "%-4s %-4s  %-12s  %s\n" "z" "k" "prediction" "outcome";
+  let refuted = ref [] in
   List.iteri
     (fun i (z, k) ->
       let results = List.init seeds (fun j -> c.Runner.c_results.((i * seeds) + j)) in
       let worst = List.fold_left (fun acc r -> max acc (rmetric r "distinct")) 0 results in
       let found = witness ~k results in
+      let predicted = (k < z && found <> None) || (k >= z && worst <= k) in
+      if not predicted then refuted := Printf.sprintf "z=%d k=%d" z k :: !refuted;
       Printf.printf "%-4d %-4d  %-12s  %s | %d seeds tried; max distinct decisions = %d | %s\n" z k
         (if k < z then "violable" else "safe")
-        (if (k < z && found <> None) || (k >= z && worst <= k) then "as predicted"
-         else "UNEXPECTED")
+        (if predicted then "as predicted" else "UNEXPECTED")
         seeds worst
         (match found with
         | Some r ->
             Printf.sprintf "seed %d decided %d > k = %d distinct values" r.Runner.r_seed
               (rmetric r "distinct") k
         | None -> Printf.sprintf "no seed exceeded k = %d" k))
-    cells
+    cells;
+  (* A refuted prediction fails the bench (and CI's figure step). *)
+  if !refuted <> [] then
+    failwith ("E2: Theorem 5 prediction refuted at " ^ String.concat ", " (List.rev !refuted))
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Figure 2 / Theorem 8 sufficiency: the full (x, y) sweep.       *)
@@ -574,7 +581,11 @@ let e8 () =
 
 let e9 () =
   section "E9  Irreducibility scenarios (Thms 10-12, Observation O1)";
-  let show r = Format.printf "%a@.@." Indist.pp_report r in
+  let refuted = ref [] in
+  let show (r : Indist.report) =
+    Format.printf "%a@.@." Indist.pp_report r;
+    if not r.Indist.ok then refuted := r.Indist.title :: !refuted
+  in
   show (Indist.phi_blind_to_victims ~n ~t ~y:1 ~crashes:2 ~seed:8001);
   show (Indist.phi_blind_to_victims ~n ~t ~y:2 ~crashes:1 ~seed:8002);
   show (Indist.omega_blind_to_crashes ~n ~t ~z:1 ~seed:8003);
@@ -582,7 +593,10 @@ let e9 () =
   show (Indist.thm10_pair ~n ~t ~x:4 ~y:1 ~seed:8005 ());
   show (Indist.thm10_pair ~n ~t ~x:8 ~y:2 ~seed:8006 ());
   show (Indist.thm12_pair ~n ~t ~z:1 ~y:1 ~seed:8007);
-  show (Indist.thm12_pair ~n ~t ~z:2 ~y:2 ~seed:8008)
+  show (Indist.thm12_pair ~n ~t ~z:2 ~y:2 ~seed:8008);
+  (* An unconfirmed scenario fails the bench (and CI's figure step). *)
+  if !refuted <> [] then
+    failwith ("E9: not confirmed: " ^ String.concat "; " (List.rev !refuted))
 
 (* ------------------------------------------------------------------ *)
 (* E10 — §3.2 zero-degradation ablation: repeated instances after
@@ -1306,6 +1320,7 @@ let explore () =
   let cell ?(artifact = false) name z =
     let o = Job.execute (Job.Explore { protocol = "kset"; params = params z; bounds }) in
     let c = o.Job.o_campaign in
+    Runner.note_campaign c;
     Printf.printf "%-22s %-8.0f %-8.0f %-8.0f %-8.0f %-8.0f %-8.1f %-6d\n" name
       (stat c "runs") (stat c "points") (stat c "prunes") (stat c "violations")
       (stat c "shrink_runs")
@@ -1343,6 +1358,7 @@ let chaos () =
   let spec = Job.of_flags ~kind:`Chaos ~seeds ~protocol:"" Protocol.default in
   let o = Option.get (Job.execute spec).Job.o_chaos in
   let c = o.Chaos.o_campaign in
+  Runner.note_campaign c;
   Printf.printf
     "[chaos] %d runs (%d protocols x %d mixes x %d seeds) on %d domain(s), %.2fs wall\n"
     o.Chaos.o_runs
@@ -1516,6 +1532,7 @@ let serve () =
     let cache = Runner.Cache.create ~dir () in
     let o = Job.execute ~cache ?fingerprint spec in
     let c = o.Job.o_campaign in
+    Runner.note_campaign c;
     Printf.printf "  %-24s %4d jobs: %4d cached, %4d executed, %6.2fs wall\n" tag
       (Array.length c.Runner.c_results)
       c.Runner.c_cache_hits c.Runner.c_executed c.Runner.c_wall_s;
@@ -1569,6 +1586,7 @@ let serve () =
   let timed f =
     let t0 = Unix.gettimeofday () in
     let c = (f ()).Job.o_campaign in
+    Runner.note_campaign c;
     (c, Unix.gettimeofday () -. t0)
   in
   let attached () =
@@ -1635,6 +1653,7 @@ let serve () =
        spec)
       .Job.o_campaign
   in
+  Runner.note_campaign c_interrupted;
   let executed1 = c_interrupted.Runner.c_executed in
   Printf.printf "  interrupted at %d/%d jobs (%d executed, %d stored)\n"
     !completed total executed1 (Runner.Cache.stores cache1);
@@ -1706,9 +1725,14 @@ let serve () =
   let run_spec seed =
     Job.of_flags ~kind:`Run ~protocol:"kset" { Protocol.default with Protocol.seed }
   in
+  (* The daemon's jobs feed no triage sink: a request whose job failed
+     (exit <> 0) fails the bench here. *)
   let request spec =
     match Serve.Client.submit conn spec with
-    | Ok v when Json.member "state" v = Some (Json.String "done") -> ()
+    | Ok v
+      when Json.member "state" v = Some (Json.String "done")
+           && Json.member "exit" v = Some (Json.Int 0) ->
+        ()
     | Ok v -> failwith ("SERVE: memory-gate request ended " ^ Json.to_string ~minify:true v)
     | Error e -> failwith ("SERVE: memory-gate request failed: " ^ e)
   in
@@ -1736,6 +1760,7 @@ let serve () =
   gate "recovery left jobs unaccounted" (hits2 + executed2 = total);
   gate "resumed signature differs from the cold signature"
     (sig_resumed = sig_cold);
+  gate "resumed job failed" (int_of "exit" = 0);
   gate "daemon VmRSS grew by more than 1 MB after warm-up" (rss_growth <= 1.0);
   let side tag (c : Runner.campaign) sg =
     ( tag,
@@ -1931,6 +1956,7 @@ let rt () =
   (* One campaign (hence one BENCH_rt.json artifact) over both sweeps;
      rows print per subsection in canonical job order. *)
   let c = Runner.run ~jobs:1 ~exp:"rt" (probe_jobs @ latency_jobs) in
+  Runner.note_campaign c;
   let n_probe = List.length probe_jobs in
   let all_rows = Array.to_list (Array.map (fun r -> r.Runner.r_row) c.Runner.c_results) in
   let probe_rows = List.filteri (fun i _ -> i < n_probe) all_rows in

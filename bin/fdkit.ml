@@ -1,6 +1,8 @@
 (* fdkit: the command line of the setagree library.  Every paper
-   stack is a protocol of Core.Protocol's registry, and every subcommand
-   that runs a spec executes it through Job.execute, the daemon's path:
+   stack is a protocol of Core.Protocol's registry.  run, campaign,
+   chaos, explore and replay share one path with the daemon: Job.validate
+   (exit 3 on a refused spec), Job.execute, Job.write_artifacts into
+   --out, then each prints its summary and exits with the outcome's code:
 
      fdkit run -p kset       -n 9 -t 4 -z 2 -k 2 --crashes 3 --seed 7
      fdkit run -p wheels     -x 2 -y 1 --crashes 2
@@ -15,6 +17,7 @@
      fdkit campaign --exp kset -n 7 -t 2 -z 2 -k 1 --adversarial \
        --crashes 0 --horizon 400 --seeds 25
 
+   trace validates its spec the same way and then simulates it alone.
    The simulator's reference engines are test-only.  The irreducibility
    scenarios, which compare two runs, are bench experiment e9. *)
 
@@ -102,8 +105,6 @@ let backend_arg =
            datagrams with timeout-extracted (accrual) failure detectors; \
            $(b,rt-chan) is the same runtime over loss-free in-process \
            channels (CI fallback, no sockets).")
-
-let is_rt backend = String.length backend >= 2 && String.sub backend 0 2 = "rt"
 
 (* All artifacts are stamped with the code fingerprint, and cache keys
    embed the per-protocol one. *)
@@ -197,22 +198,66 @@ let params_term ?(default_z = 1) ?(default_k = 1) ?(default_crashes = 2) () =
 let registry_doc () =
   Printf.sprintf "Protocols: %s." (String.concat ", " (Protocol.names ()))
 
-(* Flag elaboration, validation and execution live in Job: [fdkit run]
-   prints the one result of [Job.execute]. *)
-let exec_run protocol (p : Protocol.params) =
-  let spec = Job.of_flags ~kind:`Run ~protocol p in
+(* ---- running a spec ---- *)
+
+(* A refused spec: Job.validate's messages and, for an illegal fault
+   spec, its smallest illegal part.  Exit 3. *)
+let refuse spec errs =
+  List.iter prerr_endline errs;
+  (match spec with
+  | Job.Run { params = p; _ }
+  | Job.Campaign { params = p; _ }
+  | Job.Explore { params = p; _ }
+  | Job.Chaos { base = p; _ }
+    when List.exists (String.starts_with ~prefix:"illegal fault spec") errs -> (
+      match Chaos.minimize_illegal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
+      | Some s -> Printf.eprintf "minimized to: %s\n" (Faults.summary s)
+      | None -> ())
+  | _ -> ());
+  3
+
+(* --compare's determinism check: the merged outputs at -j N and -j 1. *)
+let deterministic c c1 = Runner.signature c = Runner.signature c1
+
+(* The one path of run, campaign, chaos, explore and replay: validate,
+   execute (with [cache], from and into [out]/cache), write the kind's
+   artifacts into [out], then [report] prints the outcome and returns the
+   exit code.  [report] gets the written (artifact, triage file), [None]
+   without [out] or for Run and Replay.  With [compare] the spec runs
+   again on one domain; [report] gets that campaign, and differing
+   signatures exit 2. *)
+let exec_spec ?jobs ?out ?(cache = false) ?(compare = false) spec report =
   match Job.validate spec with
-  | Error errs ->
-      List.iter prerr_endline errs;
-      (if List.exists (String.starts_with ~prefix:"illegal fault spec") errs then
-         match Chaos.minimize_illegal ~n:p.Protocol.n ~t:p.Protocol.t p.Protocol.faults with
-         | Some s -> Printf.eprintf "minimized to: %s\n" (Faults.summary s)
-         | None -> ());
-      3
-  | Ok () ->
-      let o = Job.execute spec in
+  | Error errs -> refuse spec errs
+  | Ok () -> (
+      let cache =
+        match out with
+        | Some out when cache -> Some (Runner.Cache.create ~dir:(Filename.concat out "cache") ())
+        | _ -> None
+      in
+      let o = Job.execute ?jobs ?cache spec in
+      let c = o.Job.o_campaign in
+      let seq =
+        if compare then Some (Job.execute ~jobs:1 ?cache spec).Job.o_campaign else None
+      in
+      match Option.fold ~none:(Ok None) ~some:(fun dir -> Job.write_artifacts ~dir o) out with
+      | Error e ->
+          prerr_endline e;
+          max 1 o.Job.o_exit
+      | Ok files -> (
+          let code = report o files seq in
+          match seq with
+          | Some c1 when not (deterministic c c1) ->
+              prerr_endline "determinism violation: -j 1 and -j N merged outputs differ";
+              2
+          | _ -> code))
+
+(* [fdkit run] prints the one result: the verdict and metrics, or the rt
+   backend's report. *)
+let exec_run protocol (p : Protocol.params) =
+  exec_spec (Job.of_flags ~kind:`Run ~protocol p) (fun o _ _ ->
       let r = o.Job.o_campaign.Runner.c_results.(0) in
-      let rt = is_rt p.Protocol.backend in
+      let rt = Job.is_rt p.Protocol.backend in
       if rt then print_endline r.Runner.r_row
       else
         Printf.printf "%s seed=%d: %s\n" protocol p.Protocol.seed
@@ -221,7 +266,7 @@ let exec_run protocol (p : Protocol.params) =
       List.iter
         (fun (key, v) -> Printf.printf "  %-*s %g\n" (if rt then 22 else 18) key v)
         r.Runner.r_metrics;
-      o.Job.o_exit
+      o.Job.o_exit)
 
 let protocol_arg =
   Arg.(
@@ -243,23 +288,11 @@ let run_cmd =
    campaign printed no fault row at all — "zero retransmits" was
    indistinguishable from "retransmits not measured".  Sum the
    counter-like metrics ([fault.*], [net.*], [rt.*]) across all jobs and
-   always print the headline ones, zeros included. *)
-let counter_headline =
-  [
-    "fault.parked";
-    "fault.dup";
-    "fault.reorder";
-    "fault.inflated";
-    "fault.deferred";
-    "fault.stalls";
-    "net.retransmits";
-    "net.backoff_resets";
-  ]
-
+   always print [Protocol.fault_counters], zeros included. *)
 let counter_totals (c : Runner.campaign) =
   let prefixes = [ "fault."; "net."; "rt." ] in
   let tbl = Hashtbl.create 16 in
-  List.iter (fun key -> Hashtbl.replace tbl key 0.0) counter_headline;
+  List.iter (fun key -> Hashtbl.replace tbl key 0.0) Protocol.fault_counters;
   Array.iter
     (fun (r : Runner.result) ->
       List.iter
@@ -291,10 +324,6 @@ let cache_flag_arg =
            ($(b,<out>/cache)) and store fresh results into it.  Cached \
            replays are byte-identical to cold runs (same signature).")
 
-let mk_cache ~out use_cache =
-  if use_cache then Some (Runner.Cache.create ~dir:(Filename.concat out "cache") ())
-  else None
-
 let print_cache_line c =
   if
     c.Runner.c_cache_hits > 0 || c.Runner.c_cache_skipped > 0
@@ -304,92 +333,73 @@ let print_cache_line c =
       c.Runner.c_cache_hits c.Runner.c_executed c.Runner.c_cache_skipped
 
 let campaign_cmd =
-  let run family jobs seeds out compare use_cache (base : Protocol.params) =
-    (* The flags are sugar over the unified job API: elaborate into a
-       Job.spec and execute — same path as `fdkit submit` / the daemon. *)
+  let run family jobs seeds out compare cache (base : Protocol.params) =
     let spec = Job.of_flags ~kind:`Campaign ~seeds ~protocol:family base in
-    match Job.validate spec with
-    | Error errs ->
-        List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-        3
-    | Ok () ->
-    let cache = mk_cache ~out use_cache in
-    let describe tag c =
-      Printf.printf "%s: %d jobs on %d domain(s), %d failed, %.2fs wall, %.1f jobs/s\n" tag
-        (Array.length c.Runner.c_results)
-        c.Runner.c_workers
-        (List.length (Runner.failures c))
-        c.Runner.c_wall_s c.Runner.c_throughput
-    in
-    let c = (Job.execute ~jobs ?cache spec).Job.o_campaign in
-    describe (Printf.sprintf "campaign %s -j %d" family jobs) c;
-    print_cache_line c;
-    let path = Runner.write_artifact ~dir:out c in
-    Printf.printf "artifact: %s\n" path;
-    List.iter
-      (fun (name, s) ->
-        Printf.printf "  %-18s %s\n" name (Format.asprintf "%a" Stats.pp_summary s))
-      (Runner.metric_summaries c);
-    print_counter_totals c;
-    let seq =
-      if not compare then None
-      else begin
-        let c1 = (Job.execute ~jobs:1 ?cache spec).Job.o_campaign in
-        describe (Printf.sprintf "baseline %s -j 1" family) c1;
-        Printf.printf "speedup: %.2fx; deterministic merge: %s\n"
-          (c.Runner.c_throughput /. Float.max c1.Runner.c_throughput 1e-9)
-          (if Runner.signature c = Runner.signature c1 then "yes" else "NO — BUG");
-        Some c1
-      end
-    in
-    let side tag c =
-      ( tag,
-        Json.Obj
-          [
-            ("workers", Json.Int c.Runner.c_workers);
-            ("wall_s", Json.Float c.Runner.c_wall_s);
-            ("throughput_jobs_per_s", Json.Float c.Runner.c_throughput);
-          ] )
-    in
-    Json.write_file
-      (Filename.concat out "campaign_summary.json")
-      (Json.Obj
-         ([
-            ("experiment", Json.String family);
-            ("seeds", Json.Int seeds);
-            ("failed", Json.Int (List.length (Runner.failures c)));
-            side "parallel" c;
-          ]
-         @ (match seq with
-           | None -> []
-           | Some c1 ->
-               [
-                 side "sequential" c1;
-                 ( "speedup",
-                   Json.Float (c.Runner.c_throughput /. Float.max c1.Runner.c_throughput 1e-9)
-                 );
-                 ("deterministic", Json.Bool (Runner.signature c = Runner.signature c1));
-               ])));
-    let nfail = Runner.flush_failures ~dir:out () in
-    (match seq with
-    | Some c1 when Runner.signature c <> Runner.signature c1 ->
-        prerr_endline "determinism violation: -j 1 and -j N merged outputs differ"
-    | _ -> ());
-    if nfail > 0 then begin
-      let failures = Filename.concat out "failures.json" in
-      Printf.printf "%d failing seed(s) — triage records (with replay commands) in %s\n" nfail
-        failures;
-      let none = "none: no command line expresses this job's params; see " ^ failures in
-      List.iter
-        (fun r ->
-          Printf.printf "  seed %d: %s\n    replay: %s\n" r.Runner.r_seed
-            (String.concat "; " r.Runner.r_notes)
-            (Option.value ~default:none r.Runner.r_replay))
-        (Runner.failures c)
-    end;
-    match seq with
-    | Some c1 when Runner.signature c <> Runner.signature c1 -> 2
-    | _ -> if nfail > 0 then 1 else 0
+    exec_spec ~jobs ~out ~cache ~compare spec (fun o files seq ->
+        let c = o.Job.o_campaign and art, triage = Option.get files in
+        let failures = Runner.failures c in
+        let describe tag c =
+          Printf.printf "%s: %d jobs on %d domain(s), %d failed, %.2fs wall, %.1f jobs/s\n"
+            tag
+            (Array.length c.Runner.c_results)
+            c.Runner.c_workers
+            (List.length (Runner.failures c))
+            c.Runner.c_wall_s c.Runner.c_throughput
+        in
+        describe (Printf.sprintf "campaign %s -j %d" family jobs) c;
+        print_cache_line c;
+        Printf.printf "artifact: %s\n" art;
+        List.iter
+          (fun (name, s) ->
+            Printf.printf "  %-18s %s\n" name (Format.asprintf "%a" Stats.pp_summary s))
+          (Runner.metric_summaries c);
+        print_counter_totals c;
+        let speedup c1 = c.Runner.c_throughput /. Float.max c1.Runner.c_throughput 1e-9 in
+        Option.iter
+          (fun c1 ->
+            describe (Printf.sprintf "baseline %s -j 1" family) c1;
+            Printf.printf "speedup: %.2fx; deterministic merge: %s\n" (speedup c1)
+              (if deterministic c c1 then "yes" else "NO — BUG"))
+          seq;
+        let side tag c =
+          ( tag,
+            Json.Obj
+              [
+                ("workers", Json.Int c.Runner.c_workers);
+                ("wall_s", Json.Float c.Runner.c_wall_s);
+                ("throughput_jobs_per_s", Json.Float c.Runner.c_throughput);
+              ] )
+        in
+        (* The CLI's own record of the sweep and of --compare's -j 1 run. *)
+        Json.write_file
+          (Filename.concat out "campaign_summary.json")
+          (Json.Obj
+             ([
+                ("experiment", Json.String family);
+                ("seeds", Json.Int seeds);
+                ("failed", Json.Int (List.length failures));
+                side "parallel" c;
+              ]
+             @ Option.fold ~none:[]
+                 ~some:(fun c1 ->
+                   [
+                     side "sequential" c1;
+                     ("speedup", Json.Float (speedup c1));
+                     ("deterministic", Json.Bool (deterministic c c1));
+                   ])
+                 seq));
+        if failures <> [] then begin
+          Printf.printf "%d failing seed(s) — triage records (with replay commands) in %s\n"
+            (List.length failures) triage;
+          let none = "none: no command line expresses this job's params; see " ^ triage in
+          List.iter
+            (fun r ->
+              Printf.printf "  seed %d: %s\n    replay: %s\n" r.Runner.r_seed
+                (String.concat "; " r.Runner.r_notes)
+                (Option.value ~default:none r.Runner.r_replay))
+            failures
+        end;
+        o.Job.o_exit)
   in
   let exp_arg =
     Arg.(
@@ -435,7 +445,7 @@ let campaign_cmd =
 
 let explore_cmd =
   let run protocol jobs out compare expect honest depth delays walks max_runs
-      shrink_budget use_cache (base : Protocol.params) =
+      shrink_budget cache (base : Protocol.params) =
     let bounds =
       {
         Explorer.default_bounds with
@@ -449,20 +459,12 @@ let explore_cmd =
     (* Exploration defaults (adversarial wiring unless --honest, short
        horizon) are applied by Job.of_flags — shared with the daemon. *)
     let spec = Job.of_flags ~kind:`Explore ~honest ~bounds ~protocol base in
-    match Job.validate spec with
-    | Error errs ->
-        List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-        3
-    | Ok () ->
-        let cache = mk_cache ~out use_cache in
-        let { Job.o_campaign = c; o_ces = ces; _ } =
-          Job.execute ~jobs ?cache spec
-        in
+    exec_spec ~jobs ~out ~cache ~compare spec (fun o files seq ->
+        let c = o.Job.o_campaign and ces = o.Job.o_ces and art, triage = Option.get files in
         let sum name =
           Array.fold_left
             (fun acc r ->
-              acc
-              +. Option.value ~default:0.0 (List.assoc_opt name r.Runner.r_metrics))
+              acc +. Option.value ~default:0.0 (List.assoc_opt name r.Runner.r_metrics))
             0.0 c.Runner.c_results
         in
         let runs = sum "explore.runs" in
@@ -486,45 +488,22 @@ let explore_cmd =
                 (Format.asprintf "%a" Schedule.pp_choices s.Schedule.choices)
                 (String.concat "; " s.Schedule.violation))
           ces;
-        let art = Runner.write_artifact ~dir:out c in
-        let cepath = Explorer.write_counterexamples ~dir:out ~protocol ces in
-        Printf.printf "artifacts: %s, %s\n" art cepath;
+        Printf.printf "artifacts: %s, %s\n" art triage;
         if ces <> [] then
-          Printf.printf "replay: dune exec bin/fdkit.exe -- replay --schedule %s\n" cepath;
-        let det_ok =
-          (not compare)
-          ||
-          let o1 = Job.execute ~jobs:1 ?cache spec in
-          let same_sig = Runner.signature c = Runner.signature o1.Job.o_campaign in
-          let same_ces =
-            List.length ces = List.length o1.Job.o_ces
-            && List.for_all2
-                 (fun a b -> Json.equal (Schedule.to_json a) (Schedule.to_json b))
-                 ces o1.Job.o_ces
-          in
-          Printf.printf "determinism (-j %d vs -j 1): signatures %s, counterexamples %s\n"
-            jobs
-            (if same_sig then "match" else "DIFFER")
-            (if same_ces then "match" else "DIFFER");
-          same_sig && same_ces
-        in
-        if not det_ok then 2
-        else begin
-          match expect with
-          | `Any -> 0
-          | `Violation ->
-              if ces <> [] then 0
-              else begin
-                prerr_endline "expected a violation, found none";
-                1
-              end
-          | `None ->
-              if ces = [] then 0
-              else begin
-                prerr_endline "expected no violation, found some";
-                1
-              end
-        end
+          Printf.printf "replay: dune exec bin/fdkit.exe -- replay --schedule %s\n" triage;
+        Option.iter
+          (fun c1 ->
+            Printf.printf "determinism (-j %d vs -j 1): signatures %s\n" jobs
+              (if deterministic c c1 then "match" else "DIFFER"))
+          seq;
+        match expect with
+        | `Violation when ces = [] ->
+            prerr_endline "expected a violation, found none";
+            1
+        | `None when ces <> [] ->
+            prerr_endline "expected no violation, found some";
+            1
+        | _ -> o.Job.o_exit)
   in
   let jobs_arg =
     Arg.(
@@ -542,8 +521,8 @@ let explore_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:
-            "Also explore on 1 domain and verify signatures and counterexamples are \
-             identical (exit 2 if not).")
+            "Also explore on 1 domain and verify the merged signatures are identical \
+             (exit 2 if not); they cover the counterexamples.")
   in
   let expect_arg =
     Arg.(
@@ -603,59 +582,47 @@ let explore_cmd =
 (* ---- chaos ---- *)
 
 let chaos_cmd =
-  let run jobs seeds protocols mix_filter out use_cache (base : Protocol.params) =
-    (* Elaborate into the unified job spec (defaults for empty protocol
-       and mix lists live in Job.of_flags, shared with the daemon). *)
+  let run jobs seeds protocols mix_filter out cache (base : Protocol.params) =
+    (* Defaults for empty protocol and mix lists live in Job.of_flags,
+       shared with the daemon. *)
     let spec =
-      Job.of_flags ~kind:`Chaos ~seeds ~protocols ~mixes:mix_filter ~protocol:""
-        base
+      Job.of_flags ~kind:`Chaos ~seeds ~protocols ~mixes:mix_filter ~protocol:"" base
     in
-    match Job.validate spec with
-    | Error errs ->
-        List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-        3
-    | Ok () ->
-      let protocols, mixes =
-        match spec with
-        | Job.Chaos { protocols; mixes; _ } -> (protocols, mixes)
-        | _ -> (Chaos.default_protocols, Chaos.mix_names)
-      in
-      let cache = mk_cache ~out use_cache in
-      let outcome = Job.execute ~jobs ?cache spec in
-      let o = Option.get outcome.Job.o_chaos in
-      let c = o.Chaos.o_campaign in
-      Printf.printf
-        "chaos: %d runs (%s x %s x %d seeds) on %d domain(s), %.2fs wall\n"
-        o.Chaos.o_runs
-        (String.concat "," protocols)
-        (String.concat "," mixes)
-        seeds c.Runner.c_workers c.Runner.c_wall_s;
-      print_cache_line c;
-      Printf.printf "  safety violations:  %d\n  liveness failures:  %d\n"
-        o.Chaos.o_safety o.Chaos.o_liveness;
-      let art = Runner.write_artifact ~dir:out c in
-      let fpath = Chaos.write_failures ~dir:out o.Chaos.o_failures in
-      Printf.printf "artifacts: %s, %s\n" art fpath;
-      List.iter
-        (fun (name, s) ->
-          Printf.printf "  %-22s %s\n" name (Format.asprintf "%a" Stats.pp_summary s))
-        (Runner.metric_summaries c);
-      print_counter_totals c;
-      List.iteri
-        (fun i (f : Chaos.failure) ->
-          Printf.printf "  [%d] %s/%s seed=%d %s: %s\n      minimized: %s\n      \
-                         replay: dune exec bin/fdkit.exe -- replay --faults %s --index %d\n"
-            i f.Chaos.f_protocol f.Chaos.f_mix f.Chaos.f_params.Protocol.seed
-            (Chaos.kind_to_string f.Chaos.f_kind)
-            (String.concat "; " f.Chaos.f_notes)
-            (Faults.summary f.Chaos.f_params.Protocol.faults)
-            fpath i)
-        o.Chaos.o_failures;
-      (* Safety violations are the hard failure; liveness failures on
-         healed runs also fail the job (exit 1) but are reported apart. *)
-      if o.Chaos.o_safety > 0 then 2
-      else if o.Chaos.o_failures <> [] then 1
-      else 0
+    let protocols, mixes =
+      match spec with
+      | Job.Chaos { protocols; mixes; _ } -> (protocols, mixes)
+      | _ -> (Chaos.default_protocols, Chaos.mix_names)
+    in
+    exec_spec ~jobs ~out ~cache spec (fun outcome files _ ->
+        let o = Option.get outcome.Job.o_chaos and art, triage = Option.get files in
+        let c = o.Chaos.o_campaign in
+        Printf.printf "chaos: %d runs (%s x %s x %d seeds) on %d domain(s), %.2fs wall\n"
+          o.Chaos.o_runs
+          (String.concat "," protocols)
+          (String.concat "," mixes)
+          seeds c.Runner.c_workers c.Runner.c_wall_s;
+        print_cache_line c;
+        Printf.printf "  safety violations:  %d\n  liveness failures:  %d\n"
+          o.Chaos.o_safety o.Chaos.o_liveness;
+        Printf.printf "artifacts: %s, %s\n" art triage;
+        List.iter
+          (fun (name, s) ->
+            Printf.printf "  %-22s %s\n" name (Format.asprintf "%a" Stats.pp_summary s))
+          (Runner.metric_summaries c);
+        print_counter_totals c;
+        List.iteri
+          (fun i (f : Chaos.failure) ->
+            Printf.printf
+              "  [%d] %s/%s seed=%d %s: %s\n      minimized: %s\n      replay: dune exec \
+               bin/fdkit.exe -- replay --faults %s --index %d\n"
+              i f.Chaos.f_protocol f.Chaos.f_mix f.Chaos.f_params.Protocol.seed
+              (Chaos.kind_to_string f.Chaos.f_kind)
+              (String.concat "; " f.Chaos.f_notes)
+              (Faults.summary f.Chaos.f_params.Protocol.faults)
+              triage i)
+          o.Chaos.o_failures;
+        (* Exit 2 on a safety violation, 1 on liveness failures alone. *)
+        outcome.Job.o_exit)
   in
   let jobs_arg =
     Arg.(
@@ -703,15 +670,9 @@ let chaos_cmd =
 let replay_cmd =
   let run schedule faults index =
     let dispatch source path =
-      let spec = Job.Replay { source; path; index } in
-      match Job.validate spec with
-      | Error errs ->
-          List.iter prerr_endline errs;
-          3
-      | Ok () ->
-          let o = Job.execute spec in
+      exec_spec (Job.Replay { source; path; index }) (fun o _ _ ->
           List.iter print_endline (Runner.rows o.Job.o_campaign);
-          o.Job.o_exit
+          o.Job.o_exit)
     in
     match (schedule, faults) with
     | None, None ->
@@ -856,12 +817,14 @@ let trace_cmd =
     else 1
   in
   let run protocol format out check (p : Protocol.params) =
-    match Protocol.find protocol with
-    | None ->
-        Printf.eprintf "unknown protocol %S; %s\n" protocol (registry_doc ());
+    let spec = Job.of_flags ~kind:`Run ~protocol p in
+    match Job.validate spec with
+    | Error errs -> refuse spec errs
+    | Ok () when Job.is_rt p.Protocol.backend ->
+        prerr_endline "trace runs the simulator only: --backend sim";
         3
-    | Some pk ->
-        let r = Protocol.run pk p in
+    | Ok () ->
+        let r = Protocol.run (Option.get (Protocol.find protocol)) p in
         let tr = Sim.trace r.Protocol.rp_sim in
         let n_spans = List.length (Trace.spans tr) in
         (match format with
@@ -920,7 +883,9 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         ("Run one execution and dump/convert its trace (spans, events, counters). "
+         ("Simulate one execution and dump/convert its trace (spans, events, \
+           counters); the spec is validated as $(b,run) validates it (exit 3), and an \
+           rt backend is refused. "
         ^ registry_doc ()))
     Term.(const run $ protocol_arg $ format_arg $ out_arg $ check_arg $ params_term ())
 
@@ -1377,6 +1342,43 @@ let telemetry_age j =
   | Some (Json.Int i) -> Printf.sprintf "%d.0s" i
   | _ -> "-"
 
+(* One rendering of a status frame: [status] prints it once, [top] on
+   every tick. *)
+let print_status v =
+  (match Json.member "jobs" v with
+  | Some (Json.List []) | None -> print_endline "no jobs submitted"
+  | Some (Json.List jobs) ->
+      Printf.printf "%d job(s), queue depth %d:\n" (List.length jobs)
+        (json_int "queue_depth" v);
+      List.iter
+        (fun j ->
+          Printf.printf
+            "  #%d %-8s %-9s phase=%s exit=%d hits=%d executed=%d skipped=%d \
+             telemetry=%s %s\n"
+            (json_int "id" j) (json_str "kind" j) (json_str "state" j)
+            (json_str "phase" j) (json_int "exit" j)
+            (json_int "cache_hits" j)
+            (json_int "executed" j)
+            (json_int "cache_skipped" j)
+            (telemetry_age j) (json_str "summary" j))
+        jobs
+  | Some _ -> ());
+  (match Json.member "counters" v with
+  | Some (Json.Obj _ as counters) ->
+      let retried = json_int "jobs_retried" counters in
+      let poisoned = json_int "jobs_poisoned" counters in
+      if retried > 0 || poisoned > 0 then
+        Printf.printf "watchdog: %d retried, %d poisoned\n" retried poisoned
+  | _ -> ());
+  match Json.member "cache" v with
+  | Some (Json.Obj _ as cache) ->
+      Printf.printf
+        "cache: %s — %d hit(s), %d miss(es), %d store(s), %d corrupt, %d write-failed\n"
+        (json_str "dir" cache) (json_int "hits" cache) (json_int "misses" cache)
+        (json_int "stores" cache) (json_int "corrupt" cache)
+        (json_int "write_failed" cache)
+  | _ -> print_endline "cache: off"
+
 let status_cmd =
   let run socket =
     with_daemon socket (fun conn ->
@@ -1385,42 +1387,7 @@ let status_cmd =
             prerr_endline e;
             3
         | Ok v ->
-            (match Json.member "jobs" v with
-            | Some (Json.List []) | None -> print_endline "no jobs submitted"
-            | Some (Json.List jobs) ->
-                Printf.printf "%d job(s), queue depth %d:\n" (List.length jobs)
-                  (json_int "queue_depth" v);
-                List.iter
-                  (fun j ->
-                    Printf.printf
-                      "  #%d %-8s %-9s phase=%s exit=%d hits=%d executed=%d \
-                       skipped=%d telemetry=%s %s\n"
-                      (json_int "id" j) (json_str "kind" j) (json_str "state" j)
-                      (json_str "phase" j) (json_int "exit" j)
-                      (json_int "cache_hits" j)
-                      (json_int "executed" j)
-                      (json_int "cache_skipped" j)
-                      (telemetry_age j) (json_str "summary" j))
-                  jobs
-            | Some _ -> ());
-            (match Json.member "counters" v with
-            | Some (Json.Obj _ as counters) ->
-                let retried = json_int "jobs_retried" counters in
-                let poisoned = json_int "jobs_poisoned" counters in
-                if retried > 0 || poisoned > 0 then
-                  Printf.printf "watchdog: %d retried, %d poisoned\n" retried
-                    poisoned
-            | _ -> ());
-            (match Json.member "cache" v with
-            | Some (Json.Obj _ as cache) ->
-                Printf.printf
-                  "cache: %s — %d hit(s), %d miss(es), %d store(s), %d \
-                   corrupt, %d write-failed\n"
-                  (json_str "dir" cache) (json_int "hits" cache)
-                  (json_int "misses" cache) (json_int "stores" cache)
-                  (json_int "corrupt" cache)
-                  (json_int "write_failed" cache)
-            | _ -> print_endline "cache: off");
+            print_status v;
             0)
   in
   Cmd.v
@@ -1452,30 +1419,9 @@ let top_cmd =
               Error unreachable_exit
           | Ok v ->
               if not once then print_string "\027[2J\027[H";
-              Printf.printf "fdkit top — %s  queue=%d\n" socket
-                (json_int "queue_depth" v);
-              (match Json.member "jobs" v with
-              | Some (Json.List (_ :: _ as jobs)) ->
-                  Printf.printf "  %-4s %-9s %-9s %-18s %-9s %s\n" "id" "kind"
-                    "state" "phase" "telem" "summary";
-                  List.iter
-                    (fun j ->
-                      Printf.printf "  %-4d %-9s %-9s %-18s %-9s %s\n"
-                        (json_int "id" j) (json_str "kind" j)
-                        (json_str "state" j) (json_str "phase" j)
-                        (telemetry_age j) (json_str "summary" j))
-                    jobs
-              | _ -> print_endline "  no jobs submitted");
-              (match Json.member "cache" v with
-              | Some (Json.Obj _ as cache) ->
-                  Printf.printf
-                    "  cache: %s — %d hit(s), %d miss(es), %d store(s), %d \
-                     corrupt, %d write-failed\n%!"
-                    (json_str "dir" cache) (json_int "hits" cache)
-                    (json_int "misses" cache) (json_int "stores" cache)
-                    (json_int "corrupt" cache)
-                    (json_int "write_failed" cache)
-              | _ -> print_endline "  cache: off");
+              Printf.printf "fdkit top — %s\n" socket;
+              print_status v;
+              flush stdout;
               Ok ())
     in
     (* Loop mode survives a daemon restart: each tick is its own

@@ -178,31 +178,25 @@ let failure_of_json = function
         }
   | _ -> None
 
-let artifact = Filename.concat "_results" "chaos_failures.json"
-
-let failure_to_json ~index f =
-  match failure_core_json f with
-  | Json.Obj fields ->
-      Json.Obj
-        (fields
-        @ [
-            ( "replay",
-              Json.String
-                (Printf.sprintf "dune exec bin/fdkit.exe -- replay --faults %s --index %d"
-                   artifact index) );
-          ])
-  | j -> j
-
+(* Each record's replay line names the file it is written to. *)
 let write_failures ?(dir = "_results") fails =
   Files.mkdir_p dir;
   let path = Filename.concat dir "chaos_failures.json" in
+  let record index f =
+    match failure_core_json f with
+    | Json.Obj fields ->
+        Json.Obj
+          (fields
+          @ [
+              ( "replay",
+                Json.String
+                  (Printf.sprintf "dune exec bin/fdkit.exe -- replay --faults %s --index %d"
+                     path index) );
+            ])
+    | j -> j
+  in
   Json.write_file path
-    (Json.Obj
-       (Stamp.fields ()
-       @ [
-           ( "failures",
-             Json.List (List.mapi (fun i f -> failure_to_json ~index:i f) fails) );
-         ]));
+    (Json.Obj (Stamp.fields () @ [ ("failures", Json.List (List.mapi record fails)) ]));
   path
 
 let load_failures path =

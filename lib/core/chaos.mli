@@ -23,7 +23,6 @@
     and {!minimize_illegal} shrinks them to the offending atoms — same
     artifact, [kind = "illegal"]. *)
 
-open Setagree_util
 open Setagree_dsys
 open Setagree_runner
 
@@ -106,13 +105,11 @@ val outcome : Runner.campaign -> outcome
 
 (** {1 Artifacts} *)
 
-val failure_to_json : index:int -> failure -> Json.t
-(** Includes the ready-to-paste
-    [fdkit replay --faults _results/chaos_failures.json --index i]
-    command. *)
-
 val write_failures : ?dir:string -> failure list -> string
 (** Write [<dir>/chaos_failures.json] (always, even when empty — a
-    previous run's counterexamples never linger) and return the path. *)
+    previous run's counterexamples never linger) and return the path.
+    Each record carries the ready-to-paste
+    [fdkit replay --faults <dir>/chaos_failures.json --index i] command,
+    naming the file written. *)
 
 val load_failures : string -> (failure list, string) result

@@ -53,15 +53,14 @@ let root () =
 (* Protocol-specific sources, relative to the repo root: each registered
    protocol lists every one its [install] reaches.  Everything else under
    lib/ (except lib/rt, whose wall-clock backend is never cached) is
-   shared substrate; consensus.ml, which no protocol runs, stays out of
-   it under consensus_s. *)
+   shared substrate. *)
 let wheels_files =
   [ "lib/core/wheels.ml"; "lib/core/wheels_upper.ml"; "lib/core/wheels_lower.ml" ]
 
 let protocol_files =
   [
     ("kset", [ "lib/core/kset.ml" ]);
-    ("consensus_s", [ "lib/core/consensus_s.ml"; "lib/core/consensus.ml" ]);
+    ("consensus_s", [ "lib/core/consensus_s.ml" ]);
     ("wheels", wheels_files);
     ("psi", [ "lib/core/psi_to_omega.ml" ]);
     ( "reduce",

@@ -4,10 +4,11 @@
 
    The CLI subcommands elaborate their flags into a [spec] (of_flags),
    the [fdkit serve] daemon receives specs as JSON over its socket, and
-   both execute through the same [execute] below — so a campaign
-   launched from the command line and the same campaign submitted to
-   the daemon produce byte-identical artifacts and share one result
-   cache.
+   both execute through the same [execute] and write what it returns
+   through the same [write_artifacts] below — so a campaign launched
+   from the command line and the same campaign submitted to the daemon
+   produce byte-identical artifacts (triage files included) and share
+   one result cache.
 
    [canonical] renders a spec as minified JSON with a fixed field
    order; it doubles as the basis of the cache key (together with the
@@ -490,3 +491,21 @@ let execute ?jobs ?cache ?(fingerprint = Fingerprint.protocol) ?on_progress
     o_ces = (match spec with Explore _ -> Explorer.counterexamples c | _ -> []);
     o_exit;
   }
+
+(* The files of the spec's kind, each built from the outcome alone: the
+   campaign artifact and the kind's triage file. *)
+let write_artifacts ~dir o =
+  let c = o.o_campaign in
+  let write triage =
+    try
+      let art = Runner.write_artifact ~dir c in
+      Ok (Some (art, triage ()))
+    with Sys_error e -> Error ("artifact write failed: " ^ e)
+  in
+  match o.o_spec with
+  | Run _ | Replay _ -> Ok None
+  | Campaign _ -> write (fun () -> Runner.write_failures ~dir (Runner.failures c))
+  | Chaos _ ->
+      write (fun () -> Chaos.write_failures ~dir (Option.get o.o_chaos).Chaos.o_failures)
+  | Explore { protocol; _ } ->
+      write (fun () -> Explorer.write_counterexamples ~dir ~protocol o.o_ces)

@@ -5,9 +5,10 @@
     schedule exploration, or a counterexample replay.  The CLI
     subcommands elaborate their flags into a spec ({!of_flags}), the
     [fdkit serve] daemon receives specs as JSON frames over its socket
-    ({!of_json}), and both execute through {!execute} — so a campaign
-    launched either way produces byte-identical artifacts and shares
-    one content-addressed result cache.
+    ({!of_json}), and both execute through {!execute} and write the
+    outcome through {!write_artifacts} — so a campaign launched either
+    way produces byte-identical artifacts, triage files included, and
+    shares one content-addressed result cache.
 
     {!canonical} is the stability contract: minified JSON with a fixed
     field order, pinned by tests.  Cache keys are derived from it plus
@@ -103,6 +104,9 @@ val rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref
     explanatory note.  rt jobs are never cached (wall-clock
     nondeterministic). *)
 
+val is_rt : string -> bool
+(** Whether a [backend] name is a real-runtime one (["rt"], ["rt-chan"]). *)
+
 val replay_command : string -> Protocol.params -> string option
 (** The ready-to-paste [fdkit run] command reproducing one job (goes
     into triage records and bench artifacts), naming the backend unless
@@ -137,3 +141,14 @@ val execute :
     succeeds iff the recorded violation reproduces and whose row is the
     report [fdkit replay] prints.  Raises [Invalid_argument] on an
     unknown protocol — call {!validate} first. *)
+
+val write_artifacts : dir:string -> outcome -> ((string * string) option, string) result
+(** Write the files of the outcome's kind into [dir] (created if
+    missing) and return their paths, [(artifact, triage file)]; the
+    one artifact writer of fdkit and the daemon.  A campaign writes
+    [BENCH_<protocol>.json] and [failures.json], one triage record per
+    failing result of this campaign ({!Runner.write_failures}); a chaos
+    spec [BENCH_chaos.json] and [chaos_failures.json]; an exploration
+    [BENCH_explore.json] and [counterexamples.json].  The triage file
+    is written even when empty.  Run and Replay write nothing ([None]).  A
+    filesystem error is [Error "artifact write failed: ..."]. *)

@@ -114,6 +114,7 @@ module type S = sig
   val horizon_hint : float
   val variants : string list
   val validate : params -> string list
+  val degree : params -> int option
   val install : Sim.t -> params -> t
   val stop : t -> unit -> bool
   val check : t -> Check.verdict
@@ -180,6 +181,7 @@ module Kset_p = struct
   let horizon_hint = 5000.0
   let variants = []
   let validate p = errors [ Oracle.check_z ~n:p.n ~z:p.z ]
+  let degree (p : params) = Some p.k
 
   let install sim p =
     let proposals = proposals_of p in
@@ -219,6 +221,7 @@ module Consensus_p = struct
   let horizon_hint = 5000.0
   let variants = []
   let validate _ = []
+  let degree _ = Some 1
 
   let install sim p =
     let proposals = proposals_of p in
@@ -249,6 +252,7 @@ module Wheels_p = struct
   let horizon_hint = 400.0
   let variants = []
   let validate p = errors [ Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:p.y ]
+  let degree _ = None
 
   let install sim p =
     let behavior = behavior_of p in
@@ -289,6 +293,7 @@ module Psi_p = struct
   let horizon_hint = 400.0
   let variants = []
   let validate p = errors [ Oracle.check_y ~t:p.t ~y:p.y ]
+  let degree _ = None
 
   let install sim p =
     let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior:(behavior_of p) () in
@@ -323,54 +328,61 @@ module Reduce_p = struct
   let horizon_hint = 5000.0
 
   (* The source class Ω_z is built from, by [p.variant]: the ranges its
-     constructors enforce, and the construction with the tie-break
-     Figure 3 then uses. *)
+     constructors enforce, the z of the Ω_z it yields (the one its
+     construction computes, and the agreement degree Figure 3 then
+     reaches), and the construction with the tie-break Figure 3 uses. *)
   let table =
     [
       ( "es",
         ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:0),
+          (fun p -> Bounds.z_of_addition ~t:p.t ~x:p.x ~y:0),
           fun sim p behavior ->
             let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
             let w = Reduce.omega_from_es sim ~suspector ~x:p.x () in
-            (Wheels.omega w, Wheels.z w, Kset.Smallest) ) );
+            (Wheels.omega w, Kset.Smallest) ) );
       ( "phi",
         ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:1 ~y:p.y),
+          (fun p -> Bounds.z_of_addition ~t:p.t ~x:1 ~y:p.y),
           fun sim p behavior ->
             let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
             let w = Reduce.omega_from_phi sim ~querier ~y:p.y () in
-            (Wheels.omega w, Wheels.z w, Kset.Smallest) ) );
+            (Wheels.omega w, Kset.Smallest) ) );
       ( "psi",
         ( (fun p -> Oracle.check_y ~t:p.t ~y:p.y),
+          (fun p -> p.t + 1 - p.y),
           fun sim p behavior ->
             let querier, _ = Oracle.psi_y sim ~y:p.y ~behavior () in
             let h = Reduce.omega_from_psi sim ~querier ~y:p.y in
-            (Psi_to_omega.omega h, Psi_to_omega.z h, Kset.Smallest) ) );
+            (Psi_to_omega.omega h, Kset.Smallest) ) );
       (* Theorem 8's addition: ◇S_x + ◇φ_y through both wheels.  With
          [adversarial] set Figure 3 breaks ties by pid, as kset's misuse
          wiring does. *)
       ( "wheels",
         ( (fun p -> Wheels.check ~n:p.n ~t:p.t ~x:p.x ~y:p.y),
+          (fun p -> Bounds.z_of_addition ~t:p.t ~x:p.x ~y:p.y),
           fun sim p behavior ->
             let suspector, _ = Oracle.es_x sim ~x:p.x ~behavior () in
             let querier, _ = Oracle.ephi_y sim ~y:p.y ~behavior () in
             let w = Wheels.install sim ~suspector ~querier ~x:p.x ~y:p.y () in
             let tie_break = if p.adversarial then Kset.By_pid else Kset.Smallest in
-            (Wheels.omega w, Wheels.z w, tie_break) ) );
+            (Wheels.omega w, tie_break) ) );
     ]
 
   let variants = List.map fst table
 
   let validate p =
     match List.assoc_opt p.variant table with
-    | Some (check, _) -> errors [ check p ]
+    | Some (check, _, _) -> errors [ check p ]
     | None -> []
 
+  let degree p = Option.map (fun (_, z, _) -> z p) (List.assoc_opt p.variant table)
+
   let install sim p =
-    let _, build = variant_entry name table p in
-    let omega, z, tie_break = build sim p (behavior_of p) in
+    let _, z, build = variant_entry name table p in
+    let omega, tie_break = build sim p (behavior_of p) in
     let proposals = proposals_of p in
     let h = Reduce.solve_kset sim ~omega ~proposals ~tie_break () in
-    { sim; z; proposals; h }
+    { sim; z = z p; proposals; h }
 
   let stop t () = Kset.all_correct_decided t.h
 
@@ -403,6 +415,7 @@ module Strengthen_p = struct
 
   let variants = List.map fst table
   let validate p = errors [ Oracle.check_x ~n:p.n ~x:p.x; Oracle.check_y ~t:p.t ~y:p.y ]
+  let degree _ = None
 
   let install sim p =
     let eventual, substrate = variant_entry name table p in
@@ -466,6 +479,10 @@ module Impl_p = struct
     | Some `Phi ->
         errors [ Oracle.check_y ~t:p.t ~y:p.y; Result.map ignore (regions ~n:p.n) ]
     | Some `Es | None -> []
+
+  (* Only the kset variant decides, over the implemented Ω_z. *)
+  let degree p =
+    match List.assoc_opt p.variant table with Some `Kset -> Some p.z | _ -> None
 
   let install sim p =
     let what = variant_entry name table p in
@@ -637,6 +654,18 @@ let obs_metrics sim =
 
 (* Fault-layer observability: the trace counters bumped by Net/Sim when a
    spec is active (all zero — and omitted — on fault-free runs). *)
+let fault_counters =
+  [
+    "fault.parked";
+    "fault.dup";
+    "fault.reorder";
+    "fault.inflated";
+    "fault.deferred";
+    "fault.stalls";
+    "net.retransmits";
+    "net.backoff_resets";
+  ]
+
 let fault_metrics sim =
   let tr = Sim.trace sim in
   List.filter_map
@@ -644,16 +673,7 @@ let fault_metrics sim =
       match Trace.counter tr name with
       | 0 -> None
       | v -> Some (name, float_of_int v))
-    [
-      "fault.parked";
-      "fault.dup";
-      "fault.reorder";
-      "fault.inflated";
-      "fault.deferred";
-      "fault.stalls";
-      "net.retransmits";
-      "net.backoff_resets";
-    ]
+    fault_counters
 
 (* A running job's [Runner.poll] is consulted once every [poll_stride]
    events (a power of two): often enough to stop a long job within

@@ -80,6 +80,15 @@ module type S = sig
       x + y >= t + 1, ...) are not refused; n and t are
       {!Sim.check_size}'s. *)
 
+  val degree : params -> int option
+  (** The agreement degree [check] and [violation] hold the decisions
+      to under [params] (a variant from {!variants}): [k] for kset, 1
+      for consensus, the z of the Ω_z each reduce variant builds
+      ([t + 2 − x − y] for the wheels), [z] for impl's kset.  [None]
+      for the detector stacks, whose whole output is the detector
+      history.  The rt backend checks its pooled decisions against
+      it. *)
+
   val install : Sim.t -> params -> t
   (** Wire the protocol (and the oracles it consumes) onto the simulator.
       Call before [Sim.run]. *)
@@ -121,6 +130,9 @@ type report = {
           ([fault.*], [net.retransmits], [net.backoff_resets]; omitted
           when zero), plus latency and scheduler counters *)
 }
+
+val fault_counters : string list
+(** The fault-layer trace counters [rp_metrics] reports when nonzero. *)
 
 val run : packed -> params -> report
 (** Build a simulator from [params] (seeded crash generation under the

@@ -421,23 +421,6 @@ let take mb =
       Queue.transfer mb.mb_msgs msgs);
   msgs
 
-(* Campaign-shaped jobs leave their usual artifacts in [dir]. *)
-let write_artifacts dir spec (o : Job.outcome) =
-  match spec with
-  | Job.Run _ | Job.Replay _ -> None
-  | Job.Campaign _ | Job.Chaos _ | Job.Explore _ -> (
-      try
-        ignore (Runner.write_artifact ~dir o.Job.o_campaign);
-        Option.iter
-          (fun co -> ignore (Chaos.write_failures ~dir co.Chaos.o_failures))
-          o.Job.o_chaos;
-        (match spec with
-        | Job.Explore { protocol; _ } ->
-            ignore (Explorer.write_counterexamples ~dir ~protocol o.Job.o_ces)
-        | _ -> ());
-        None
-      with Sys_error e -> Some ("artifact write failed: " ^ e))
-
 (* ---- the daemon ---- *)
 
 type t = {
@@ -504,7 +487,8 @@ let execute_record t r =
           Finished
             ( o,
               (if cancelled then Cancelled else Done),
-              write_artifacts t.cfg.out_dir spec o )
+              Result.fold ~ok:(fun _ -> None) ~error:Option.some
+                (Job.write_artifacts ~dir:t.cfg.out_dir o) )
     with exn -> Failed ("raised: " ^ Printexc.to_string exn)
   in
   post mb (Outcome (r, outcome))

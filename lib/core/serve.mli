@@ -126,8 +126,9 @@ val serve : ?config:config -> unit -> unit
     daemon answering on [socket_path] — raise [Failure] {e before} the
     journal is read, compacted, or reopened, so a mistaken second
     start can never clobber the incumbent's journal.  Campaign-shaped
-    jobs also write their usual artifacts ([BENCH_<exp>.json],
-    [chaos_failures.json], [counterexamples.json]) into [out_dir]. *)
+    jobs also write the artifacts [fdkit] writes for them
+    ({!Job.write_artifacts}: [BENCH_<exp>.json] and [failures.json],
+    [chaos_failures.json] or [counterexamples.json]) into [out_dir]. *)
 
 (** The journal schema and its replay — exposed so tests and the bench
     harness can fabricate crash scenarios and assert the recovery

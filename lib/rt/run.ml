@@ -54,22 +54,6 @@ type result = {
 
 let ok r = r.o_safety.Check.ok && r.o_fd.Check.ok
 
-(* What the pooled decisions owe us: the protocol's agreement degree, or
-   nothing for the FD-transformation protocols (their whole output is the
-   detector history). *)
-let agreement_k (p : Protocol.params) name =
-  match name with
-  | "kset" -> Some p.k
-  | "consensus_s" -> Some 1
-  | "reduce" ->
-      Some
-        (match p.variant with
-        | "es" -> Bounds.z_of_addition ~t:p.t ~x:p.x ~y:0
-        | "phi" -> Bounds.z_of_addition ~t:p.t ~x:1 ~y:p.y
-        | "psi" -> p.t + 1 - p.y
-        | _ -> p.t + 1)
-  | _ -> None
-
 let wall_horizon cfg ~decides =
   if cfg.horizon_s > 0.0 then cfg.horizon_s else if decides then 8.0 else 3.0
 
@@ -116,7 +100,7 @@ let build_metrics ~counters ~(qos : Qos.report) ~wall_s ~events =
 let run_protocol pk (p : Protocol.params) ?(cfg = default_cfg) () =
   let (module P : Protocol.S) = pk in
   let n = p.n in
-  let k_opt = agreement_k p P.name in
+  let k_opt = P.degree p in
   let horizon_s = wall_horizon cfg ~decides:(k_opt <> None) in
   let crashes = plan_crashes p cfg in
   let eps = make_endpoints cfg ~n in

@@ -41,9 +41,9 @@ type result = {
   o_crashes : (Pid.t * float) list;  (** planned wall-time crash schedule *)
   o_decisions : (Pid.t * int * int * float) list;  (** pooled, wall-stamped *)
   o_safety : Check.verdict;
-      (** k-set safety + termination for deciding protocols (k from the
-          protocol: [params.k], 1 for consensus, the computed z for
-          reduce); vacuous pass for FD-transformation protocols *)
+      (** k-set safety + termination for deciding protocols (k from
+          the protocol's {!Protocol.S.degree}, the one the simulator checks);
+          vacuous pass for FD-transformation protocols *)
   o_fd : Check.verdict;
       (** {!Check.omega_z_history} on the accrual trusted histories
           (z = [params.z]) + {!Check.strong_completeness_history} on the
@@ -63,12 +63,6 @@ type result = {
 
 val ok : result -> bool
 (** Both verdicts. *)
-
-val agreement_k : Protocol.params -> string -> int option
-(** The agreement degree the named protocol's pooled decisions owe
-    ([params.k] for kset, 1 for consensus, the additivity bound for
-    reduce), or [None] for the FD-transformation protocols whose whole
-    output is the detector history. *)
 
 val run_protocol : Protocol.packed -> Protocol.params -> ?cfg:cfg -> unit -> result
 (** Plan crashes from [params.crashes] (victims via the same seeded

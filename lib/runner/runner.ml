@@ -375,17 +375,6 @@ end
 
 let failures c = List.filter (fun r -> not r.r_ok) (Array.to_list c.c_results)
 
-(* Failing results only, newest first: a long-lived process (the serve
-   daemon) runs campaigns without end, and passing results are never
-   read back from here. *)
-let sink : result list ref = ref []
-let sink_mutex = Mutex.create ()
-
-let note_campaign c =
-  Mutex.protect sink_mutex (fun () -> sink := List.rev_append (failures c) !sink)
-
-let reset_sink () = Mutex.protect sink_mutex (fun () -> sink := [])
-
 (* The least spacing of telemetry frames, apart from the start and final
    frames, which always go out. *)
 let telemetry_period_s = 0.25
@@ -598,7 +587,6 @@ let run ?jobs ?cache ?on_progress ?on_telemetry ?stop ~exp joblist =
       c_cancelled = Atomic.get cancelled;
     }
   in
-  note_campaign c;
   c
 
 let rows c =
@@ -721,15 +709,29 @@ let failure_json r =
       ("replay", opt_string r.r_replay);
     ]
 
-let flush_failures ?(dir = "_results") () =
+let write_failures ?(dir = "_results") results =
   Files.mkdir_p dir;
-  let all = Mutex.protect sink_mutex (fun () -> List.rev !sink) in
-  Json.write_file
-    (Filename.concat dir "failures.json")
+  let path = Filename.concat dir "failures.json" in
+  Json.write_file path
     (Json.Obj
        (Stamp.fields ()
        @ [
-           ("failures", Json.Int (List.length all));
-           ("triage", Json.List (List.map failure_json all));
+           ("failures", Json.Int (List.length results));
+           ("triage", Json.List (List.map failure_json results));
          ]));
+  path
+
+(* The bench harness's collector: failing results only, newest first,
+   fed explicitly by each experiment ([run] never feeds it). *)
+let sink : result list ref = ref []
+let sink_mutex = Mutex.create ()
+
+let note_campaign c =
+  Mutex.protect sink_mutex (fun () -> sink := List.rev_append (failures c) !sink)
+
+let reset_sink () = Mutex.protect sink_mutex (fun () -> sink := [])
+
+let flush_failures ?dir () =
+  let all = Mutex.protect sink_mutex (fun () -> List.rev !sink) in
+  ignore (write_failures ?dir all);
   List.length all

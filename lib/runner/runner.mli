@@ -20,8 +20,8 @@
     A campaign also emits structured JSON artifacts
     ([_results/BENCH_<exp>.json]) so the perf trajectory accumulates
     per PR, and turns every failing job into a {e triage record} —
-    seed, parameters and a ready-to-paste replay command — collected
-    into [_results/failures.json]. *)
+    seed, parameters and a ready-to-paste replay command — written
+    from the campaign itself into [failures.json] ({!write_failures}). *)
 
 open Setagree_util
 
@@ -263,9 +263,9 @@ val run :
     (default {!default_jobs}) is the worker-domain count, the calling
     domain included; [jobs = 1] runs inline on the calling domain.  A
     job that raises is captured as a failed result ([r_error]), never
-    aborting the campaign.  The
-    campaign's failing results are recorded in the process-wide triage
-    sink (see {!flush_failures}).
+    aborting the campaign.  The returned campaign is the only record of
+    its results: [run] keeps nothing once it returns, so a long-lived
+    caller (the serve daemon) does not grow with every campaign.
 
     With [cache], jobs whose [key] is found are resolved up front, in
     job order, without executing ([pr_cached = true] in progress
@@ -332,20 +332,26 @@ val failure_json : result -> Json.t
 (** The triage record: experiment, label, seed, params, notes, error,
     and the replay command. *)
 
+val write_failures : ?dir:string -> result list -> string
+(** Write [results] in order to [<dir>/failures.json] (default
+    [_results], created if missing) as triage records and return the
+    path: the one writer of the triage file.  With no results the file
+    is still written (an empty list), so a previous run's failures never
+    linger. *)
+
 (** {1 Triage sink}
 
-    [run] appends every campaign's failing results to a process-wide
-    sink (guarded by a mutex) so a multi-experiment harness can report
-    all failing seeds at the end without threading campaign values
-    through each experiment.  Passing results are not kept, so a
-    long-lived process does not grow with every campaign it runs. *)
+    The bench harness's collector: each experiment hands its campaigns
+    to {!note_campaign}, and the harness reports every failing seed at
+    the end without threading campaign values through each experiment.
+    {!run} never feeds it.  Only failing results are kept. *)
+
+val note_campaign : campaign -> unit
+(** Append the campaign's failing results to the sink. *)
 
 val reset_sink : unit -> unit
 
 val flush_failures : ?dir:string -> unit -> int
-(** Write every failing job of every campaign run since start (or the
-    last [reset_sink]), in completion order, to
-    [<dir>/failures.json] (default [_results]) as triage records and
-    return the failure count.  With zero failures the file is still
-    written (an empty list), so a previous run's failures never
-    linger. *)
+(** {!write_failures} of every result noted since start (or the last
+    [reset_sink]), campaigns in the order they were noted, and return
+    the failure count. *)

@@ -502,6 +502,47 @@ let test_cli_oracle_ranges () =
       ("impl", { Protocol.default with Protocol.variant = "phi" });
     ]
 
+(* Theorem 5's tightness sweep at n = 7, t = 2, z = 2 > k = 1: seeds
+   2..[seeds] break 1-set agreement. *)
+let misuse_sweep seeds =
+  [ "campaign"; "--exp"; "kset"; "-n"; "7"; "-t"; "2"; "-z"; "2"; "-k"; "1"; "--adversarial";
+    "--crashes"; "0"; "--horizon"; "400"; "--seeds"; string_of_int seeds ]
+
+let triage_seeds path =
+  match Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok j -> (
+      match Json.member "triage" j with
+      | Some (Json.List l) ->
+          List.map (fun r -> match Json.member "seed" r with Some (Json.Int s) -> s | _ -> -1) l
+      | _ -> Alcotest.failf "%s has no triage list" path)
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+(* --compare re-runs the sweep at -j 1 to check determinism; the triage
+   file and the count still describe the one sweep. *)
+let test_cli_compare_triage () =
+  let dir = tmpdir "compare" in
+  let code, text = fdkit (misuse_sweep 25 @ [ "--jobs"; "2"; "--compare"; "--out"; dir ]) in
+  check_int ("exit\n" ^ text) 1 code;
+  check "24 failing seeds printed" true (Strutil.contains text ~sub:"24 failing seed(s)");
+  let seeds = triage_seeds (Filename.concat dir "failures.json") in
+  check_int "24 records" 24 (List.length seeds);
+  check_int "24 distinct seeds" 24 (List.length (List.sort_uniq compare seeds));
+  rm_rf dir
+
+(* trace refuses what run refuses, and an rt backend: it only simulates. *)
+let test_cli_trace_validates () =
+  List.iter
+    (fun args ->
+      let line = String.concat " " ("trace" :: args) in
+      let code, text = fdkit ("trace" :: args) in
+      check_int (line ^ ": exit\n" ^ text) 3 code)
+    [
+      [ "-z"; "0" ];
+      [ "-n"; "3"; "-t"; "3" ];
+      [ "-p"; "reduce"; "--variant"; "bogus" ];
+      [ "--backend"; "rt-chan" ];
+    ]
+
 (* A bench or triage replay command is either absent, because no flags
    express the params, or reproduces through the built fdkit the verdict
    line and the metrics [Job.execute] gives the same params. *)
@@ -1917,6 +1958,62 @@ let test_daemon_refuses_oracle_range () =
   Domain.join d;
   rm_rf dir
 
+(* The daemon writes a finished spec's files with the CLI's writer:
+   byte-identical triage files for a failing sweep and for a misuse
+   exploration. *)
+let test_daemon_artifacts_match_cli () =
+  let dir = tmpdir "artifacts" in
+  let cli = Filename.concat dir "cli" in
+  (* Both sides stamp the artifacts with the same code fingerprint. *)
+  let fp = Stamp.fingerprint () in
+  Fingerprint.install ();
+  Fun.protect ~finally:(fun () -> Stamp.set_fingerprint fp) @@ fun () ->
+  let code, text = fdkit (misuse_sweep 5 @ [ "--jobs"; "2"; "--out"; cli ]) in
+  check_int ("campaign exit\n" ^ text) 1 code;
+  let code, text =
+    fdkit
+      [ "explore"; "-n"; "7"; "-t"; "2"; "-z"; "2"; "-k"; "1"; "--depth"; "4"; "--delays"; "1";
+        "--jobs"; "2"; "--out"; cli ]
+  in
+  check_int ("explore exit\n" ^ text) 0 code;
+  let params =
+    {
+      Protocol.default with
+      Protocol.n = 7;
+      t = 2;
+      z = 2;
+      k = 1;
+      crashes = Setagree_dsys.Crash.No_crashes;
+    }
+  in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  let campaign =
+    Job.of_flags ~kind:`Campaign ~seeds:5 ~protocol:"kset"
+      { params with Protocol.adversarial = true; horizon = 400.0 }
+  in
+  let v = expect (Serve.Client.submit conn campaign) in
+  check "campaign ends done, exit 1" true
+    (Json.member "state" v = Some (Json.String "done")
+    && Json.member "exit" v = Some (Json.Int 1));
+  let explore =
+    Job.of_flags ~kind:`Explore ~protocol:"kset"
+      ~bounds:{ Explorer.default_bounds with Explorer.depth = 4; delays = 1 }
+      params
+  in
+  let v = expect (Serve.Client.submit conn explore) in
+  check "explore ends done" true (Json.member "state" v = Some (Json.String "done"));
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  let read name d = In_channel.with_open_bin (Filename.concat d name) In_channel.input_all in
+  check_int "4 triage records" 4 (List.length (triage_seeds (Filename.concat dir "failures.json")));
+  List.iter
+    (fun name -> Alcotest.(check string) (name ^ " byte-identical") (read name cli) (read name dir))
+    [ "failures.json"; "counterexamples.json" ];
+  rm_rf dir
+
 let iop_to_string = function
   | I_submit (c, s) -> Printf.sprintf "submit(%d,%d)" c s
   | I_cancel c -> Printf.sprintf "cancel(%d)" c
@@ -2211,6 +2308,8 @@ let () =
           Alcotest.test_case "bad params fail cleanly" `Quick test_cli_bad_params;
           Alcotest.test_case "oracle ranges refused" `Quick test_cli_oracle_ranges;
           Alcotest.test_case "replay commands reproduce" `Quick test_cli_replay_commands;
+          Alcotest.test_case "compare keeps one triage" `Quick test_cli_compare_triage;
+          Alcotest.test_case "trace validates its spec" `Quick test_cli_trace_validates;
         ] );
       ( "daemon",
         [
@@ -2227,6 +2326,7 @@ let () =
             test_daemon_history_bound;
           Alcotest.test_case "replay paths agree" `Quick test_daemon_replay_paths_agree;
           Alcotest.test_case "oracle range refused" `Quick test_daemon_refuses_oracle_range;
+          Alcotest.test_case "artifacts match the CLI" `Quick test_daemon_artifacts_match_cli;
         ] );
       ( "telemetry",
         [

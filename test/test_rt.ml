@@ -228,7 +228,8 @@ let differential name =
   let sim_decisions =
     Setagree_dsys.Trace.decisions (Setagree_dsys.Sim.trace sim_report.Protocol.rp_sim)
   in
-  match Rt_run.agreement_k p name with
+  let (module P : Protocol.S) = pk in
+  match P.degree p with
   | None -> ()
   | Some k ->
       check (name ^ ": rt decided") true (rt.Rt_run.o_decisions <> []);
@@ -244,6 +245,50 @@ let differential name =
       if notes <> [] then
         Alcotest.failf "%s: cross-substrate safety: %s" name
           (String.concat "; " notes)
+
+(* The agreement degree of every registered protocol and variant
+   ([S.degree]: the one the simulator's check holds decisions to, and
+   the one the rt backend checks): at t = 3, x = 2, y = 1, z = 2, k = 1
+   each reduce variant's Ω_z width, impl's kset over Ω_2, nothing for
+   the detector-only stacks.  A registered pair missing from the table
+   fails, so a new protocol or variant must state its degree. *)
+let test_agreement_degrees () =
+  let p =
+    { Protocol.default with Protocol.n = 8; t = 3; x = 2; y = 1; z = 2; k = 1 }
+  in
+  let expected =
+    [
+      (("kset", "es"), Some 1);
+      (("consensus_s", "es"), Some 1);
+      (("wheels", "es"), None);
+      (("psi", "es"), None);
+      (("reduce", "es"), Some 3);
+      (("reduce", "phi"), Some 3);
+      (("reduce", "psi"), Some 3);
+      (("reduce", "wheels"), Some 2);
+      (("strengthen", "es"), None);
+      (("strengthen", "s"), None);
+      (("strengthen", "es-mp"), None);
+      (("strengthen", "s-mp"), None);
+      (("impl", "es"), None);
+      (("impl", "omega"), None);
+      (("impl", "phi"), None);
+      (("impl", "kset"), Some 2);
+    ]
+  in
+  List.iter
+    (fun (name, (module P : Protocol.S)) ->
+      List.iter
+        (fun variant ->
+          let label = name ^ "/" ^ variant in
+          match List.assoc_opt (name, variant) expected with
+          | None -> Alcotest.failf "%s: no expected agreement degree listed" label
+          | Some k ->
+              Alcotest.(check (option int))
+                label k
+                (P.degree { p with Protocol.variant }))
+        (if P.variants = [] then [ p.Protocol.variant ] else P.variants))
+    Protocol.registry
 
 let differential_tests =
   List.map
@@ -261,5 +306,6 @@ let () =
       ( "accrual",
         List.map qt [ qcheck_phi_monotone ]
         @ [ Alcotest.test_case "oracle surfaces" `Quick test_accrual_surfaces ] );
+      ("degree", [ Alcotest.test_case "agreement per variant" `Quick test_agreement_degrees ]);
       ("differential", differential_tests);
     ]

@@ -103,7 +103,7 @@ let test_flush_failures_roundtrip () =
     Runner.job ~exp:"testcamp" ~seed:9 ~label:"bad" (fun () ->
         Runner.body ~notes:[ "nope" ] false)
   in
-  let _ = Runner.run ~jobs:1 ~exp:"testcamp" [ failing; kset_job 1 ] in
+  Runner.note_campaign (Runner.run ~jobs:1 ~exp:"testcamp" [ failing; kset_job 1 ]);
   let count = Runner.flush_failures ~dir () in
   check_int "one failure flushed" 1 count;
   let ic = open_in (Filename.concat dir "failures.json") in
@@ -117,6 +117,19 @@ let test_flush_failures_roundtrip () =
         (match Json.member "triage" j with Some (Json.List [ _ ]) -> true | _ -> false)
   | Error msg -> Alcotest.failf "failures.json does not parse: %s" msg);
   Runner.reset_sink ()
+
+(* [run] keeps nothing once it returns: a long-lived caller (the serve
+   daemon) must not grow with every failing campaign it runs. *)
+let test_run_feeds_no_sink () =
+  Runner.reset_sink ();
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "setagree_runner_test" in
+  let failing =
+    Runner.job ~exp:"testcamp" ~seed:9 ~label:"bad" (fun () ->
+        Runner.body ~notes:[ "nope" ] false)
+  in
+  let c = Runner.run ~jobs:1 ~exp:"testcamp" [ failing; kset_job 1 ] in
+  check_int "the campaign has its failure" 1 (List.length (Runner.failures c));
+  check_int "nothing collected" 0 (Runner.flush_failures ~dir ())
 
 (* --- artifacts and aggregation --------------------------------------- *)
 
@@ -273,9 +286,6 @@ let test_cache_write_failure_counted () =
   rm_rf dir
 
 let () =
-  (* Keep the triage sink clean: these tests run inside dune's test
-     runner, and campaigns recorded here must not leak between cases. *)
-  Runner.reset_sink ();
   Alcotest.run "runner"
     [
       ( "determinism",
@@ -289,6 +299,7 @@ let () =
           Alcotest.test_case "exception captured" `Quick test_exception_captured;
           Alcotest.test_case "failure json" `Quick test_failure_json_has_replay;
           Alcotest.test_case "flush failures" `Quick test_flush_failures_roundtrip;
+          Alcotest.test_case "run feeds no sink" `Quick test_run_feeds_no_sink;
         ] );
       ( "artifacts",
         [
