@@ -224,8 +224,9 @@ let deterministic c c1 = Runner.signature c = Runner.signature c1
    artifacts into [out], then [report] prints the outcome and returns the
    exit code.  [report] gets the written (artifact, triage file), [None]
    without [out] or for Run and Replay.  With [compare] the spec runs
-   again on one domain; [report] gets that campaign, and differing
-   signatures exit 2. *)
+   again on one domain, without the cache (it would only replay what the
+   first run stored, comparing the cache with itself); [report] gets that
+   campaign, and differing signatures exit 2. *)
 let exec_spec ?jobs ?out ?(cache = false) ?(compare = false) spec report =
   match Job.validate spec with
   | Error errs -> refuse spec errs
@@ -237,9 +238,7 @@ let exec_spec ?jobs ?out ?(cache = false) ?(compare = false) spec report =
       in
       let o = Job.execute ?jobs ?cache spec in
       let c = o.Job.o_campaign in
-      let seq =
-        if compare then Some (Job.execute ~jobs:1 ?cache spec).Job.o_campaign else None
-      in
+      let seq = if compare then Some (Job.execute ~jobs:1 spec).Job.o_campaign else None in
       match Option.fold ~none:(Ok None) ~some:(fun dir -> Job.write_artifacts ~dir o) out with
       | Error e ->
           prerr_endline e;
@@ -366,6 +365,8 @@ let campaign_cmd =
             Json.Obj
               [
                 ("workers", Json.Int c.Runner.c_workers);
+                ("executed", Json.Int c.Runner.c_executed);
+                ("cache_hits", Json.Int c.Runner.c_cache_hits);
                 ("wall_s", Json.Float c.Runner.c_wall_s);
                 ("throughput_jobs_per_s", Json.Float c.Runner.c_throughput);
               ] )
@@ -425,8 +426,8 @@ let campaign_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:
-            "Also run the sweep on 1 domain: report speedup and verify the merged outputs \
-             are identical (exit 2 if not).")
+            "Also run the sweep on 1 domain, without the cache: report speedup and verify \
+             the merged outputs are identical (exit 2 if not).")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -521,8 +522,8 @@ let explore_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:
-            "Also explore on 1 domain and verify the merged signatures are identical \
-             (exit 2 if not); they cover the counterexamples.")
+            "Also explore on 1 domain, without the cache, and verify the merged \
+             signatures are identical (exit 2 if not); they cover the counterexamples.")
   in
   let expect_arg =
     Arg.(

@@ -59,8 +59,7 @@ let controlled_run ~make ~depth ~next =
   let points = ref 0 in
   let executed = ref [] in
   let recorded = ref [] in
-  Sim.set_chooser sim (fun _sim arr ->
-      let m = Array.length arr in
+  Sim.set_chooser sim (fun sim m ->
       if m = 0 then Sim.Pass
       else begin
         let point = !points in
@@ -70,7 +69,9 @@ let controlled_run ~make ~depth ~next =
           recorded :=
             {
               o_deliveries =
-                Array.map (fun (p : Sim.pending) -> (p.Sim.pd_src, p.Sim.pd_dst)) arr;
+                Array.init m (fun i ->
+                    let p = Sim.pending sim i in
+                    (p.Sim.pd_src, p.Sim.pd_dst));
               o_crashes = crashables;
             }
             :: !recorded;

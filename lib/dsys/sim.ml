@@ -122,9 +122,13 @@ and t = {
   (* Choice-point control (schedule exploration).  When a chooser is
      installed, substrates route deliveries through [offer] instead of
      sampling delays; the run loop consults the chooser at every event
-     boundary (no event left at the current instant). *)
-  mutable chooser : (t -> pending array -> decision) option;
-  mutable pool : pending list; (* newest-first; canonical order is by pd_id *)
+     boundary (no event left at the current instant).  The pending
+     deliveries sit in [pool.(0 .. pool_len - 1)] in canonical (pd_id)
+     order: [offer] appends, a pick shifts the tail down over its entry,
+     and a crash compacts in place, so the order never needs restoring. *)
+  mutable chooser : (t -> int -> decision) option;
+  mutable pool : pending array;
+  mutable pool_len : int;
   mutable next_pd : int;
   (* Scheduler observability (flushed into [trace] at the end of [run]). *)
   mutable n_pred_evals : int;
@@ -153,6 +157,10 @@ type _ Effect.t +=
 
 let nop () = ()
 
+(* Fills the pool's unused tail, so a removed entry's closure is not kept
+   alive by the array. *)
+let no_pending = { pd_id = -1; pd_src = 0; pd_dst = 0; pd_fire = nop }
+
 let check_size ~n ~t =
   if n < 2 then Error "n must be >= 2"
   else if n > Pidset.max_size then
@@ -179,7 +187,9 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       local;
       router = None;
       inlets = Hashtbl.create 8;
-      arena = Earena.create ();
+      (* n^2 is the delivery pattern of one all-to-all round; n >= 32 gets
+         the arena's full-size wheel. *)
+      arena = Earena.create ~initial:(min (n * n) 1024) ();
       th = Array.make 16 nop;
       th_len = 0;
       th_free = Array.make 16 0;
@@ -217,7 +227,8 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       fired = [||];
       fired_len = 0;
       chooser = None;
-      pool = [];
+      pool = [||];
+      pool_len = 0;
       next_pd = 0;
       n_pred_evals = 0;
       n_signals = 0;
@@ -473,7 +484,16 @@ let do_crash t pid =
     (* Undelivered messages to a dead process would be delivered into the
        void; drop them so the chooser never wastes a branch on them.
        In-flight messages *from* the crashed process stay. *)
-    t.pool <- List.filter (fun p -> p.pd_dst <> pid) t.pool
+    let keep = ref 0 in
+    for i = 0 to t.pool_len - 1 do
+      let p = t.pool.(i) in
+      if p.pd_dst <> pid then begin
+        t.pool.(!keep) <- p;
+        incr keep
+      end
+    done;
+    Array.fill t.pool !keep (t.pool_len - !keep) no_pending;
+    t.pool_len <- !keep
   end
 
 let crash_now t pid =
@@ -550,9 +570,28 @@ let offer t ~src ~dst fire =
   if t.chooser = None then invalid_arg "Sim.offer: no chooser installed";
   let pd = { pd_id = t.next_pd; pd_src = src; pd_dst = dst; pd_fire = fire } in
   t.next_pd <- t.next_pd + 1;
-  t.pool <- pd :: t.pool
+  if t.pool_len = Array.length t.pool then begin
+    let a' = Array.make (max 16 (2 * t.pool_len)) no_pending in
+    Array.blit t.pool 0 a' 0 t.pool_len;
+    t.pool <- a'
+  end;
+  t.pool.(t.pool_len) <- pd;
+  t.pool_len <- t.pool_len + 1
 
-let pending_deliveries t = List.length t.pool
+let pending_deliveries t = t.pool_len
+
+let pending t i =
+  if i < 0 || i >= t.pool_len then invalid_arg "Sim.pending: index out of range";
+  t.pool.(i)
+
+(* Remove the [i]-th pending delivery, keeping the rest in order. *)
+let take_pending t i =
+  let p = t.pool.(i) in
+  let last = t.pool_len - 1 in
+  Array.blit t.pool (i + 1) t.pool i (last - i);
+  t.pool.(last) <- no_pending;
+  t.pool_len <- last;
+  p
 
 (* One chooser step at an event boundary: [true] iff something fired (a
    delivery or a crash), which counts as an event for the run loop. *)
@@ -560,16 +599,13 @@ let consult_chooser t =
   match t.chooser with
   | None -> false
   | Some choose -> (
-      let arr = Array.of_list (List.rev t.pool) in
-      match choose t arr with
+      match choose t t.pool_len with
       | Pass -> false
-      | Deliver _ when Array.length arr = 0 -> false
+      | Deliver _ when t.pool_len = 0 -> false
       | Deliver i ->
-          let m = Array.length arr in
+          let m = t.pool_len in
           let i = if i < 0 then 0 else if i >= m then m - 1 else i in
-          let p = arr.(i) in
-          t.pool <- List.filter (fun q -> q.pd_id <> p.pd_id) t.pool;
-          p.pd_fire ();
+          (take_pending t i).pd_fire ();
           true
       | Inject_crash pid ->
           crash_now t pid;

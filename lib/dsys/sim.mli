@@ -295,17 +295,26 @@ type pending = private {
 
 type decision =
   | Deliver of int
-      (** Index into the canonical (pd_id-ordered) pending array; clamped
-          into range, so any index is safe. *)
+      (** Index into the canonical (pd_id-ordered) pending deliveries;
+          clamped into range, so any index is safe. *)
   | Inject_crash of Pid.t
       (** Crash the process now ({!crash_now} semantics: counts against
           [t], raises past the bound). *)
   | Pass  (** Let virtual time advance to the next queued event. *)
 
-val set_chooser : t -> (t -> pending array -> decision) -> unit
+val set_chooser : t -> (t -> int -> decision) -> unit
 (** Install the chooser.  From now on {!offer} is legal and the run loop
-    consults the chooser at every event boundary with the pending
-    deliveries in canonical order (possibly empty). *)
+    consults the chooser at every event boundary with the number of
+    pending deliveries (possibly 0).  The chooser reads them through
+    {!pending}, in place: the simulator keeps them in one array in
+    canonical order, appends each {!offer}, removes a delivered entry by
+    shifting the later ones down, and compacts the array when a crash
+    drops deliveries, so a choice point copies nothing. *)
+
+val pending : t -> int -> pending
+(** [pending t i] is the [i]-th pending delivery in canonical (pd_id)
+    order, for [0 <= i < pending_deliveries t] — what [Deliver i] would
+    fire.  Raises [Invalid_argument] out of that range. *)
 
 val clear_chooser : t -> unit
 
@@ -321,6 +330,7 @@ val offer : t -> src:Pid.t -> dst:Pid.t -> (unit -> unit) -> unit
     [Invalid_argument] if no chooser is installed. *)
 
 val pending_deliveries : t -> int
+(** The number of deliveries waiting for the chooser. *)
 
 (** {1 Running} *)
 

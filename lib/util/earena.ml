@@ -14,8 +14,9 @@
    Why a wheel: a simulation keeps tens of thousands of deliveries in
    flight, and a comparison-based heap pays log4 of that in cache-missing
    levels on every pop.  Near-future events — the overwhelming majority,
-   message delays being small and bounded — instead hash into one of [nb]
-   time buckets of width [bw]: a pop finds the first occupied bucket
+   message delays being small and bounded — instead hash into one of the
+   wheel's time buckets of width [bw] (16 per expected entry, see
+   [wheel_buckets]): a pop finds the first occupied bucket
    through a two-level bitmap and scans its short unsorted chain for the
    exact (time, seq) minimum.  Events beyond the wheel window, or behind
    the pop frontier, go to the heap; the true minimum is whichever of
@@ -43,6 +44,7 @@ type t = {
   mutable hsize : int; (* live heap entries *)
   (* Timing wheel. *)
   mutable bnext : int array; (* slot -> next slot in its bucket chain *)
+  nb_mask : int; (* bucket count - 1; the count is a power of two *)
   buckets : int array; (* bucket -> chain head slot, -1 = empty *)
   bits : int array; (* bucket occupancy bitmap, 32 buckets per word *)
   summary : int array; (* word occupancy of [bits], 32 words per entry *)
@@ -65,16 +67,21 @@ type t = {
   mutable pending : int;
 }
 
-let nb = 16384 (* buckets; power of two *)
-let nb_mask = nb - 1
-let bits_len = nb / 32
-let summary_len = bits_len / 32
 let chain_limit = 24 (* rebuild with bw/2 when a scanned chain exceeds this *)
 let max_bw_inv = 1e12 (* narrowing fuse: equal-time pileups can't split *)
-let initial_bw_inv = float_of_int nb /. 4.0 (* window starts 4 time units *)
+
+(* Wheel size for [initial] expected entries: 16 buckets per entry, a
+   power of two between 1024 (one summary word covers the bitmap) and
+   16384.  A small simulation keeps its wheel, bitmaps and set-up cost
+   small; the window still spans 4 time units, so the buckets are only
+   wider, and [rebuild_narrower] halves them if chains grow. *)
+let wheel_buckets initial =
+  let rec up nb = if nb >= 16 * initial || nb >= 16384 then nb else up (2 * nb) in
+  up 1024
 
 let create ?(initial = 64) () =
   let cap = max 4 initial in
+  let nb = wheel_buckets initial in
   {
     time = Array.make cap 0.0;
     seq = Array.make cap 0;
@@ -86,10 +93,12 @@ let create ?(initial = 64) () =
     h_seq = Array.make cap 0;
     hsize = 0;
     bnext = Array.make cap (-1);
+    nb_mask = nb - 1;
     buckets = Array.make nb (-1);
-    bits = Array.make bits_len 0;
-    summary = Array.make summary_len 0;
-    bw_inv = initial_bw_inv;
+    bits = Array.make (nb / 32) 0;
+    summary = Array.make (nb / 1024) 0;
+    (* The window starts 4 time units wide, whatever [nb]. *)
+    bw_inv = float_of_int nb /. 4.0;
     floor_ab = 0;
     last_pop = 0.0;
     wcount = 0;
@@ -256,6 +265,7 @@ let lsb w =
 let next_occupied t from =
   if t.wcount = 0 then -1
   else begin
+    let bits_len = Array.length t.bits in
     let fw = from lsr 5 in
     let first = t.bits.(fw) land lnot ((1 lsl (from land 31)) - 1) in
     if first <> 0 then (fw lsl 5) lor lsb first
@@ -280,7 +290,7 @@ let next_occupied t from =
   end
 
 let wheel_insert t slot ~time ~ab =
-  let b = ab land nb_mask in
+  let b = ab land t.nb_mask in
   let head = t.buckets.(b) in
   t.bnext.(slot) <- head;
   t.buckets.(b) <- slot;
@@ -323,7 +333,7 @@ let route t slot ~time ~sq =
     && abf < 4.0e18
     &&
     let ab = int_of_float abf in
-    if ab >= t.floor_ab && ab - t.floor_ab < nb then begin
+    if ab >= t.floor_ab && ab - t.floor_ab <= t.nb_mask then begin
       wheel_insert t slot ~time ~ab;
       true
     end
@@ -353,7 +363,7 @@ let rebuild_narrower t =
   t.floor_ab <- int_of_float (t.last_pop *. t.bw_inv);
   t.cm_valid <- false;
   let stack = ref [] in
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb_mask do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       stack := !s :: !stack;
@@ -361,8 +371,8 @@ let rebuild_narrower t =
     done;
     t.buckets.(b) <- -1
   done;
-  Array.fill t.bits 0 bits_len 0;
-  Array.fill t.summary 0 summary_len 0;
+  Array.fill t.bits 0 (Array.length t.bits) 0;
+  Array.fill t.summary 0 (Array.length t.summary) 0;
   t.wcount <- 0;
   List.iter
     (fun slot ->
@@ -378,7 +388,7 @@ exception Narrowed
    retries. *)
 let find_min t =
   if not t.cm_valid then begin
-    let wb = next_occupied t (t.floor_ab land nb_mask) in
+    let wb = next_occupied t (t.floor_ab land t.nb_mask) in
     let wslot = ref (-1) and wprev = ref (-1) in
     (if wb >= 0 then begin
        let chain_len = ref 0 in
@@ -494,7 +504,7 @@ let cancel t slot =
   else begin
     (if t.hpos.(slot) = -2 then begin
        (* Wheel entry: walk its chain for the predecessor, then unlink. *)
-       let b = int_of_float (t.time.(slot) *. t.bw_inv) land nb_mask in
+       let b = int_of_float (t.time.(slot) *. t.bw_inv) land t.nb_mask in
        let prev = ref (-1) in
        let s = ref t.buckets.(b) in
        while !s <> slot do
@@ -514,7 +524,7 @@ let clear t =
     release t t.heap.(i)
   done;
   t.hsize <- 0;
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb_mask do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       let nxt = t.bnext.(!s) in
@@ -524,8 +534,8 @@ let clear t =
     done;
     t.buckets.(b) <- -1
   done;
-  Array.fill t.bits 0 bits_len 0;
-  Array.fill t.summary 0 summary_len 0;
+  Array.fill t.bits 0 (Array.length t.bits) 0;
+  Array.fill t.summary 0 (Array.length t.summary) 0;
   t.wcount <- 0;
   t.cm_valid <- false
 
@@ -535,7 +545,7 @@ let to_sorted_list t =
     let s = t.heap.(i) in
     out := (t.time.(s), t.seq.(s), t.kind.(s), t.arg.(s)) :: !out
   done;
-  for b = 0 to nb - 1 do
+  for b = 0 to t.nb_mask do
     let s = ref t.buckets.(b) in
     while !s >= 0 do
       out := (t.time.(!s), t.seq.(!s), t.kind.(!s), t.arg.(!s)) :: !out;
@@ -549,3 +559,4 @@ let to_sorted_list t =
     !out
 
 let capacity t = Array.length t.time
+let buckets t = t.nb_mask + 1

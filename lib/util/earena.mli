@@ -23,7 +23,12 @@
 type t
 
 val create : ?initial:int -> unit -> t
-(** Empty arena; [initial] (default 64) is the starting slot capacity. *)
+(** Empty arena sized for [initial] (default 64) pending entries: the
+    starting slot capacity (it grows by doubling past that), and the
+    timing wheel's bucket count, 16 per entry rounded up to a power of
+    two and kept within [1024, 16384] — so [initial >= 1024] gets the
+    full 16384 buckets and a small simulation a 1024-bucket wheel.  The
+    size changes only cost, never the pop order. *)
 
 val length : t -> int
 val is_empty : t -> bool
@@ -63,3 +68,7 @@ val to_sorted_list : t -> (float * int * int * int) list
 
 val capacity : t -> int
 (** Current slot capacity (sizing diagnostics). *)
+
+val buckets : t -> int
+(** The timing wheel's bucket count, fixed at {!create} (sizing
+    diagnostics). *)

@@ -183,6 +183,95 @@ let test_dfs_injects_crash_and_shrinks () =
   check "minimized to the one crash" true (choices = [ Schedule.Crash 1 ]);
   check "violation preserved" true (notes = [ "pid 1 was crashed" ])
 
+(* --- The chooser's pending pool against a list model --- *)
+
+(* The pool's semantics as a newest-first list: the chooser sees it
+   reversed (pd_id order), a pick removes its entry by id, a crash drops
+   every entry to the crashed process.  Random offers (from scheduled
+   batches and from delivered messages, which answer every third one),
+   picks at any index (out-of-range ones clamp), passes and crashes drive
+   a simulator and the model side by side; at every boundary the
+   chooser's in-place view must equal the model's, and the deliveries
+   must fire in the model's order. *)
+type pool_op = Pick of int | Kill of Pid.t | Skip
+
+let gen_pool_case =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 6) (list_size (int_range 0 5) (pair (int_bound 4) (int_bound 4))))
+      (list_size (int_range 0 60)
+         (frequency
+            [
+              (6, map (fun i -> Pick i) (int_range (-2) 9));
+              (1, map (fun p -> Kill p) (int_bound 4));
+              (1, return Skip);
+            ])))
+
+let print_pool_case (batches, ops) =
+  Printf.sprintf "batches=[%s] ops=[%s]"
+    (String.concat "; "
+       (List.map
+          (fun b -> String.concat "," (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) b))
+          batches))
+    (String.concat ","
+       (List.map
+          (function Pick i -> Printf.sprintf "d%d" i | Kill p -> Printf.sprintf "c%d" p | Skip -> "p")
+          ops))
+
+let qcheck_pool_matches_list_model =
+  QCheck.Test.make ~name:"chooser pool = newest-first list model" ~count:300
+    (QCheck.make ~print:print_pool_case gen_pool_case)
+    (fun (batches, ops) ->
+      let n = 5 and t = 3 in
+      let sim = Sim.create ~horizon:100.0 ~n ~t ~seed:1 () in
+      let model = ref [] (* (id, src, dst), newest first *) in
+      let next_id = ref 0 in
+      let fired = ref [] and expected = ref [] in
+      let crashed = ref [] in
+      let ok = ref true in
+      let rec offer ~src ~dst ~reply =
+        let id = !next_id in
+        incr next_id;
+        model := (id, src, dst) :: !model;
+        Sim.offer sim ~src ~dst (fun () ->
+            fired := id :: !fired;
+            if reply && id mod 3 = 0 then offer ~src:dst ~dst:src ~reply:false)
+      in
+      List.iteri
+        (fun i batch ->
+          Sim.schedule sim ~delay:(float_of_int (i + 1)) (fun () ->
+              List.iter (fun (src, dst) -> offer ~src ~dst ~reply:true) batch))
+        batches;
+      let rem = ref ops in
+      Sim.set_chooser sim (fun sim m ->
+          let view =
+            List.init m (fun i ->
+                let p = Sim.pending sim i in
+                (p.Sim.pd_id, p.Sim.pd_src, p.Sim.pd_dst))
+          in
+          if view <> List.rev !model || Sim.pending_deliveries sim <> m then ok := false;
+          (match Sim.pending sim m with
+          | _ -> ok := false
+          | exception Invalid_argument _ -> ());
+          let op = match !rem with [] -> Pick 0 | op :: rest -> rem := rest; op in
+          match op with
+          | Skip -> Sim.Pass
+          | Kill p when List.mem p !crashed || List.length !crashed < t ->
+              if not (List.mem p !crashed) then begin
+                crashed := p :: !crashed;
+                model := List.filter (fun (_, _, d) -> d <> p) !model
+              end;
+              Sim.Inject_crash p
+          | Kill _ -> Sim.Pass
+          | Pick i ->
+              (if m > 0 then
+                 let id, _, _ = List.nth (List.rev !model) (max 0 (min i (m - 1))) in
+                 expected := id :: !expected;
+                 model := List.filter (fun (id', _, _) -> id' <> id) !model);
+              Sim.Deliver i);
+      ignore (Sim.run sim);
+      !ok && !fired = !expected && Sim.pending_deliveries sim = List.length !model)
+
 (* --- Explorer on the registry: E2 misuse end-to-end --- *)
 
 let bounds =
@@ -232,6 +321,20 @@ let test_safe_config_comes_up_dry () =
   let o = Job.execute ~jobs:1 (Job.Explore { protocol = "kset"; params = params 1; bounds }) in
   check "z <= k: no schedule violates (Lemma 2)" true (o.Job.o_ces = [])
 
+(* One explorer instance's set-up, which every execution of a search
+   pays: kset at n = 7 allocates under 4,096 words.  A 16,384-bucket
+   wheel alone would be more. *)
+let test_instance_setup_allocation () =
+  let make = Protocol.explore_make (Option.get (Protocol.find "kset")) (params 1) in
+  (* Warm up: the first instance may fill lazily built tables. *)
+  Sim.release (make ()).Explore.i_sim;
+  let a0 = Gc.allocated_bytes () in
+  let inst = make () in
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  Sim.release inst.Explore.i_sim;
+  check (Printf.sprintf "explore_make allocated %.0f words, under 4096" words) true
+    (words < 4096.0)
+
 let () =
   Alcotest.run "explore"
     [
@@ -253,11 +356,15 @@ let () =
             test_run_schedule_deterministic;
           Alcotest.test_case "crash injection + shrink" `Quick
             test_dfs_injects_crash_and_shrinks;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+            qcheck_pool_matches_list_model;
         ] );
       ( "explorer",
         [
           Alcotest.test_case "misuse finds + replays" `Quick test_misuse_finds_and_replays;
           Alcotest.test_case "-j1 == -j2" `Quick test_explorer_jobs_deterministic;
           Alcotest.test_case "safe config dry" `Quick test_safe_config_comes_up_dry;
+          Alcotest.test_case "instance set-up allocation" `Quick
+            test_instance_setup_allocation;
         ] );
     ]

@@ -529,6 +529,36 @@ let test_cli_compare_triage () =
   check_int "24 distinct seeds" 24 (List.length (List.sort_uniq compare seeds));
   rm_rf dir
 
+(* --compare's -j 1 pass runs without the cache: it executes all 8 jobs
+   whether the -j 2 pass found the cache cold or warm, so the
+   determinism check never compares the cache with itself. *)
+let test_cli_compare_uncached () =
+  let dir = tmpdir "compare-cache" in
+  let args =
+    [ "campaign"; "--exp"; "kset"; "--seeds"; "8"; "--jobs"; "2"; "--cache"; "--compare";
+      "--out"; dir ]
+  in
+  List.iter
+    (fun (pass, hits) ->
+      let code, text = fdkit args in
+      check_int (pass ^ " exit\n" ^ text) 0 code;
+      let summary =
+        Json.of_string_exn
+          (In_channel.with_open_bin (Filename.concat dir "campaign_summary.json")
+             In_channel.input_all)
+      in
+      let count side field =
+        match Option.bind (Json.member side summary) (Json.member field) with
+        | Some (Json.Int i) -> i
+        | _ -> Alcotest.failf "%s: campaign_summary.json has no %s.%s" pass side field
+      in
+      check_int (pass ^ ": -j 2 cache hits") hits (count "parallel" "cache_hits");
+      check_int (pass ^ ": -j 2 executed") (8 - hits) (count "parallel" "executed");
+      check_int (pass ^ ": -j 1 executed") 8 (count "sequential" "executed");
+      check_int (pass ^ ": -j 1 cache hits") 0 (count "sequential" "cache_hits"))
+    [ ("cold", 0); ("warm", 8) ];
+  rm_rf dir
+
 (* trace refuses what run refuses, and an rt backend: it only simulates. *)
 let test_cli_trace_validates () =
   List.iter
@@ -2309,6 +2339,7 @@ let () =
           Alcotest.test_case "oracle ranges refused" `Quick test_cli_oracle_ranges;
           Alcotest.test_case "replay commands reproduce" `Quick test_cli_replay_commands;
           Alcotest.test_case "compare keeps one triage" `Quick test_cli_compare_triage;
+          Alcotest.test_case "compare runs -j 1 uncached" `Quick test_cli_compare_uncached;
           Alcotest.test_case "trace validates its spec" `Quick test_cli_trace_validates;
         ] );
       ( "daemon",

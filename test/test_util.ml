@@ -398,6 +398,70 @@ let earena_sorted_qcheck =
       popped = expected
       && List.map (fun (tm, _, _, arg) -> (tm, arg)) snapshot = expected)
 
+(* The arena against a list model at both wheel sizes a simulator gets:
+   1024 buckets (a small system, [initial] 4) and 16384 ([initial] 1024,
+   n >= 32).  Most adds land on one of two instants just past the pop
+   frontier, so a bucket chain passes the rebuild limit and the wheel
+   narrows, again and again up to its fuse; the narrowed window then
+   sends the spread adds (up to 40 time units out) to the heap.  Pops
+   and cancels interleave throughout. *)
+let earena_wheel_sizes_qcheck =
+  let gen_ops = QCheck.Gen.(list_size (int_range 0 400) (pair (int_bound 9) (int_bound 1000))) in
+  QCheck.Test.make ~name:"earena = list model at 1024 and 16384 buckets" ~count:100
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat "," (List.map (fun (op, v) -> Printf.sprintf "%d:%d" op v) l))
+       gen_ops)
+    (fun ops ->
+      List.for_all
+        (fun (initial, buckets) ->
+          let a = Earena.create ~initial () in
+          (* live entries as (time, seq, slot), oldest first *)
+          let live = ref [] in
+          let seq = ref 0 in
+          let frontier = ref 0.0 in
+          let before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2) in
+          let model_min () =
+            List.fold_left
+              (fun acc e -> match acc with Some m when before m e -> acc | _ -> Some e)
+              None !live
+          in
+          let ok = ref (Earena.buckets a = buckets) in
+          let pop () =
+            let s = Earena.pop a in
+            match model_min () with
+            | None -> if s <> -1 then ok := false
+            | Some ((time, _, slot) as e) ->
+                if s <> slot || Earena.time_of a s <> time then ok := false;
+                frontier := time;
+                live := List.filter (fun x -> x != e) !live
+          in
+          List.iter
+            (fun (op, v) ->
+              if op <= 7 then begin
+                let time =
+                  if op <= 5 then !frontier +. float_of_int (v mod 2)
+                  else !frontier +. (float_of_int (v mod 120) /. 3.0)
+                in
+                let slot = Earena.add a ~time ~kind:0 ~arg:!seq in
+                live := !live @ [ (time, !seq, slot) ];
+                incr seq
+              end
+              else if op = 8 then pop ()
+              else
+                match !live with
+                | [] -> ()
+                | (_, _, slot) :: rest ->
+                    (* Cancel the oldest live entry. *)
+                    if not (Earena.cancel a slot) then ok := false;
+                    live := rest)
+            ops;
+          while !live <> [] do
+            pop ()
+          done;
+          !ok && Earena.pop a = -1)
+        [ (4, 1024); (1024, 16384) ])
+
 (* ------------------------------------------------------------------ *)
 (* Combi                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1209,6 +1273,9 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             earena_differential_qcheck;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            earena_wheel_sizes_qcheck;
         ] );
       ( "combi",
         [
