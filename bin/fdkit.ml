@@ -353,11 +353,21 @@ let campaign_cmd =
             Printf.printf "  %-18s %s\n" name (Format.asprintf "%a" Stats.pp_summary s))
           (Runner.metric_summaries c);
         print_counter_totals c;
-        let speedup c1 = c.Runner.c_throughput /. Float.max c1.Runner.c_throughput 1e-9 in
+        (* A -j N side that served any job from the cache measures the
+           cache, not the domains: no speedup then. *)
+        let speedup c1 =
+          if c.Runner.c_cache_hits > 0 then None
+          else Some (c.Runner.c_throughput /. Float.max c1.Runner.c_throughput 1e-9)
+        in
         Option.iter
           (fun c1 ->
             describe (Printf.sprintf "baseline %s -j 1" family) c1;
-            Printf.printf "speedup: %.2fx; deterministic merge: %s\n" (speedup c1)
+            Printf.printf "speedup: %s; deterministic merge: %s\n"
+              (match speedup c1 with
+              | Some x -> Printf.sprintf "%.2fx" x
+              | None ->
+                  Printf.sprintf "not measured (%d job(s) served from the cache)"
+                    c.Runner.c_cache_hits)
               (if deterministic c c1 then "yes" else "NO — BUG"))
           seq;
         let side tag c =
@@ -385,7 +395,8 @@ let campaign_cmd =
                  ~some:(fun c1 ->
                    [
                      side "sequential" c1;
-                     ("speedup", Json.Float (speedup c1));
+                     ( "speedup",
+                       Option.fold ~none:Json.Null ~some:(fun x -> Json.Float x) (speedup c1) );
                      ("deterministic", Json.Bool (deterministic c c1));
                    ])
                  seq));
@@ -426,8 +437,9 @@ let campaign_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:
-            "Also run the sweep on 1 domain, without the cache: report speedup and verify \
-             the merged outputs are identical (exit 2 if not).")
+            "Also run the sweep on 1 domain, without the cache: report speedup (not \
+             measured when the cache served any job of the -j N sweep) and verify the \
+             merged outputs are identical (exit 2 if not).")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -444,19 +456,25 @@ let campaign_cmd =
 
 (* ---- explore ---- *)
 
+(* The search bounds, one term for [explore] and [submit --kind explore]. *)
+let bounds_term =
+  let docs = "SEARCH BOUNDS" in
+  let int_opt name docv default doc =
+    Arg.(value & opt int default & info [ name ] ~docs ~docv ~doc)
+  in
+  let d = Explorer.default_bounds in
+  Term.(
+    const (fun depth delays walks max_runs_per_job shrink_budget ->
+        { d with Explorer.depth; delays; walks; max_runs_per_job; shrink_budget })
+    $ int_opt "depth" "D" d.Explorer.depth "Choice points eligible for branching per run."
+    $ int_opt "delays" "B" d.Explorer.delays "Max deviations from FIFO per execution."
+    $ int_opt "walks" "W" d.Explorer.walks "Guided random walks on top of the DFS."
+    $ int_opt "max-runs" "R" d.Explorer.max_runs_per_job "DFS execution budget per point job."
+    $ int_opt "shrink-budget" "R" d.Explorer.shrink_budget
+        "Delta-debugging trial runs per counterexample.")
+
 let explore_cmd =
-  let run protocol jobs out compare expect honest depth delays walks max_runs
-      shrink_budget cache (base : Protocol.params) =
-    let bounds =
-      {
-        Explorer.default_bounds with
-        depth;
-        delays;
-        walks;
-        max_runs_per_job = max_runs;
-        shrink_budget;
-      }
-    in
+  let run protocol jobs out compare expect honest bounds cache (base : Protocol.params) =
     (* Exploration defaults (adversarial wiring unless --honest, short
        horizon) are applied by Job.of_flags — shared with the daemon. *)
     let spec = Job.of_flags ~kind:`Explore ~honest ~bounds ~protocol base in
@@ -540,32 +558,6 @@ let explore_cmd =
             "Disable the default adversarial (mis-use) wiring; explore the protocol as \
              normally configured.")
   in
-  let depth_arg =
-    Arg.(
-      value & opt int Explorer.default_bounds.Explorer.depth
-      & info [ "depth" ] ~docv:"D" ~doc:"Choice points eligible for branching per run.")
-  in
-  let delays_arg =
-    Arg.(
-      value & opt int Explorer.default_bounds.Explorer.delays
-      & info [ "delays" ] ~docv:"B" ~doc:"Max deviations from FIFO per execution.")
-  in
-  let walks_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "walks" ] ~docv:"W" ~doc:"Guided random walks on top of the DFS.")
-  in
-  let max_runs_arg =
-    Arg.(
-      value & opt int Explorer.default_bounds.Explorer.max_runs_per_job
-      & info [ "max-runs" ] ~docv:"R" ~doc:"DFS execution budget per point job.")
-  in
-  let shrink_arg =
-    Arg.(
-      value & opt int Explorer.default_bounds.Explorer.shrink_budget
-      & info [ "shrink-budget" ] ~docv:"R"
-          ~doc:"Delta-debugging trial runs per counterexample.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
@@ -576,8 +568,7 @@ let explore_cmd =
           (fdkit submit / serve).")
     Term.(
       const run $ protocol_arg $ jobs_arg $ out_arg $ compare_arg $ expect_arg
-      $ honest_arg $ depth_arg $ delays_arg $ walks_arg $ max_runs_arg $ shrink_arg
-      $ cache_flag_arg
+      $ honest_arg $ bounds_term $ cache_flag_arg
       $ params_term ~default_z:2 ~default_k:1 ~default_crashes:0 ())
 
 (* ---- chaos ---- *)
@@ -1088,7 +1079,7 @@ let print_telemetry v =
     (if label = "" then "" else "  " ^ label)
 
 let submit_cmd =
-  let run socket spec_file kind protocol seeds protocols mixes honest
+  let run socket spec_file kind protocol seeds protocols mixes honest bounds
       expect_cached follow stream retry deadline_s (base : Protocol.params) =
     let spec =
       match spec_file with
@@ -1107,7 +1098,7 @@ let submit_cmd =
             if seeds > 0 then seeds
             else match kind with `Chaos -> 8 | _ -> 32
           in
-          Ok (Job.of_flags ~seeds ~protocols ~mixes ~honest ~kind ~protocol base)
+          Ok (Job.of_flags ~seeds ~protocols ~mixes ~honest ~bounds ~kind ~protocol base)
     in
     match spec with
     | Error e ->
@@ -1315,7 +1306,7 @@ let submit_cmd =
           executed,cache_skipped,cancelled,wall_s,signature}.")
     Term.(
       const run $ socket_arg $ spec_arg $ kind_arg $ protocol_arg $ seeds_arg
-      $ protocols_arg $ mixes_arg $ honest_arg $ expect_cached_arg
+      $ protocols_arg $ mixes_arg $ honest_arg $ bounds_term $ expect_cached_arg
       $ follow_arg $ stream_arg $ retry_arg $ deadline_s_arg $ params_term ())
 
 (* Exit 7 is reserved for "daemon unreachable" so scripts can tell a

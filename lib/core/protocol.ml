@@ -144,33 +144,52 @@ let variant_entry name table p =
         (Printf.sprintf "Protocol.%s: unknown variant %S (%s)" name p.variant
            (String.concat "|" (List.map fst table)))
 
+(* Helpers for [kset_safety]: plain recursion over the decisions, so the
+   all-clear verdict that nearly every run and every explored execution
+   ends with allocates nothing.  Quadratic in the decisions, at most n. *)
+let rec value_later (v : int) = function
+  | [] -> false
+  | (_, v', _, _) :: rest -> v = v' || value_later v rest
+
+let rec pid_later (p : Pid.t) = function
+  | [] -> false
+  | (p', _, _, _) :: rest -> p = p' || pid_later p rest
+
+let rec proposed proposals (v : int) i =
+  i < Array.length proposals && (proposals.(i) = v || proposed proposals v (i + 1))
+
+(* Distinct values, each counted at its last occurrence. *)
+let rec distinct_values n = function
+  | [] -> n
+  | (_, v, _, _) :: rest -> distinct_values (if value_later v rest then n else n + 1) rest
+
+let rec safety_notes proposals acc = function
+  | [] -> acc
+  | (p, v, _, _) :: rest ->
+      let acc =
+        if proposed proposals v 0 then acc
+        else
+          Printf.sprintf "validity: %s decided unproposed value %d" (Pid.to_string p) v
+          :: acc
+      in
+      let acc =
+        if pid_later p rest then
+          Printf.sprintf "double decision by %s" (Pid.to_string p) :: acc
+        else acc
+      in
+      safety_notes proposals acc rest
+
 (* Safety-only k-set verdict: validity, agreement and single-decision,
    but NOT termination — meaningful on partial (explored) runs, where
    "nobody decided yet" must not read as a violation. *)
 let kset_safety ~k ~proposals decisions =
-  let notes = ref [] in
-  let add n = notes := n :: !notes in
-  let values = List.sort_uniq compare (List.map (fun (_, v, _, _) -> v) decisions) in
-  if List.length values > k then
-    add
-      (Printf.sprintf "agreement: %d distinct values decided, k = %d"
-         (List.length values) k);
-  List.iter
-    (fun (p, v, _, _) ->
-      if not (Array.exists (Int.equal v) proposals) then
-        add
-          (Printf.sprintf "validity: %s decided unproposed value %d"
-             (Pid.to_string p) v))
-    decisions;
-  let pids = List.sort compare (List.map (fun (p, _, _, _) -> p) decisions) in
-  let rec dups = function
-    | a :: (b :: _ as rest) ->
-        if a = b then add (Printf.sprintf "double decision by %s" (Pid.to_string a));
-        dups rest
-    | _ -> ()
+  let values = distinct_values 0 decisions in
+  let agreement =
+    if values > k then
+      [ Printf.sprintf "agreement: %d distinct values decided, k = %d" values k ]
+    else []
   in
-  dups pids;
-  List.sort_uniq compare !notes
+  List.sort_uniq compare (safety_notes proposals agreement decisions)
 
 (* ---- protocols ---- *)
 
@@ -190,9 +209,10 @@ module Kset_p = struct
         (* The E2 mis-use configuration (Theorem 5 tightness): a constant
            Ω_z trusted set and the adversary-friendly tie-break.  With
            z > k this is outside the algorithm's assumptions, and the
-           explorer hunts the agreement violations. *)
-        ( { Iface.trusted = (fun _ -> Pidset.of_list (List.init p.z Fun.id)) },
-          Kset.By_pid )
+           explorer hunts the agreement violations.  The set is built once:
+           every round of every process reads it. *)
+        let trusted = Pidset.of_list (List.init p.z Fun.id) in
+        ({ Iface.trusted = (fun _ -> trusted) }, Kset.By_pid)
       else (fst (Oracle.omega_z sim ~z:p.z ~behavior:(behavior_of p) ()), Kset.Smallest)
     in
     let h = Kset.install sim ~omega ~proposals ~tie_break () in

@@ -8,12 +8,14 @@ type instance = {
 }
 
 type options = {
-  o_deliveries : (Pid.t * Pid.t) array;
+  o_src : int array;
+  o_dst : int array;
   o_crashes : Pid.t list;
 }
 
 type exec = {
   ex_choices : Schedule.choice list;
+  ex_from : int;
   ex_options : options array;
   ex_points : int;
   ex_violation : string list;
@@ -39,21 +41,24 @@ let stats_metrics st =
     ("explore.shrink_runs", float_of_int st.shrink_runs);
   ]
 
-(* Crash victims the adversary may still pick: declared crashable, not yet
-   scheduled to crash, and within the resilience budget t. *)
-let crash_candidates inst =
-  let sim = inst.i_sim in
-  let correct = Sim.correct_set sim in
-  let budget = Sim.t_bound sim - (Sim.n sim - Pidset.cardinal correct) in
-  if budget <= 0 then []
-  else List.filter (fun p -> Pidset.mem p correct) inst.i_crashable
+(* Whether the adversary may still crash [p], one of the declared
+   crashable processes: not yet scheduled to crash, and within the
+   resilience budget t. *)
+let crash_eligible inst p =
+  let correct = Sim.correct_set inst.i_sim in
+  Sim.t_bound inst.i_sim - (Sim.n inst.i_sim - Pidset.cardinal correct) > 0
+  && Pidset.mem p correct
+
+let crash_candidates inst = List.filter (crash_eligible inst) inst.i_crashable
 
 (* One controlled run.  [next] is consulted at every choice point (an
    event boundary with at least one pending delivery) and its choice is
    normalized (clamped index, ineligible crash degraded to the default),
-   so the recorded [ex_choices] always replays identically.  Options are
-   recorded for the first [depth] points only. *)
-let controlled_run ~make ~depth ~next =
+   so a recorded choice list always replays identically.  With [record]
+   the run keeps its executed choices and the options of points [from]
+   to [depth - 1]; without it (a DFS leaf) it keeps neither, and a choice
+   point allocates nothing. *)
+let controlled_run ~make ~record ~from ~depth ~next =
   let inst = make () in
   let sim = inst.i_sim in
   let points = ref 0 in
@@ -64,27 +69,27 @@ let controlled_run ~make ~depth ~next =
       else begin
         let point = !points in
         incr points;
-        let crashables = crash_candidates inst in
-        if point < depth then
+        if record && point >= from && point < depth then
           recorded :=
             {
-              o_deliveries =
-                Array.init m (fun i ->
-                    let p = Sim.pending sim i in
-                    (p.Sim.pd_src, p.Sim.pd_dst));
-              o_crashes = crashables;
+              o_src = Array.init m (Sim.pending_src sim);
+              o_dst = Array.init m (Sim.pending_dst sim);
+              o_crashes = crash_candidates inst;
             }
             :: !recorded;
-        match next ~point ~deliveries:m ~crashables with
+        match next inst ~point ~deliveries:m with
         | Schedule.Deliver i ->
             let i = if i < 0 then 0 else if i >= m then m - 1 else i in
-            executed := Schedule.Deliver i :: !executed;
-            Sim.Deliver i
-        | Schedule.Crash p when List.mem p crashables ->
-            executed := Schedule.Crash p :: !executed;
+            if record then executed := Schedule.Deliver i :: !executed;
+            (* The constant [Deliver 0] is static: the default choice
+               allocates no decision. *)
+            if i = 0 then Sim.Deliver 0 else Sim.Deliver i
+        | Schedule.Crash p as c
+          when List.mem p inst.i_crashable && crash_eligible inst p ->
+            if record then executed := c :: !executed;
             Sim.Inject_crash p
         | Schedule.Crash _ ->
-            executed := Schedule.Deliver 0 :: !executed;
+            if record then executed := Schedule.Deliver 0 :: !executed;
             Sim.Deliver 0
       end);
   let outcome = Sim.run ~stop_when:inst.i_stop sim in
@@ -93,43 +98,53 @@ let controlled_run ~make ~depth ~next =
   Sim.release sim;
   {
     ex_choices = List.rev !executed;
+    ex_from = from;
     ex_options = Array.of_list (List.rev !recorded);
     ex_points = !points;
     ex_violation = violation;
     ex_outcome = outcome;
   }
 
-let run_schedule ~make ?(depth = 0) choices =
+(* Replay [choices], then the FIFO default once they run out. *)
+let replay ~make ~record ~from ~depth choices =
   let rem = ref choices in
-  controlled_run ~make ~depth ~next:(fun ~point:_ ~deliveries:_ ~crashables:_ ->
+  controlled_run ~make ~record ~from ~depth ~next:(fun _ ~point:_ ~deliveries:_ ->
       match !rem with
       | [] -> Schedule.Deliver 0
       | c :: rest ->
           rem := rest;
           c)
 
+let run_schedule ~make ?(depth = 0) choices =
+  replay ~make ~record:true ~from:0 ~depth choices
+
 let random_walk ~make ~seed ?(depth = 10_000) ?(p_deviate = 0.25) ?(p_crash = 0.05) () =
   let rng = Rng.create seed in
-  controlled_run ~make ~depth:0 ~next:(fun ~point ~deliveries:m ~crashables ->
+  controlled_run ~make ~record:true ~from:0 ~depth:0
+    ~next:(fun inst ~point ~deliveries:m ->
       if point >= depth then Schedule.Deliver 0
-      else if crashables <> [] && Rng.float rng 1.0 < p_crash then
-        Schedule.Crash (List.nth crashables (Rng.int rng (List.length crashables)))
-      else if m > 1 && Rng.float rng 1.0 < p_deviate then
-        Schedule.Deliver (1 + Rng.int rng (m - 1))
-      else Schedule.Deliver 0)
+      else
+        let crashables = crash_candidates inst in
+        if crashables <> [] && Rng.float rng 1.0 < p_crash then
+          Schedule.Crash (List.nth crashables (Rng.int rng (List.length crashables)))
+        else if m > 1 && Rng.float rng 1.0 < p_deviate then
+          Schedule.Deliver (1 + Rng.int rng (m - 1))
+        else Schedule.Deliver 0)
 
 let firstn k l = List.filteri (fun i _ -> i < k) l
 
 let deviations prefix =
-  List.length
-    (List.filter (function Schedule.Deliver 0 -> false | _ -> true) prefix)
+  List.fold_left
+    (fun acc c -> match c with Schedule.Deliver 0 -> acc | _ -> acc + 1)
+    0 prefix
 
 let alternatives_at stats e q =
-  if q >= Array.length e.ex_options || q >= List.length e.ex_choices then []
+  let k = q - e.ex_from in
+  if k < 0 || k >= Array.length e.ex_options || q >= List.length e.ex_choices then []
   else begin
-    let opts = e.ex_options.(q) in
+    let opts = e.ex_options.(k) in
     let pre = firstn q e.ex_choices in
-    let m = Array.length opts.o_deliveries in
+    let m = Array.length opts.o_dst in
     (* Delivering the j-th pending message ahead of messages 0..j-1 only
        matters if it overtakes a delivery to the *same* destination:
        adjacent deliveries to different destinations commute (they touch
@@ -139,11 +154,10 @@ let alternatives_at stats e q =
       List.concat
         (List.init (m - 1) (fun jm1 ->
              let j = jm1 + 1 in
-             let _, dj = opts.o_deliveries.(j) in
+             let dj = opts.o_dst.(j) in
              let overtakes_same_dst = ref false in
              for i = 0 to j - 1 do
-               let _, di = opts.o_deliveries.(i) in
-               if di = dj then overtakes_same_dst := true
+               if opts.o_dst.(i) = dj then overtakes_same_dst := true
              done;
              if !overtakes_same_dst then [ pre @ [ Schedule.Deliver j ] ]
              else begin
@@ -154,7 +168,7 @@ let alternatives_at stats e q =
     (* Crash branches: initial crashes (at the very first point), or a
        crash of a process participating in the default next delivery —
        the only placements that can change what this boundary does. *)
-    let s0, d0 = opts.o_deliveries.(0) in
+    let s0 = opts.o_src.(0) and d0 = opts.o_dst.(0) in
     let crash_alts =
       List.filter_map
         (fun p ->
@@ -183,17 +197,21 @@ let dfs ~make ~stats ?(depth = 64) ?(delays = 2) ?(max_runs = 1000)
     | [] -> ()
     | prefix :: rest ->
         stack := rest;
-        let e = run_schedule ~make ~depth prefix in
+        (* Only a run with deviations to spare is expanded, and only at
+           points at or after its prefix, so only such a run records
+           options, and only from there; a leaf records nothing. *)
+        let expand = deviations prefix < delays in
+        let plen = List.length prefix in
+        let e = replay ~make ~record:expand ~from:plen ~depth prefix in
         bump_run stats e;
         if e.ex_violation <> [] then begin
           stats.violations <- stats.violations + 1;
           (* Don't expand below a violation: shrinking handles minimality. *)
           found := (prefix, e.ex_violation) :: !found
         end
-        else if deviations prefix < delays then begin
-          let plen = List.length prefix in
+        else if expand then begin
           let kids = ref [] in
-          for q = Array.length e.ex_options - 1 downto plen do
+          for q = plen + Array.length e.ex_options - 1 downto plen do
             kids := alternatives_at stats e q @ !kids
           done;
           stack := !kids @ !stack
@@ -242,7 +260,7 @@ let shrink ~make ~stats ?(budget = 400) (choices, notes) =
     else begin
       decr left;
       stats.shrink_runs <- stats.shrink_runs + 1;
-      let e = run_schedule ~make cs in
+      let e = replay ~make ~record:false ~from:0 ~depth:0 cs in
       bump_run stats e;
       Some e
     end
@@ -291,6 +309,6 @@ let shrink ~make ~stats ?(budget = 400) (choices, notes) =
   (* Confirming run (not budget-gated): the minimized schedule's own
      violation notes, which may differ from the original's. *)
   stats.shrink_runs <- stats.shrink_runs + 1;
-  let e = run_schedule ~make minimized in
+  let e = replay ~make ~record:false ~from:0 ~depth:0 minimized in
   bump_run stats e;
   if e.ex_violation <> [] then (minimized, e.ex_violation) else (choices, notes)

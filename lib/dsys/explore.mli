@@ -31,15 +31,19 @@ type instance = {
 }
 
 type options = {
-  o_deliveries : (Pid.t * Pid.t) array;
-      (** (src, dst) of each pending delivery, canonical order *)
+  o_src : int array;  (** sender of each pending delivery, canonical order *)
+  o_dst : int array;  (** destination of each, same order *)
   o_crashes : Pid.t list;  (** crash candidates still within budget *)
 }
+(** What the adversary could do at one choice point. *)
 
 type exec = {
   ex_choices : Schedule.choice list;
       (** normalized choice made at every point — replays identically *)
-  ex_options : options array;  (** options seen at the first [depth] points *)
+  ex_from : int;  (** the first point whose options are recorded *)
+  ex_options : options array;
+      (** options seen at points [ex_from], [ex_from + 1], ... below the
+          recording depth *)
   ex_points : int;
   ex_violation : string list;
   ex_outcome : Sim.outcome;
@@ -63,9 +67,9 @@ val run_schedule :
     FIFO policy ([Deliver 0]).  Out-of-range delivery indices are clamped
     and ineligible crashes degrade to the default, so every choice list
     is valid.  [depth] (default 0) bounds how many points record their
-    {!options} for branching.  The execution's simulator is
-    {!Sim.release}d before this returns: its trace stays readable, but it
-    cannot run again. *)
+    {!options} for branching ([ex_from] is 0).  The execution's simulator
+    is {!Sim.release}d before this returns: its trace stays readable, but
+    it cannot run again. *)
 
 val random_walk :
   make:(unit -> instance) ->
@@ -87,8 +91,8 @@ val alternatives_at : stats -> exec -> int -> Schedule.choice list list
 (** Branch prefixes deviating from [exec] first at point [q]: each is
     [exec]'s executed choices before [q] followed by one alternative
     (non-commuting delivery or eligible crash).  Commuting deliveries are
-    counted in [stats.prunes] and skipped.  Empty if [q] is beyond the
-    recorded depth. *)
+    counted in [stats.prunes] and skipped.  Empty if [exec] recorded no
+    options at [q]. *)
 
 val dfs :
   make:(unit -> instance) ->
@@ -106,7 +110,13 @@ val dfs :
     never expands below a violating run.  Returns (prefix, violation)
     pairs in discovery order; stops after [max_runs] executions, or
     early once [poll] (called before each execution; default never)
-    returns [true]. *)
+    returns [true].
+
+    Only what the search reads is recorded: a run whose prefix already
+    has [delays] deviations is a leaf and records neither options nor
+    executed choices; any other run records its options from its prefix
+    length on.  The result is the one {!run_schedule} at [depth] and
+    {!alternatives_at} at every point would give. *)
 
 val ddmin : test:('a list -> bool) -> ?budget:int -> 'a list -> 'a list
 (** Generic greedy delta debugging over a list of atoms: drop chunks of

@@ -123,13 +123,13 @@ and t = {
      installed, substrates route deliveries through [offer] instead of
      sampling delays; the run loop consults the chooser at every event
      boundary (no event left at the current instant).  The pending
-     deliveries sit in [pool.(0 .. pool_len - 1)] in canonical (pd_id)
-     order: [offer] appends, a pick shifts the tail down over its entry,
-     and a crash compacts in place, so the order never needs restoring. *)
+     deliveries sit in [pool.(0 .. pool_len - 1)] in offer order, one int
+     each ([pd_pack]), so an offer allocates nothing.  [offer] appends, a
+     pick shifts the tail down over its entry, and a crash compacts in
+     place, so the order never needs restoring. *)
   mutable chooser : (t -> int -> decision) option;
-  mutable pool : pending array;
+  mutable pool : int array;
   mutable pool_len : int;
-  mutable next_pd : int;
   (* Scheduler observability (flushed into [trace] at the end of [run]). *)
   mutable n_pred_evals : int;
   mutable n_signals : int;
@@ -141,13 +141,6 @@ and t = {
   mutable released : bool;
 }
 
-and pending = {
-  pd_id : int;
-  pd_src : Pid.t;
-  pd_dst : Pid.t;
-  pd_fire : unit -> unit;
-}
-
 and decision = Deliver of int | Inject_crash of Pid.t | Pass
 
 type _ Effect.t +=
@@ -157,9 +150,16 @@ type _ Effect.t +=
 
 let nop () = ()
 
-(* Fills the pool's unused tail, so a removed entry's closure is not kept
-   alive by the array. *)
-let no_pending = { pd_id = -1; pd_src = 0; pd_dst = 0; pd_fire = nop }
+(* A pending delivery as one int: source and destination in the low
+   [pd_bits] bits each (pids are below [Pidset.max_size] = 1024), the
+   dispatch argument, packed as a [k_net] event's, above them. *)
+let pd_bits = 10
+let pd_mask = (1 lsl pd_bits) - 1
+let pd_pack ~src ~dst ~disp ~row =
+  (((row lsl 6) lor disp) lsl (2 * pd_bits)) lor (dst lsl pd_bits) lor src
+let pd_src pd = pd land pd_mask
+let pd_dst pd = (pd lsr pd_bits) land pd_mask
+let pd_arg pd = pd lsr (2 * pd_bits)
 
 let check_size ~n ~t =
   if n < 2 then Error "n must be >= 2"
@@ -229,7 +229,6 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       chooser = None;
       pool = [||];
       pool_len = 0;
-      next_pd = 0;
       n_pred_evals = 0;
       n_signals = 0;
       n_wakeups = 0;
@@ -482,18 +481,21 @@ let do_crash t pid =
       end
     done;
     (* Undelivered messages to a dead process would be delivered into the
-       void; drop them so the chooser never wastes a branch on them.
+       void; drop them so the chooser never wastes a branch on them, then
+       hand each one's row back through its dispatcher: the destination is
+       crashed by now, so the substrate's delivery only frees the row.
        In-flight messages *from* the crashed process stay. *)
-    let keep = ref 0 in
+    let keep = ref 0 and dropped = ref [] in
     for i = 0 to t.pool_len - 1 do
-      let p = t.pool.(i) in
-      if p.pd_dst <> pid then begin
-        t.pool.(!keep) <- p;
+      let pd = t.pool.(i) in
+      if pd_dst pd <> pid then begin
+        t.pool.(!keep) <- pd;
         incr keep
       end
+      else dropped := pd_arg pd :: !dropped
     done;
-    Array.fill t.pool !keep (t.pool_len - !keep) no_pending;
-    t.pool_len <- !keep
+    t.pool_len <- !keep;
+    List.iter (fun arg -> t.disps.(arg land 63) (arg lsr 6)) (List.rev !dropped)
   end
 
 let crash_now t pid =
@@ -566,32 +568,35 @@ let set_chooser t f = t.chooser <- Some f
 let clear_chooser t = t.chooser <- None
 let controlled t = match t.chooser with None -> false | Some _ -> true
 
-let offer t ~src ~dst fire =
+let offer t ~src ~dst ~disp ~row =
   if t.chooser = None then invalid_arg "Sim.offer: no chooser installed";
-  let pd = { pd_id = t.next_pd; pd_src = src; pd_dst = dst; pd_fire = fire } in
-  t.next_pd <- t.next_pd + 1;
-  if t.pool_len = Array.length t.pool then begin
-    let a' = Array.make (max 16 (2 * t.pool_len)) no_pending in
-    Array.blit t.pool 0 a' 0 t.pool_len;
+  let len = t.pool_len in
+  if len = Array.length t.pool then begin
+    let a' = Array.make (max 16 (2 * len)) 0 in
+    Array.blit t.pool 0 a' 0 len;
     t.pool <- a'
   end;
-  t.pool.(t.pool_len) <- pd;
-  t.pool_len <- t.pool_len + 1
+  t.pool.(len) <- pd_pack ~src ~dst ~disp ~row;
+  t.pool_len <- len + 1
 
 let pending_deliveries t = t.pool_len
 
-let pending t i =
-  if i < 0 || i >= t.pool_len then invalid_arg "Sim.pending: index out of range";
-  t.pool.(i)
+let pending_src t i =
+  if i < 0 || i >= t.pool_len then invalid_arg "Sim.pending_src: index out of range";
+  pd_src t.pool.(i)
 
-(* Remove the [i]-th pending delivery, keeping the rest in order. *)
+let pending_dst t i =
+  if i < 0 || i >= t.pool_len then invalid_arg "Sim.pending_dst: index out of range";
+  pd_dst t.pool.(i)
+
+(* Remove the [i]-th pending delivery, keeping the rest in order; returns
+   its dispatch argument. *)
 let take_pending t i =
-  let p = t.pool.(i) in
+  let pd = t.pool.(i) in
   let last = t.pool_len - 1 in
   Array.blit t.pool (i + 1) t.pool i (last - i);
-  t.pool.(last) <- no_pending;
   t.pool_len <- last;
-  p
+  pd_arg pd
 
 (* One chooser step at an event boundary: [true] iff something fired (a
    delivery or a crash), which counts as an event for the run loop. *)
@@ -605,7 +610,8 @@ let consult_chooser t =
       | Deliver i ->
           let m = t.pool_len in
           let i = if i < 0 then 0 else if i >= m then m - 1 else i in
-          (take_pending t i).pd_fire ();
+          let arg = take_pending t i in
+          t.disps.(arg land 63) (arg lsr 6);
           true
       | Inject_crash pid ->
           crash_now t pid;

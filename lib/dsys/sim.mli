@@ -259,14 +259,15 @@ val ticker : t -> every:float -> unit
     dispatcher id and a row index into the substrate's own flat store.
     The returned slot id identifies the queued event so the substrate can
     recognize it when it fires (and keep appending rows to its batch
-    until then).  These hooks are for substrate implementations; protocol
-    code never calls them. *)
+    until then).  Controlled deliveries ({!offer}) name a dispatcher and a
+    row the same way.  These hooks are for substrate implementations;
+    protocol code never calls them. *)
 
 val register_dispatcher : t -> (int -> unit) -> int
 (** Register a dispatch function and return its id.  The function is
-    called with the [row] the event was scheduled with.  At most 64
-    dispatchers per simulator (the id is packed into 6 bits of the event
-    argument); raises [Invalid_argument] beyond that. *)
+    called with the [row] the event (or {!offer}) was scheduled with.  At
+    most 64 dispatchers per simulator (the id is packed into 6 bits of
+    the event argument); raises [Invalid_argument] beyond that. *)
 
 val schedule_dispatch : t -> time:float -> disp:int -> row:int -> int
 (** Queue a dispatch event at an absolute time (>= now, else
@@ -283,19 +284,16 @@ val schedule_dispatch : t -> time:float -> disp:int -> row:int -> int
     time), or passes, letting virtual time advance to the next queued
     event.  Chosen deliveries execute immediately at the current time, so
     an execution is fully determined by [(params, seed, choice list)] —
-    the basis of {!Explore}'s replayable schedules. *)
+    the basis of {!Explore}'s replayable schedules.
 
-type pending = private {
-  pd_id : int;  (** monotonic offer id; canonical order *)
-  pd_src : Pid.t;
-  pd_dst : Pid.t;
-  pd_fire : unit -> unit;
-}
-(** A message offered for delivery, waiting for the chooser to pick it. *)
+    The pending deliveries are ints, not closures: each packs a source,
+    a destination and a substrate row into one int of a flat array kept
+    in offer (canonical) order, so neither an offer nor a pick
+    allocates. *)
 
 type decision =
   | Deliver of int
-      (** Index into the canonical (pd_id-ordered) pending deliveries;
+      (** Index into the canonical (offer-ordered) pending deliveries;
           clamped into range, so any index is safe. *)
   | Inject_crash of Pid.t
       (** Crash the process now ({!crash_now} semantics: counts against
@@ -306,15 +304,19 @@ val set_chooser : t -> (t -> int -> decision) -> unit
 (** Install the chooser.  From now on {!offer} is legal and the run loop
     consults the chooser at every event boundary with the number of
     pending deliveries (possibly 0).  The chooser reads them through
-    {!pending}, in place: the simulator keeps them in one array in
-    canonical order, appends each {!offer}, removes a delivered entry by
-    shifting the later ones down, and compacts the array when a crash
-    drops deliveries, so a choice point copies nothing. *)
+    {!pending_src} and {!pending_dst}, in place: the simulator keeps them
+    in canonical order, appends each {!offer}, removes a delivered entry
+    by shifting the later ones down, and compacts when a crash drops
+    deliveries, so a choice point copies nothing. *)
 
-val pending : t -> int -> pending
-(** [pending t i] is the [i]-th pending delivery in canonical (pd_id)
-    order, for [0 <= i < pending_deliveries t] — what [Deliver i] would
-    fire.  Raises [Invalid_argument] out of that range. *)
+val pending_src : t -> int -> Pid.t
+(** [pending_src t i] is the sender of the [i]-th pending delivery in
+    canonical order, for [0 <= i < pending_deliveries t] — what
+    [Deliver i] would fire.  Raises [Invalid_argument] out of that
+    range. *)
+
+val pending_dst : t -> int -> Pid.t
+(** The destination of the [i]-th pending delivery; as {!pending_src}. *)
 
 val clear_chooser : t -> unit
 
@@ -322,12 +324,16 @@ val controlled : t -> bool
 (** Whether a chooser is installed — substrates test this to decide
     between sampling a delay and calling {!offer}. *)
 
-val offer : t -> src:Pid.t -> dst:Pid.t -> (unit -> unit) -> unit
-(** Hand a delivery thunk to the chooser instead of scheduling it.  The
-    thunk fires when (and if) the chooser picks it.  Deliveries to a
-    process that crashes meanwhile are dropped from the pool (a message to
-    a dead process is indistinguishable from a lost one).  Raises
-    [Invalid_argument] if no chooser is installed. *)
+val offer : t -> src:Pid.t -> dst:Pid.t -> disp:int -> row:int -> unit
+(** Hand a delivery to the chooser instead of scheduling it: when (and
+    if) the chooser picks it, dispatcher [disp] ({!register_dispatcher})
+    is called with [row], exactly as a [k_net] event would call it.  A
+    crash drops the pending deliveries to the crashed process (a message
+    to a dead process is indistinguishable from a lost one) and hands
+    their rows back: each one's dispatcher is still called, once, at the
+    crash and after the destination is marked crashed, so a substrate
+    that drops deliveries to crashed processes just frees the row.
+    Raises [Invalid_argument] if no chooser is installed. *)
 
 val pending_deliveries : t -> int
 (** The number of deliveries waiting for the chooser. *)

@@ -47,6 +47,10 @@ type 'm t = {
      flat array reads replace the option + record pointer chase. *)
   knsend : int array array;
   keyed_ovf : (int, 'm keyslot) Hashtbl.t array;
+  (* What [keyed_drop] leaves in a retired key's place: a slot that is
+     never written, so a late delivery for the key indexes nothing and
+     the key's aggregates read empty.  Physical identity marks it. *)
+  retired : 'm keyslot;
   conds : Sim.cond array;
   (* Quorum watches: one per destination, registered by [quorum_cond].
      The indexer signals the watch only when the watched key's distinct-
@@ -67,12 +71,16 @@ type 'm t = {
   (* Flat in-flight store: one row per scheduled message, chained into
      per-(dst, time) batches so all envelopes reaching one mailbox at one
      instant cost a single queue event.  [r_next] doubles as the batch
-     chain (live rows) and the free list (free rows). *)
+     chain (live rows) and the free list (free rows).  A controlled send
+     parks its row, unchained, in the simulator's pending pool. *)
   mutable disp : int; (* our dispatcher id in the simulator *)
   mutable r_src : int array;
   mutable r_dst : int array;
   mutable r_sent : float array;
-  mutable r_pay : 'm option array;
+  (* Payloads stored untyped, [Obj.repr 0] in a free row: a typed
+     [option] row would box every send.  The array is made from an int,
+     so it is never a flat float array whatever ['m] is. *)
+  mutable r_pay : Obj.t array;
   mutable r_next : int array;
   mutable r_free : int; (* free-list head, -1 = none *)
   (* The open (= still-queued, still-appendable) batch per destination:
@@ -89,33 +97,37 @@ let kdense_max = 1 lsl 16
 let fresh_keyslot () =
   { k_count = 0; k_senders = Pidset.empty; k_nsenders = 0; k_envs = [] }
 
-(* Get-or-create the slot for [key] at [dst]. *)
+(* The dense row of [dst], grown (with its [knsend] mirror) to hold
+   [key] < [kdense_max]. *)
+let dense_row t dst key =
+  let row = t.kdense.(dst) in
+  let len = Array.length row in
+  if key < len then row
+  else begin
+    let nlen = ref (max 16 (2 * len)) in
+    while key >= !nlen do
+      nlen := 2 * !nlen
+    done;
+    let row' = Array.make !nlen None in
+    Array.blit row 0 row' 0 len;
+    t.kdense.(dst) <- row';
+    let kn' = Array.make !nlen 0 in
+    Array.blit t.knsend.(dst) 0 kn' 0 len;
+    t.knsend.(dst) <- kn';
+    row'
+  end
+
+(* Get-or-create the slot for [key] at [dst] (the retired slot for a
+   dropped key). *)
 let keyslot_get t dst key =
   if key >= 0 && key < kdense_max then begin
-    let row = t.kdense.(dst) in
-    let len = Array.length row in
-    if key < len then
-      match row.(key) with
-      | Some s -> s
-      | None ->
-          let s = fresh_keyslot () in
-          row.(key) <- Some s;
-          s
-    else begin
-      let nlen = ref (max 16 (2 * len)) in
-      while key >= !nlen do
-        nlen := 2 * !nlen
-      done;
-      let row' = Array.make !nlen None in
-      Array.blit row 0 row' 0 len;
-      t.kdense.(dst) <- row';
-      let kn' = Array.make !nlen 0 in
-      Array.blit t.knsend.(dst) 0 kn' 0 len;
-      t.knsend.(dst) <- kn';
-      let s = fresh_keyslot () in
-      row'.(key) <- Some s;
-      s
-    end
+    let row = dense_row t dst key in
+    match row.(key) with
+    | Some s -> s
+    | None ->
+        let s = fresh_keyslot () in
+        row.(key) <- Some s;
+        s
   end
   else
     match Hashtbl.find t.keyed_ovf.(dst) key with
@@ -125,7 +137,8 @@ let keyslot_get t dst key =
         Hashtbl.add t.keyed_ovf.(dst) key s;
         s
 
-(* The slot for [key] at [pid], if any delivery created it. *)
+(* The slot for [key] at [pid], if a delivery created it or the key was
+   retired. *)
 let keyslot_find t pid key =
   if key >= 0 && key < kdense_max then
     let row = t.kdense.(pid) in
@@ -134,19 +147,21 @@ let keyslot_find t pid key =
 
 let index t ~dst (env : 'm envelope) key =
   let slot = keyslot_get t dst key in
-  slot.k_count <- slot.k_count + 1;
-  if not (Pidset.mem env.src slot.k_senders) then begin
-    slot.k_senders <- Pidset.add env.src slot.k_senders;
-    slot.k_nsenders <- slot.k_nsenders + 1;
-    if key >= 0 && key < kdense_max then
-      t.knsend.(dst).(key) <- slot.k_nsenders;
-    (* Counts only increment by one, so [=] fires exactly at the crossing
-       (a watch registered at-or-above its threshold is resolved by the
-       await's immediate first evaluation instead). *)
-    if t.watch_key.(dst) = key && slot.k_nsenders = t.watch_q.(dst) then
-      Sim.Cond.signal t.watch_conds.(dst)
-  end;
-  slot.k_envs <- env :: slot.k_envs
+  if slot != t.retired then begin
+    slot.k_count <- slot.k_count + 1;
+    if not (Pidset.mem env.src slot.k_senders) then begin
+      slot.k_senders <- Pidset.add env.src slot.k_senders;
+      slot.k_nsenders <- slot.k_nsenders + 1;
+      if key >= 0 && key < kdense_max then
+        t.knsend.(dst).(key) <- slot.k_nsenders;
+      (* Counts only increment by one, so [=] fires exactly at the
+         crossing (a watch registered at-or-above its threshold is
+         resolved by the await's immediate first evaluation instead). *)
+      if t.watch_key.(dst) = key && slot.k_nsenders = t.watch_q.(dst) then
+        Sim.Cond.signal t.watch_conds.(dst)
+    end;
+    slot.k_envs <- env :: slot.k_envs
+  end
 
 let rec deliver t ~src ~dst ~sent_at payload () =
   if not (Sim.is_crashed t.sim dst) then begin
@@ -192,7 +207,7 @@ let row_grow t =
   t.r_src <- copy t.r_src 0;
   t.r_dst <- copy t.r_dst 0;
   t.r_sent <- copy t.r_sent 0.0;
-  t.r_pay <- copy t.r_pay None;
+  t.r_pay <- copy t.r_pay (Obj.repr 0);
   t.r_next <- copy t.r_next (-1);
   for i = cap to ncap - 1 do
     t.r_next.(i) <- (if i + 1 < ncap then i + 1 else t.r_free)
@@ -206,12 +221,12 @@ let row_alloc t ~src ~dst ~sent_at payload =
   t.r_src.(r) <- src;
   t.r_dst.(r) <- dst;
   t.r_sent.(r) <- sent_at;
-  t.r_pay.(r) <- Some payload;
+  t.r_pay.(r) <- Obj.repr payload;
   t.r_next.(r) <- -1;
   r
 
 let row_free t r =
-  t.r_pay.(r) <- None;
+  t.r_pay.(r) <- Obj.repr 0;
   t.r_next.(r) <- t.r_free;
   t.r_free <- r
 
@@ -231,7 +246,7 @@ let dispatch t head =
   while !row >= 0 do
     let r = !row in
     let src = t.r_src.(r) and sent_at = t.r_sent.(r) in
-    let payload = match t.r_pay.(r) with Some p -> p | None -> assert false in
+    let payload : 'm = Obj.obj t.r_pay.(r) in
     row := t.r_next.(r);
     (* Free before delivering: handlers may send, reusing this row; all
        fields are already read out. *)
@@ -296,6 +311,7 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
       kdense = Array.make n [||];
       knsend = Array.make n [||];
       keyed_ovf = Array.init n (fun _ -> Hashtbl.create 4);
+      retired = fresh_keyslot ();
       conds = Array.init n (fun _ -> Sim.Cond.create sim);
       watch_key = Array.make n min_int;
       watch_q = Array.make n 0;
@@ -372,13 +388,13 @@ let send t ~src ~dst payload =
     | _ -> (
     match t.transport with
     (* Under a chooser the adversary owns delivery order: hand the
-       delivery thunk to the pending pool instead of sampling a delay
-       (no RNG draw, so controlled runs don't perturb uncontrolled
-       replays of the same seed). *)
+       message's row to the pending pool instead of sampling a delay (no
+       RNG draw, so controlled runs don't perturb uncontrolled replays of
+       the same seed).  A pick dispatches it as a one-row batch. *)
     | None when Sim.controlled t.sim ->
         note_sent t ~src ~dst;
-        let sent_at = Sim.now t.sim in
-        Sim.offer t.sim ~src ~dst (deliver t ~src ~dst ~sent_at payload)
+        let r = row_alloc t ~src ~dst ~sent_at:(Sim.now t.sim) payload in
+        Sim.offer t.sim ~src ~dst ~disp:t.disp ~row:r
     | None ->
         let now = Sim.now t.sim in
         if Sim.faults_none t.sim then
@@ -470,13 +486,10 @@ let keyed_fold t pid key ~init ~f =
 
 let keyed_drop t pid key =
   if key >= 0 && key < kdense_max then begin
-    let row = t.kdense.(pid) in
-    if key < Array.length row then begin
-      row.(key) <- None;
-      t.knsend.(pid).(key) <- 0
-    end
+    (dense_row t pid key).(key) <- Some t.retired;
+    t.knsend.(pid).(key) <- 0
   end
-  else Hashtbl.remove t.keyed_ovf.(pid) key
+  else Hashtbl.replace t.keyed_ovf.(pid) key t.retired
 
 let on_deliver t h = t.handlers <- t.handlers @ [ h ]
 let sent_count t = t.sent

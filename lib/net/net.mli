@@ -84,7 +84,10 @@ val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
     crashed (a dead process takes no step).  When a {!Sim} chooser is
     installed ([Sim.controlled]) and the net has no lossy transport, the
     delivery is offered to the chooser's pending pool instead of being
-    scheduled after a sampled delay — the explorer picks the order.
+    scheduled after a sampled delay — the explorer picks the order.  The
+    offer is a row of the net's flat in-flight store ({!Sim.offer}), the
+    same rows timed deliveries batch on: a pick dispatches it like a
+    one-row batch, and a crash that drops it hands the row back.
 
     {b Fault injection.}  When the simulator carries a fault spec
     ([Sim.faults] not [Faults.none]) and the net is neither controlled
@@ -154,11 +157,15 @@ val keyed_fold :
     order-independent (tallies, minima, quorum contents). *)
 
 val keyed_drop : 'm t -> Pid.t -> int -> unit
-(** Retire the aggregate for a key the process will never read again (a
-    finished round): its envelopes become garbage instead of retained
-    history, keeping a long run's live heap bounded by the round window.
-    A late delivery for a dropped key starts a fresh, empty aggregate —
-    harmless as long as the protocol really is done with the key. *)
+(** Retire the key at the process for good: the protocol will never read
+    it again (a finished round).  Its envelopes become garbage instead of
+    retained history, keeping a long run's live heap bounded by the round
+    window, and a late delivery for the key is still delivered (counted,
+    appended to a retained mailbox, handed to {!on_deliver} handlers, and
+    it signals {!cond}) but indexes nothing: {!keyed_count},
+    {!keyed_nsenders}, {!keyed_senders}, {!keyed_envs} and {!keyed_fold}
+    read the key as empty from the drop on, and no {!quorum_cond} watch on
+    it fires.  A key may be retired before any delivery for it. *)
 
 val inject : 'm t -> src:Pid.t -> 'm -> unit
 (** Real-runtime ingress: deliver a message that already traveled the

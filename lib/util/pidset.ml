@@ -185,9 +185,43 @@ let random rng ~n ~size =
   done;
   !s
 
-let pp fmt s =
-  Format.fprintf fmt "{%s}" (String.concat "," (List.map Pid.to_string (to_list s)))
+(* Decimal digits of a pid's 1-based number (at most [max_size]). *)
+let digits x = if x < 10 then 1 else if x < 100 then 2 else if x < 1000 then 3 else 4
 
-let to_string s = Format.asprintf "%a" pp s
+(* ["{p1,p5}"] built in place: one pass sizes the string, a second fills
+   it, and the only allocation is the string itself.  Every [Fd_change]
+   trace entry pays this. *)
+let to_string s =
+  let len = ref 1 in
+  for i = 0 to Array.length s - 1 do
+    let w = ref s.(i) in
+    while !w <> 0 do
+      len := !len + 2 + digits ((i * word) + lowest_bit !w + 1);
+      w := !w land (!w - 1)
+    done
+  done;
+  let len = if !len = 1 then 2 else !len in
+  let b = Bytes.make len ',' in
+  Bytes.unsafe_set b 0 '{';
+  Bytes.unsafe_set b (len - 1) '}';
+  let pos = ref 1 in
+  for i = 0 to Array.length s - 1 do
+    let w = ref s.(i) in
+    while !w <> 0 do
+      let x = (i * word) + lowest_bit !w + 1 in
+      let d = digits x in
+      Bytes.unsafe_set b !pos 'p';
+      let v = ref x in
+      for k = d downto 1 do
+        Bytes.unsafe_set b (!pos + k) (Char.unsafe_chr (48 + (!v mod 10)));
+        v := !v / 10
+      done;
+      pos := !pos + d + 2;
+      w := !w land (!w - 1)
+    done
+  done;
+  Bytes.unsafe_to_string b
+
+let pp fmt s = Format.pp_print_string fmt (to_string s)
 
 let hash (s : t) = Array.fold_left (fun h w -> (h * 1_000_003) lxor w) 0 s

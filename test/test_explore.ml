@@ -83,6 +83,23 @@ let test_schedule_file_roundtrip () =
 
 (* --- Toy instances: the kernel's branch structure by hand --- *)
 
+(* A test dispatcher: offers thunks to the chooser as rows of a local
+   table, the way Net offers its in-flight rows.  Like Net, a row handed
+   back for a crashed destination fires nothing. *)
+let offerer sim =
+  let thunks = Hashtbl.create 16 and next = ref 0 in
+  let disp =
+    Sim.register_dispatcher sim (fun row ->
+        let dst, f = Hashtbl.find thunks row in
+        Hashtbl.remove thunks row;
+        if not (Sim.is_crashed sim dst) then f ())
+  in
+  fun ~src ~dst f ->
+    let row = !next in
+    incr next;
+    Hashtbl.replace thunks row (dst, f);
+    Sim.offer sim ~src ~dst ~disp ~row
+
 (* Three messages offered at the same boundary: 1->0, 2->0, 2->1.  The
    "protocol" is violated iff process 0's FIRST message comes from 2.
    FIFO is safe; exactly one reordering (Deliver 1 at point 0) breaks it;
@@ -90,11 +107,12 @@ let test_schedule_file_roundtrip () =
    pruned. *)
 let make_race () =
   let sim = Sim.create ~horizon:50.0 ~n:3 ~t:1 ~seed:1 () in
+  let offer = offerer sim in
   let log = ref [] in
   Sim.schedule sim ~delay:1.0 (fun () ->
-      Sim.offer sim ~src:1 ~dst:0 (fun () -> log := !log @ [ 1 ]);
-      Sim.offer sim ~src:2 ~dst:0 (fun () -> log := !log @ [ 2 ]);
-      Sim.offer sim ~src:2 ~dst:1 (fun () -> ()));
+      offer ~src:1 ~dst:0 (fun () -> log := !log @ [ 1 ]);
+      offer ~src:2 ~dst:0 (fun () -> log := !log @ [ 2 ]);
+      offer ~src:2 ~dst:1 (fun () -> ()));
   {
     Explore.i_sim = sim;
     i_stop = (fun () -> false);
@@ -154,7 +172,8 @@ let test_run_schedule_deterministic () =
    keep exactly [Crash 1]. *)
 let make_crashable () =
   let sim = Sim.create ~horizon:50.0 ~n:3 ~t:1 ~seed:1 () in
-  Sim.schedule sim ~delay:1.0 (fun () -> Sim.offer sim ~src:2 ~dst:0 (fun () -> ()));
+  let offer = offerer sim in
+  Sim.schedule sim ~delay:1.0 (fun () -> offer ~src:2 ~dst:0 (fun () -> ()));
   {
     Explore.i_sim = sim;
     i_stop = (fun () -> false);
@@ -186,13 +205,14 @@ let test_dfs_injects_crash_and_shrinks () =
 (* --- The chooser's pending pool against a list model --- *)
 
 (* The pool's semantics as a newest-first list: the chooser sees it
-   reversed (pd_id order), a pick removes its entry by id, a crash drops
-   every entry to the crashed process.  Random offers (from scheduled
-   batches and from delivered messages, which answer every third one),
-   picks at any index (out-of-range ones clamp), passes and crashes drive
-   a simulator and the model side by side; at every boundary the
-   chooser's in-place view must equal the model's, and the deliveries
-   must fire in the model's order. *)
+   reversed (offer order), a pick removes its entry by id, a crash drops
+   every entry to the crashed process and hands each one's row back, in
+   offer order.  Random offers (from scheduled batches and from delivered
+   messages, which answer every third one), picks at any index
+   (out-of-range ones clamp), passes and crashes drive a simulator and
+   the model side by side; the rows are the ids.  At every boundary the
+   chooser's in-place view must equal the model's, and the dispatcher
+   must see the model's picks and hand-backs, in the model's order. *)
 type pool_op = Pick of int | Kill of Pid.t | Skip
 
 let gen_pool_case =
@@ -226,16 +246,24 @@ let qcheck_pool_matches_list_model =
       let sim = Sim.create ~horizon:100.0 ~n ~t ~seed:1 () in
       let model = ref [] (* (id, src, dst), newest first *) in
       let next_id = ref 0 in
-      let fired = ref [] and expected = ref [] in
+      let dispatched = ref [] and expected = ref [] in
       let crashed = ref [] in
       let ok = ref true in
+      let replies = Hashtbl.create 16 in
+      (* Like Net, a row whose destination is dead by now delivers nothing. *)
+      let disp =
+        Sim.register_dispatcher sim (fun id ->
+            dispatched := id :: !dispatched;
+            let dst, reply = Hashtbl.find replies id in
+            if not (Sim.is_crashed sim dst) then reply ())
+      in
       let rec offer ~src ~dst ~reply =
         let id = !next_id in
         incr next_id;
         model := (id, src, dst) :: !model;
-        Sim.offer sim ~src ~dst (fun () ->
-            fired := id :: !fired;
-            if reply && id mod 3 = 0 then offer ~src:dst ~dst:src ~reply:false)
+        Hashtbl.replace replies id
+          (dst, fun () -> if reply && id mod 3 = 0 then offer ~src:dst ~dst:src ~reply:false);
+        Sim.offer sim ~src ~dst ~disp ~row:id
       in
       List.iteri
         (fun i batch ->
@@ -244,13 +272,11 @@ let qcheck_pool_matches_list_model =
         batches;
       let rem = ref ops in
       Sim.set_chooser sim (fun sim m ->
-          let view =
-            List.init m (fun i ->
-                let p = Sim.pending sim i in
-                (p.Sim.pd_id, p.Sim.pd_src, p.Sim.pd_dst))
-          in
-          if view <> List.rev !model || Sim.pending_deliveries sim <> m then ok := false;
-          (match Sim.pending sim m with
+          let view = List.init m (fun i -> (Sim.pending_src sim i, Sim.pending_dst sim i)) in
+          if view <> List.rev_map (fun (_, s, d) -> (s, d)) !model
+             || Sim.pending_deliveries sim <> m
+          then ok := false;
+          (match Sim.pending_src sim m with
           | _ -> ok := false
           | exception Invalid_argument _ -> ());
           let op = match !rem with [] -> Pick 0 | op :: rest -> rem := rest; op in
@@ -259,7 +285,9 @@ let qcheck_pool_matches_list_model =
           | Kill p when List.mem p !crashed || List.length !crashed < t ->
               if not (List.mem p !crashed) then begin
                 crashed := p :: !crashed;
-                model := List.filter (fun (_, _, d) -> d <> p) !model
+                let gone, kept = List.partition (fun (_, _, d) -> d = p) !model in
+                expected := List.map (fun (id, _, _) -> id) gone @ !expected;
+                model := kept
               end;
               Sim.Inject_crash p
           | Kill _ -> Sim.Pass
@@ -270,7 +298,131 @@ let qcheck_pool_matches_list_model =
                  model := List.filter (fun (id', _, _) -> id' <> id) !model);
               Sim.Deliver i);
       ignore (Sim.run sim);
-      !ok && !fired = !expected && Sim.pending_deliveries sim = List.length !model)
+      !ok && !dispatched = !expected && Sim.pending_deliveries sim = List.length !model)
+
+(* --- DFS recording only what it reads, against a full-recording reference --- *)
+
+(* The reference search: every execution records its executed choices
+   and its options from point 0 to [depth] (run_schedule), and a run
+   with deviations to spare is expanded through alternatives_at at every
+   point from its prefix on. *)
+let reference_dfs ~make ~stats ~depth ~delays ~max_runs roots =
+  let found = ref [] in
+  let stack = ref roots in
+  while !stack <> [] && stats.Explore.runs < max_runs do
+    match !stack with
+    | [] -> ()
+    | prefix :: rest ->
+        stack := rest;
+        let e = Explore.run_schedule ~make ~depth prefix in
+        stats.Explore.runs <- stats.Explore.runs + 1;
+        stats.Explore.points <- stats.Explore.points + e.Explore.ex_points;
+        if e.Explore.ex_violation <> [] then begin
+          stats.Explore.violations <- stats.Explore.violations + 1;
+          found := (prefix, e.Explore.ex_violation) :: !found
+        end
+        else if Explore.deviations prefix < delays then begin
+          let kids = ref [] in
+          for q = Array.length e.Explore.ex_options - 1 downto List.length prefix do
+            kids := Explore.alternatives_at stats e q @ !kids
+          done;
+          stack := !kids @ !stack
+        end
+  done;
+  List.rev !found
+
+(* Small kset instances (adversarial wiring, so z > k ones violate), with
+   the adversary's crash budget open, spent on an initial crash that
+   fires, or spent on scheduled crashes. *)
+let gen_dfs_case =
+  QCheck.Gen.(
+    let* n = int_range 3 5 in
+    let t = (n - 1) / 2 in
+    let* z = int_range 1 2 and* k = int_range 1 2 and* seed = int_range 1 1000 in
+    let* crashes =
+      oneofl
+        [
+          Crash.No_crashes;
+          Crash.Initial [ n - 1 ];
+          Crash.Exactly { crashes = t; window = (0.0, 5.0) };
+        ]
+    in
+    let* delays = int_range 1 2 and* depth = int_range 3 10 and* max_runs = int_range 20 200 in
+    return
+      ( {
+          Protocol.default with
+          Protocol.n;
+          t;
+          z;
+          k;
+          seed;
+          adversarial = true;
+          horizon = 300.0;
+          crashes;
+        },
+        (delays, depth, max_runs) ))
+
+let print_dfs_case ((p : Protocol.params), (delays, depth, max_runs)) =
+  Printf.sprintf "%s delays=%d depth=%d max_runs=%d"
+    (Json.to_string ~minify:true (Json.Obj (Protocol.params_to_json p)))
+    delays depth max_runs
+
+let qcheck_dfs_matches_reference =
+  QCheck.Test.make ~name:"dfs = full-recording reference" ~count:100
+    (QCheck.make ~print:print_dfs_case gen_dfs_case)
+    (fun (p, (delays, depth, max_runs)) ->
+      let make = Protocol.explore_make (Option.get (Protocol.find "kset")) p in
+      (* The roots a point job searches from: the FIFO run's alternatives,
+         which deviate (and may violate) even where FIFO itself does. *)
+      let base = Explore.run_schedule ~make ~depth [] in
+      let roots =
+        List.concat_map
+          (Explore.alternatives_at (Explore.new_stats ()) base)
+          (List.init depth Fun.id)
+      in
+      let search dfs =
+        let stats = Explore.new_stats () in
+        let found = dfs ~make ~stats ~depth ~delays ~max_runs roots in
+        (found, stats.Explore.runs, stats.Explore.points, stats.Explore.prunes)
+      in
+      search (fun ~make ~stats ~depth ~delays ~max_runs roots ->
+          Explore.dfs ~make ~stats ~depth ~delays ~max_runs roots)
+      = search reference_dfs)
+
+(* One leaf of the explore-safe search (a run whose prefix already holds
+   its two deviations) allocates under 10,000 minor words: it records
+   nothing, and its deliveries are rows, not closures.  It took 18,300
+   words when every execution recorded its options. *)
+let test_leaf_allocation () =
+  let p =
+    match
+      Job.of_flags ~kind:`Explore ~protocol:"kset"
+        { Protocol.default with Protocol.n = 7; t = 2; z = 1; k = 1 }
+    with
+    | Job.Explore { params; _ } -> params
+    | _ -> assert false
+  in
+  let make = Protocol.explore_make (Option.get (Protocol.find "kset")) p in
+  let stats = Explore.new_stats () in
+  let base = Explore.default_exec ~make ~stats ~depth:24 in
+  let first e q0 =
+    List.find_map
+      (fun q -> match Explore.alternatives_at stats e q with a :: _ -> Some a | [] -> None)
+      (List.init (24 - q0) (fun i -> q0 + i))
+    |> Option.get
+  in
+  let one = first base 0 in
+  let leaf = first (Explore.run_schedule ~make ~depth:24 one) (List.length one) in
+  check_int "the leaf holds two deviations" 2 (Explore.deviations leaf);
+  let run () = Explore.dfs ~make ~stats ~depth:24 ~delays:2 [ leaf ] in
+  ignore (run ());
+  let runs = stats.Explore.runs in
+  let w0 = Gc.minor_words () in
+  let found = run () in
+  let words = Gc.minor_words () -. w0 in
+  check "one safe execution" true (found = [] && stats.Explore.runs = runs + 1);
+  check (Printf.sprintf "leaf execution allocated %.0f minor words, at most 10000" words) true
+    (words <= 10_000.0)
 
 (* --- Explorer on the registry: E2 misuse end-to-end --- *)
 
@@ -358,6 +510,9 @@ let () =
             test_dfs_injects_crash_and_shrinks;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
             qcheck_pool_matches_list_model;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+            qcheck_dfs_matches_reference;
+          Alcotest.test_case "leaf execution allocation" `Quick test_leaf_allocation;
         ] );
       ( "explorer",
         [

@@ -559,6 +559,40 @@ let test_cli_compare_uncached () =
     [ ("cold", 0); ("warm", 8) ];
   rm_rf dir
 
+(* --compare's speedup compares domains only when the -j N sweep
+   executed every job: cold it is a number, warm (8 cache hits) it is
+   not measured, on stdout and as null in campaign_summary.json. *)
+let test_cli_compare_speedup () =
+  let dir = tmpdir "compare-speedup" in
+  let args =
+    [ "campaign"; "--exp"; "kset"; "--seeds"; "8"; "--jobs"; "2"; "--cache"; "--compare";
+      "--out"; dir ]
+  in
+  List.iter
+    (fun (pass, measured) ->
+      let code, text = fdkit args in
+      check_int (pass ^ " exit\n" ^ text) 0 code;
+      let speedup =
+        Json.member "speedup"
+          (Json.of_string_exn
+             (In_channel.with_open_bin (Filename.concat dir "campaign_summary.json")
+                In_channel.input_all))
+      in
+      if measured then begin
+        check (pass ^ ": speedup printed as a ratio\n" ^ text) true
+          (Strutil.contains text ~sub:"x; deterministic merge: yes");
+        check (pass ^ ": speedup recorded") true
+          (match speedup with Some (Json.Float _) -> true | _ -> false)
+      end
+      else begin
+        check (pass ^ ": speedup not measured\n" ^ text) true
+          (Strutil.contains text
+             ~sub:"speedup: not measured (8 job(s) served from the cache); deterministic merge: yes");
+        check (pass ^ ": speedup null") true (speedup = Some Json.Null)
+      end)
+    [ ("cold", true); ("warm", false) ];
+  rm_rf dir
+
 (* trace refuses what run refuses, and an rt backend: it only simulates. *)
 let test_cli_trace_validates () =
   List.iter
@@ -2044,6 +2078,52 @@ let test_daemon_artifacts_match_cli () =
     [ "failures.json"; "counterexamples.json" ];
   rm_rf dir
 
+(* [fdkit submit --kind explore] takes explore's bounds flags: CI's misuse
+   search submitted by flags ends with the signature of the spec those
+   flags describe, and the daemon writes its counterexamples. *)
+let test_cli_submit_explore_bounds () =
+  let dir = tmpdir "submit-explore" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let code, text =
+    fdkit
+      [ "submit"; "--socket"; config.Serve.socket_path; "--kind"; "explore"; "-n"; "7"; "-t";
+        "2"; "-z"; "2"; "-k"; "1"; "--crashes"; "0"; "--depth"; "12"; "--delays"; "1";
+        "--walks"; "20" ]
+  in
+  let conn = connect config in
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  check_int ("submit exit\n" ^ text) 0 code;
+  let spec =
+    Job.of_flags ~kind:`Explore ~protocol:"kset"
+      ~bounds:{ Explorer.default_bounds with Explorer.depth = 12; delays = 1; walks = 20 }
+      {
+        Protocol.default with
+        Protocol.n = 7;
+        t = 2;
+        z = 2;
+        k = 1;
+        crashes = Setagree_dsys.Crash.No_crashes;
+      }
+  in
+  let o = Job.execute ~jobs:1 spec in
+  let md5 = Digest.to_hex (Digest.string (Runner.signature o.Job.o_campaign)) in
+  check ("the flags' spec signature\n" ^ text) true
+    (Strutil.contains text ~sub:("signature=" ^ md5));
+  check "the misuse search finds a counterexample" true (o.Job.o_ces <> []);
+  (match
+     Json.member "count"
+       (Json.of_string_exn
+          (In_channel.with_open_bin (Filename.concat dir "counterexamples.json")
+             In_channel.input_all))
+   with
+  | Some (Json.Int n) ->
+      check_int "the daemon wrote them all" (List.length o.Job.o_ces) n
+  | _ -> Alcotest.fail "counterexamples.json has no count");
+  rm_rf dir
+
 let iop_to_string = function
   | I_submit (c, s) -> Printf.sprintf "submit(%d,%d)" c s
   | I_cancel c -> Printf.sprintf "cancel(%d)" c
@@ -2340,6 +2420,8 @@ let () =
           Alcotest.test_case "replay commands reproduce" `Quick test_cli_replay_commands;
           Alcotest.test_case "compare keeps one triage" `Quick test_cli_compare_triage;
           Alcotest.test_case "compare runs -j 1 uncached" `Quick test_cli_compare_uncached;
+          Alcotest.test_case "compare speedup not cached" `Quick test_cli_compare_speedup;
+          Alcotest.test_case "submit takes explore bounds" `Quick test_cli_submit_explore_bounds;
           Alcotest.test_case "trace validates its spec" `Quick test_cli_trace_validates;
         ] );
       ( "daemon",

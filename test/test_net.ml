@@ -227,6 +227,43 @@ let test_keyed_index_with_retain_false () =
   check "keyed senders still maintained" true
     (Pidset.equal (Pidset.of_list [ 0; 2 ]) (Net.keyed_senders net 1 5))
 
+(* A retired key stays retired: late deliveries for it are still
+   delivered (counted, retained, handed to handlers) but index nothing —
+   for a key retired after deliveries, one retired before any, and keys
+   outside the dense range on either side.  Other keys index as usual. *)
+let test_keyed_drop_retires () =
+  let sim = mk () in
+  let net : int Net.t =
+    Net.create sim ~delay:(Delay.Constant 1.0) ~classify:(fun m -> m / 10) ()
+  in
+  let handled = ref 0 in
+  Net.on_deliver net (fun _ -> incr handled);
+  let used = 50 and early = 4_000 and neg = -3 and big = 100_000 in
+  Net.send net ~src:0 ~dst:1 (used * 10);
+  Sim.schedule sim ~delay:2.0 (fun () ->
+      check_int "indexed before the drop" 1 (Net.keyed_count net 1 used);
+      List.iter (Net.keyed_drop net 1) [ used; early; neg; big ];
+      List.iter
+        (fun key ->
+          Net.send net ~src:2 ~dst:1 (key * 10);
+          Net.send net ~src:3 ~dst:1 (key * 10))
+        [ used; early; neg; big; 7 ]);
+  ignore (Sim.run sim);
+  List.iter
+    (fun key ->
+      let label = Printf.sprintf "key %d" key in
+      check_int (label ^ ": count") 0 (Net.keyed_count net 1 key);
+      check (label ^ ": senders") true (Pidset.is_empty (Net.keyed_senders net 1 key));
+      check_int (label ^ ": nsenders") 0 (Net.keyed_nsenders net 1 key);
+      check_int (label ^ ": envs") 0 (List.length (Net.keyed_envs net 1 key)))
+    [ used; early; neg; big ];
+  check_int "live key indexed" 2 (Net.keyed_count net 1 7);
+  check "live key senders" true
+    (Pidset.equal (Pidset.of_list [ 2; 3 ]) (Net.keyed_senders net 1 7));
+  check_int "all delivered" 11 (Net.delivered_count net);
+  check_int "all handled" 11 !handled;
+  check_int "all retained" 11 (List.length (Net.inbox net 1))
+
 let test_handlers_run_in_registration_order () =
   let sim = mk () in
   let net : int Net.t = Net.create sim () in
@@ -589,6 +626,7 @@ let () =
           Alcotest.test_case "cursors" `Quick test_cursor_recv_since;
           Alcotest.test_case "keyed index" `Quick test_keyed_index_matches_filters;
           Alcotest.test_case "keyed w/o retain" `Quick test_keyed_index_with_retain_false;
+          Alcotest.test_case "keyed_drop retires" `Quick test_keyed_drop_retires;
           Alcotest.test_case "handler order" `Quick test_handlers_run_in_registration_order;
           Alcotest.test_case "delivery signals cond" `Quick test_delivery_signals_cond;
         ] );

@@ -95,6 +95,26 @@ let pidset_qcheck =
         = Pidset.cardinal a + Pidset.cardinal b);
     QCheck.Test.make ~name:"of_list/to_list roundtrip" ~count:200 arb (fun s ->
         Pidset.equal s (Pidset.of_list (Pidset.to_list s)));
+    (* The direct rendering against a list-and-concat reference,
+       over the whole 1,024-pid universe: empty, sparse, dense and full
+       sets, so every digit count and word boundary is crossed. *)
+    QCheck.Test.make ~name:"to_string = reference rendering" ~count:300
+      (QCheck.make ~print:Pidset.to_string
+         QCheck.Gen.(
+           frequency
+             [
+               (1, return Pidset.empty);
+               (1, return (Pidset.full ~n:Pidset.max_size));
+               (4, map Pidset.of_list (list_size (int_bound 40) (int_bound (Pidset.max_size - 1))));
+               ( 2,
+                 map
+                   (fun (seed, size) ->
+                     Pidset.random (Rng.create seed) ~n:Pidset.max_size ~size)
+                   (pair int (int_bound Pidset.max_size)) );
+             ]))
+      (fun s ->
+        Pidset.to_string s
+        = "{" ^ String.concat "," (List.map Pid.to_string (Pidset.to_list s)) ^ "}");
   ]
 
 (* ------------------------------------------------------------------ *)
