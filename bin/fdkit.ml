@@ -97,8 +97,8 @@ let trace_arg =
 let backend_arg =
   Arg.(
     value
-    & opt (enum [ ("sim", "sim"); ("rt", "rt"); ("rt-chan", "rt-chan") ]) "sim"
-    & info [ "backend" ] ~docv:"sim|rt|rt-chan"
+    & opt (enum (List.map (fun b -> (b, b)) Job.backends)) "sim"
+    & info [ "backend" ] ~docv:(String.concat "|" Job.backends)
         ~doc:
           "Execution substrate: $(b,sim) runs the deterministic simulator; \
            $(b,rt) runs one OCaml domain per process over real UDP loopback \

@@ -43,7 +43,7 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
     | Est { r; _ } -> key_est r
     | Aux { r; _ } -> key_aux r
   in
-  let net = Net.create sim ~tag:"cons_s" ~delay ~retain:false ~classify () in
+  let net = Net.create sim ~tag:"cons_s" ~delay ~classify () in
   let rb = Rbcast.create sim ~tag:"cons_s.dec" ~delay () in
   let t =
     {
@@ -96,8 +96,8 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
          as aux unless the coordinator becomes suspect first. *)
       if i = coord then Net.broadcast net ~src:i (Est { r = round; v = !est });
       (* Re-evaluated per event while polling: fold the stored envelope
-         list in place (no [keyed_envs] copy; the coordinator broadcasts
-         at most one Est per round, so order is irrelevant). *)
+         list in place (no copy; the coordinator broadcasts at most one
+         Est per round, so order is irrelevant). *)
       let est_from_coord () =
         Net.keyed_fold net i (key_est round) ~init:None
           ~f:(fun acc (e : msg Net.envelope) ->

@@ -258,6 +258,12 @@ let replay_target source path index =
             Error ("replay: unknown protocol " ^ s.Schedule.protocol)
           else Ok (`Schedule s))
 
+(* The execution substrates: the simulator, then the real runtime over
+   UDP and over in-process channels. *)
+let rt_backends = [ "rt"; "rt-chan" ]
+let backends = "sim" :: rt_backends
+let is_rt backend = List.mem backend rt_backends
+
 let validate spec =
   let known_protocol name errs =
     if Protocol.find name = None then
@@ -266,7 +272,7 @@ let validate spec =
   in
   (* Ranges come from the code that enforces them: the simulator's size
      precondition, each protocol's variant table and constructor ranges,
-     fault-spec legality. *)
+     fault-spec legality, the backend list, the trace level parser. *)
   let protocol_errors (p : Protocol.params) name =
     match Protocol.find name with
     | None -> []
@@ -289,7 +295,18 @@ let validate spec =
       | Ok () -> []
       | Error es -> List.map (fun e -> "illegal fault spec: " ^ e) es
     in
-    size @ List.concat_map (protocol_errors p) protocols @ faults @ errs
+    let backend =
+      if List.mem p.Protocol.backend backends then []
+      else
+        [
+          Printf.sprintf "unknown backend %S; backends: %s" p.Protocol.backend
+            (String.concat ", " backends);
+        ]
+    in
+    let trace =
+      match Trace.level_of_string p.Protocol.trace with Ok _ -> [] | Error e -> [ e ]
+    in
+    size @ List.concat_map (protocol_errors p) protocols @ faults @ backend @ trace @ errs
   in
   let errs =
     match spec with
@@ -330,8 +347,6 @@ let validate spec =
    outcomes are wall-clock-dependent. *)
 let rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref =
   ref None
-
-let is_rt backend = String.length backend >= 2 && String.sub backend 0 2 = "rt"
 
 (* A float flag that parses back to itself: [%g] whenever that
    round-trips, so such replays keep a stable text; all digits otherwise. *)

@@ -90,7 +90,9 @@ val validate : spec -> (unit, string list) result
     registries, n and t against {!Setagree_dsys.Sim.check_size}, the
     variant against the protocol's {!Protocol.S.variants}, the oracle
     parameters it reads against {!Protocol.S.validate} (for a chaos
-    spec, every swept protocol's), fault-spec legality; for a replay,
+    spec, every swept protocol's), fault-spec legality, the backend
+    against {!backends} and the trace level against
+    [Trace.level_of_string]; for a replay,
     that the file exists and loads, the index is in range and the
     recorded protocol is registered, with the messages [fdkit replay]
     prints. *)
@@ -103,6 +105,10 @@ val rt_runner : (Protocol.packed -> Protocol.params -> Runner.body) option ref
     runner here at startup.  When unset, rt jobs fail with an
     explanatory note.  rt jobs are never cached (wall-clock
     nondeterministic). *)
+
+val backends : string list
+(** The [backend] names {!validate} accepts, the default first: ["sim"],
+    ["rt"], ["rt-chan"]. *)
 
 val is_rt : string -> bool
 (** Whether a [backend] name is a real-runtime one (["rt"], ["rt-chan"]). *)

@@ -95,7 +95,7 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
     | Phase1 { r; _ } -> key_p1 r
     | Phase2 { r; _ } -> key_p2 r
   in
-  let net = Net.create sim ~tag:"kset" ~delay ~retain:false ~classify ?loss () in
+  let net = Net.create sim ~tag:"kset" ~delay ~classify ?loss () in
   let rb = Rbcast.create sim ~tag:"kset.dec" ~delay ?stagger:decision_stagger ?loss () in
   let t =
     {

@@ -43,14 +43,15 @@ type params = {
       (** one of {!S.variants}: reduce's source class, strengthen's
           classes and substrate, impl's certificate *)
   trace : string;
-      (** trace level: ["off"], ["default"] or ["full"] (unknown strings
-          fall back to ["default"]).  Pure observability — the level
-          never changes the execution. *)
+      (** trace level: ["off"], ["default"] or ["full"] ([Job.validate]
+          refuses other strings; {!run} reads them as ["default"]).  Pure
+          observability — the level never changes the execution. *)
   backend : string;
-      (** execution substrate: ["sim"] (the deterministic simulator —
-          default) or ["rt"] (real OCaml-5 domains over loopback, see
-          [Setagree_rt]).  {!run} itself always simulates; the CLI and
-          bench dispatch on this field. *)
+      (** execution substrate, one of [Job.backends]: ["sim"] (the
+          deterministic simulator — default), ["rt"] (real OCaml-5 domains
+          over UDP loopback, see [Setagree_rt]) or ["rt-chan"] (the same
+          over in-process channels).  {!run} itself always simulates; the
+          CLI and bench dispatch on this field. *)
 }
 
 val default : params

@@ -52,7 +52,7 @@ let install sim ~(querier : Iface.querier) ~lower ~ysize ~lsize ?(step = 1.0)
     ?(delay = Delay.default) () =
   let n = Sim.n sim in
   let ring = Ring.Upper.create ~n ~ysize ~lsize in
-  let net = Net.create sim ~tag:"wheel.ir" ~delay ~retain:false () in
+  let net = Net.create sim ~tag:"wheel.ir" ~delay () in
   let rb = Rbcast.create sim ~tag:"wheel.l_move" ~delay () in
   let t =
     {

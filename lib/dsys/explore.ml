@@ -219,12 +219,28 @@ let dfs ~make ~stats ?(depth = 64) ?(delays = 2) ?(max_runs = 1000)
   done;
   List.rev !found
 
-(* Generic greedy delta debugging over a list of atoms: repeatedly drop
-   chunks of halving sizes while [test] keeps holding on the candidate.
-   [test] must hold on the full input for the result to be meaningful
-   (callers establish that before minimizing).  Used by the schedule
-   shrinker below and by the chaos campaign to minimize failing fault
-   specifications ([Faults.elements]). *)
+(* The greedy delta-debugging core: drop chunks of [size] atoms, left to
+   right, while [test] keeps holding on the candidate, then of halving
+   sizes down to single atoms. *)
+let rec chunk_pass ~test cur size =
+  if size < 1 then cur
+  else begin
+    let rec at start cur =
+      if start >= List.length cur then cur
+      else
+        let cand = List.filteri (fun i _ -> i < start || i >= start + size) cur in
+        if test cand then at start cand else at (start + size) cur
+    in
+    chunk_pass ~test (at 0 cur) (size / 2)
+  end
+
+let half l = max 1 (List.length l / 2)
+
+(* Generic greedy delta debugging over a list of atoms.  [test] must hold
+   on the full input for the result to be meaningful (callers establish
+   that before minimizing).  Used by the chaos campaign to minimize
+   failing fault specifications ([Faults.elements]); the schedule
+   shrinker below runs the same chunk passes. *)
 let ddmin ~test ?(budget = max_int) items =
   let left = ref budget in
   let check cand =
@@ -234,24 +250,9 @@ let ddmin ~test ?(budget = max_int) items =
       test cand
     end
   in
-  let remove_range l start len =
-    List.filteri (fun i _ -> i < start || i >= start + len) l
-  in
-  let rec chunk_pass cur size =
-    if size < 1 then cur
-    else begin
-      let rec at start cur =
-        if start >= List.length cur then cur
-        else
-          let cand = remove_range cur start size in
-          if check cand then at start cand else at (start + size) cur
-      in
-      chunk_pass (at 0 cur) (size / 2)
-    end
-  in
   if items = [] then []
   else if check [] then []
-  else chunk_pass items (max 1 (List.length items / 2))
+  else chunk_pass ~test:check items (half items)
 
 let shrink ~make ~stats ?(budget = 400) (choices, notes) =
   let left = ref budget in
@@ -268,24 +269,10 @@ let shrink ~make ~stats ?(budget = 400) (choices, notes) =
   let viol cs =
     match try_run cs with Some e -> e.ex_violation <> [] | None -> false
   in
-  let remove_range l start len =
-    List.filteri (fun i _ -> i < start || i >= start + len) l
-  in
   (* Greedy delta debugging: drop chunks of halving sizes while the
      violation survives, then normalize surviving non-default choices
-     (crashes and reorderings) back to the default one at a time. *)
-  let rec chunk_pass cur size =
-    if size < 1 then cur
-    else begin
-      let rec at start cur =
-        if start >= List.length cur then cur
-        else
-          let cand = remove_range cur start size in
-          if viol cand then at start cand else at (start + size) cur
-      in
-      chunk_pass (at 0 cur) (size / 2)
-    end
-  in
+     (crashes and reorderings) back to the default one at a time, then
+     retry dropping single choices. *)
   let normalize cur =
     List.fold_left
       (fun acc idx ->
@@ -302,9 +289,9 @@ let shrink ~make ~stats ?(budget = 400) (choices, notes) =
   let minimized =
     if viol [] then []
     else
-      let cur = chunk_pass choices (max 1 (List.length choices / 2)) in
+      let cur = chunk_pass ~test:viol choices (half choices) in
       let cur = normalize cur in
-      chunk_pass cur 1
+      chunk_pass ~test:viol cur 1
   in
   (* Confirming run (not budget-gated): the minimized schedule's own
      violation notes, which may differ from the original's. *)

@@ -34,48 +34,29 @@ end
 module Transport : sig
   type 'm t
 
-  val create :
-    Sim.t ->
-    ?tag:string ->
-    ?delay:Delay.t ->
-    ?retransmit_every:float ->
-    ?backoff_factor:float ->
-    ?backoff_cap:float ->
-    ?backoff_jitter:float ->
-    loss:float ->
-    unit ->
-    'm t
-  (** Reliable transport over a fresh fair-lossy link: sequence numbers
-      for deduplication, acks to retire per-message retransmission
-      timers.  Retransmission is stubborn (a message is resent until
-      acked — reliability needs nothing less) but paced by capped
-      exponential backoff: the first resend comes after
-      [retransmit_every] (default 1.0), each further one [backoff_factor]
-      (default 2.0) later than the last up to [backoff_cap] (default
-      [8 * retransmit_every]), all perturbed by ±[backoff_jitter]
-      (default 0.2, i.e. ±20%) of deterministic seed-derived jitter via
-      {!Delay.backoff_interval}.  An ack from a destination resets the
-      backoff of its other pending messages (fresh evidence the path
-      works).  [net.retransmits] and [net.backoff_resets] are recorded in
-      {!metrics} and mirrored as trace counters. *)
+  val create : Sim.t -> ?tag:string -> ?delay:Delay.t -> loss:float -> unit -> 'm t
+  (** Reliable transport over a fresh fair-lossy link named [tag]
+      (default ["transport"]): sequence numbers for deduplication, acks
+      to retire per-message retransmission timers.  Retransmission is
+      stubborn (a message is resent until acked — reliability needs
+      nothing less) but paced by capped exponential backoff: the first
+      resend comes 1.0 after the send, each further one twice as late as
+      the last up to 8.0, all perturbed by ±20% of deterministic
+      seed-derived jitter via {!Delay.backoff_interval}.  An ack from a
+      destination resets the backoff of its other pending messages
+      (fresh evidence the path works).  The simulator's trace counts
+      resent data packets as [net.retransmits], backoffs pulled back by
+      an ack as [net.backoff_resets], and every link-level copy (data,
+      retransmissions and acks) as [<tag>.link.sent]. *)
 
   val send : 'm t -> src:Pid.t -> dst:Pid.t -> 'm -> unit
   (** Queue for reliable delivery.  Must be called while [src] is alive;
       delivery is guaranteed if both ends are correct. *)
 
-  val inbox : 'm t -> Pid.t -> (Pid.t * 'm) list
-  (** [(src, payload)] in delivery order, duplicates already removed. *)
-
   val on_deliver : 'm t -> (src:Pid.t -> dst:Pid.t -> 'm -> unit) -> unit
+  (** Callback at each delivery, once per message: duplicates are
+      already removed.  The transport keeps no delivery log. *)
 
   val pending : 'm t -> Pid.t -> int
   (** Unacknowledged messages a process is still retransmitting. *)
-
-  val link_sent : 'm t -> int
-  (** Raw link-level copies consumed (retransmissions + acks). *)
-
-  val metrics : 'm t -> Metrics.t
-  (** The transport's metrics registry: [net.retransmits] counts resent
-      data packets, [net.backoff_resets] counts pending messages pulled
-      back to the base interval by an ack on the same path. *)
 end

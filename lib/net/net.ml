@@ -1,22 +1,15 @@
 open Setagree_util
 open Setagree_dsys
 
-type 'm envelope = {
-  src : Pid.t;
-  dst : Pid.t;
-  sent_at : float;
-  delivered_at : float;
-  payload : 'm;
-}
+type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
 
 (* Per-(destination, key) aggregate maintained incrementally at delivery
    time, so blocked-predicate readiness checks are O(1) lookups instead of
    whole-mailbox rescans. *)
 type 'm keyslot = {
-  mutable k_count : int;
   mutable k_senders : Pidset.t;
   mutable k_nsenders : int; (* = cardinal k_senders, maintained here *)
-  mutable k_envs : 'm envelope list; (* newest-first; accessor reverses *)
+  mutable k_envs : 'm envelope list; (* newest-first, as [keyed_fold] walks it *)
 }
 
 type 'm t = {
@@ -31,8 +24,9 @@ type 'm t = {
   classify : ('m -> int) option;
   (* When present, sends travel through the stubborn transport over a
      fair-lossy link instead of the direct channel. *)
-  transport : (float * 'm) Lossy.Transport.t option;
-  (* Mailboxes are append-only logs in delivery order. *)
+  transport : 'm Lossy.Transport.t option;
+  (* Mailboxes are append-only logs in delivery order, kept only with
+     [retain]. *)
   boxes : 'm envelope Vec.t array;
   (* Keyed index storage: protocol classify keys are small dense ints
      (round/phase coordinates), so the common case is a direct array slot
@@ -76,7 +70,6 @@ type 'm t = {
   mutable disp : int; (* our dispatcher id in the simulator *)
   mutable r_src : int array;
   mutable r_dst : int array;
-  mutable r_sent : float array;
   (* Payloads stored untyped, [Obj.repr 0] in a free row: a typed
      [option] row would box every send.  The array is made from an int,
      so it is never a flat float array whatever ['m] is. *)
@@ -95,7 +88,7 @@ type 'm t = {
 let kdense_max = 1 lsl 16
 
 let fresh_keyslot () =
-  { k_count = 0; k_senders = Pidset.empty; k_nsenders = 0; k_envs = [] }
+  { k_senders = Pidset.empty; k_nsenders = 0; k_envs = [] }
 
 (* The dense row of [dst], grown (with its [knsend] mirror) to hold
    [key] < [kdense_max]. *)
@@ -148,7 +141,6 @@ let keyslot_find t pid key =
 let index t ~dst (env : 'm envelope) key =
   let slot = keyslot_get t dst key in
   if slot != t.retired then begin
-    slot.k_count <- slot.k_count + 1;
     if not (Pidset.mem env.src slot.k_senders) then begin
       slot.k_senders <- Pidset.add env.src slot.k_senders;
       slot.k_nsenders <- slot.k_nsenders + 1;
@@ -163,27 +155,27 @@ let index t ~dst (env : 'm envelope) key =
     slot.k_envs <- env :: slot.k_envs
   end
 
-let rec deliver t ~src ~dst ~sent_at payload () =
+let rec deliver t ~src ~dst payload () =
   if not (Sim.is_crashed t.sim dst) then begin
     match Sim.stall_end t.sim dst with
     | Some resume_at ->
         (* A stalled process is frozen: the channel holds the message and
            re-presents it when the stall window closes. *)
         Trace.bump t.h_deferred 1;
-        Sim.at t.sim ~time:resume_at (deliver t ~src ~dst ~sent_at payload)
-    | None -> deliver_now t ~src ~dst ~sent_at payload
+        Sim.at t.sim ~time:resume_at (deliver t ~src ~dst payload)
+    | None -> deliver_now t ~src ~dst payload
   end
 
-and deliver_now t ~src ~dst ~sent_at payload =
+and deliver_now t ~src ~dst payload =
   begin
-    let env = { src; dst; sent_at; delivered_at = Sim.now t.sim; payload } in
+    let env = { src; dst; payload } in
     if t.retain then Vec.push t.boxes.(dst) env;
     (match t.classify with Some f -> index t ~dst env (f payload) | None -> ());
     t.delivered <- t.delivered + 1;
     Trace.bump t.h_delivered 1;
     let tr = Sim.trace t.sim in
     if Trace.records_full tr then
-      Trace.record tr ~time:env.delivered_at
+      Trace.record tr ~time:(Sim.now t.sim)
         (Trace.Deliver { src; dst; tag = t.tag });
     (* Match form: no closure capture when the common cases (no handler,
        one handler) run on every delivery. *)
@@ -206,7 +198,6 @@ let row_grow t =
   in
   t.r_src <- copy t.r_src 0;
   t.r_dst <- copy t.r_dst 0;
-  t.r_sent <- copy t.r_sent 0.0;
   t.r_pay <- copy t.r_pay (Obj.repr 0);
   t.r_next <- copy t.r_next (-1);
   for i = cap to ncap - 1 do
@@ -214,13 +205,12 @@ let row_grow t =
   done;
   t.r_free <- cap
 
-let row_alloc t ~src ~dst ~sent_at payload =
+let row_alloc t ~src ~dst payload =
   if t.r_free = -1 then row_grow t;
   let r = t.r_free in
   t.r_free <- t.r_next.(r);
   t.r_src.(r) <- src;
   t.r_dst.(r) <- dst;
-  t.r_sent.(r) <- sent_at;
   t.r_pay.(r) <- Obj.repr payload;
   t.r_next.(r) <- -1;
   r
@@ -245,13 +235,13 @@ let dispatch t head =
   let row = ref head in
   while !row >= 0 do
     let r = !row in
-    let src = t.r_src.(r) and sent_at = t.r_sent.(r) in
+    let src = t.r_src.(r) in
     let payload : 'm = Obj.obj t.r_pay.(r) in
     row := t.r_next.(r);
     (* Free before delivering: handlers may send, reusing this row; all
        fields are already read out. *)
     row_free t r;
-    deliver t ~src ~dst ~sent_at payload ()
+    deliver t ~src ~dst payload ()
   done
 
 (* Schedule a message for delivery at an absolute time.  Arena engine:
@@ -259,11 +249,11 @@ let dispatch t head =
    this instant, else open a new batch (one event, one future mailbox
    drain for the whole batch).  Legacy engine: one closure event per
    message, the historical behavior. *)
-let schedule_delivery t ~src ~dst ~sent_at ~deliver_at payload =
+let schedule_delivery t ~src ~dst ~deliver_at payload =
   if Sim.legacy_queue t.sim then
-    Sim.at t.sim ~time:deliver_at (deliver t ~src ~dst ~sent_at payload)
+    Sim.at t.sim ~time:deliver_at (deliver t ~src ~dst payload)
   else begin
-    let r = row_alloc t ~src ~dst ~sent_at payload in
+    let r = row_alloc t ~src ~dst payload in
     if t.open_head.(dst) >= 0 && t.open_time.(dst) = deliver_at then begin
       t.r_next.(t.open_tail.(dst)) <- r;
       t.open_tail.(dst) <- r
@@ -286,11 +276,9 @@ let schedule_delivery t ~src ~dst ~sent_at ~deliver_at payload =
 let inject t ~src payload =
   match Sim.local t.sim with
   | None -> invalid_arg "Net.inject: simulator is not in real-runtime mode"
-  | Some dst ->
-      let sent_at = Sim.now t.sim in
-      Sim.schedule t.sim ~delay:0.0 (deliver t ~src ~dst ~sent_at payload)
+  | Some dst -> Sim.schedule t.sim ~delay:0.0 (deliver t ~src ~dst payload)
 
-let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classify
+let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = false) ?classify
     ?loss () =
   let transport =
     Option.map (fun loss -> Lossy.Transport.create sim ~tag:(tag ^ ".l") ~delay ~loss ()) loss
@@ -325,7 +313,6 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
       disp = -1;
       r_src = [||];
       r_dst = [||];
-      r_sent = [||];
       r_pay = [||];
       r_next = [||];
       r_free = -1;
@@ -338,8 +325,8 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = true) ?classif
   t.disp <- Sim.register_dispatcher sim (fun head -> dispatch t head);
   Option.iter
     (fun tr ->
-      Lossy.Transport.on_deliver tr (fun ~src ~dst (sent_at, payload) ->
-          deliver t ~src ~dst ~sent_at payload ()))
+      Lossy.Transport.on_deliver tr (fun ~src ~dst payload ->
+          deliver t ~src ~dst payload ()))
     transport;
   (* Real-runtime mode: the tag names this network's decoder in the node's
      inbound dispatch. *)
@@ -369,9 +356,8 @@ let note_sent t ~src ~dst =
 let send_at t ~src ~dst ~deliver_at payload =
   if not (Sim.is_crashed t.sim src) then begin
     note_sent t ~src ~dst;
-    let sent_at = Sim.now t.sim in
-    schedule_delivery t ~src ~dst ~sent_at
-      ~deliver_at:(Float.max deliver_at sent_at)
+    schedule_delivery t ~src ~dst
+      ~deliver_at:(Float.max deliver_at (Sim.now t.sim))
       payload
   end
 
@@ -393,7 +379,7 @@ let send t ~src ~dst payload =
        the same seed).  A pick dispatches it as a one-row batch. *)
     | None when Sim.controlled t.sim ->
         note_sent t ~src ~dst;
-        let r = row_alloc t ~src ~dst ~sent_at:(Sim.now t.sim) payload in
+        let r = row_alloc t ~src ~dst payload in
         Sim.offer t.sim ~src ~dst ~disp:t.disp ~row:r
     | None ->
         let now = Sim.now t.sim in
@@ -424,7 +410,7 @@ let send t ~src ~dst payload =
         end
     | Some tr ->
         note_sent t ~src ~dst;
-        Lossy.Transport.send tr ~src ~dst (Sim.now t.sim, payload))
+        Lossy.Transport.send tr ~src ~dst payload)
   end
 
 let broadcast t ~src payload =
@@ -445,21 +431,6 @@ let broadcast_staggered t ~src ~step payload =
   go 0
 
 let inbox t pid = Vec.to_list t.boxes.(pid)
-let recv_filter t pid f = List.filter f (inbox t pid)
-
-let recv_count t pid f =
-  Vec.fold_left (fun acc e -> if f e then acc + 1 else acc) 0 t.boxes.(pid)
-
-let distinct_senders t pid f =
-  Vec.fold_left
-    (fun acc e -> if f e then Pidset.add e.src acc else acc)
-    Pidset.empty t.boxes.(pid)
-
-let mail_cursor t pid = Vec.length t.boxes.(pid)
-let recv_since t pid ~cursor = Vec.list_from t.boxes.(pid) ~cursor
-
-let keyed_count t pid key =
-  match keyslot_find t pid key with Some s -> s.k_count | None -> 0
 
 (* The per-event quorum predicate: two flat reads off the mirror rows. *)
 let keyed_nsenders t pid key =
@@ -473,11 +444,6 @@ let keyed_senders t pid key =
   match keyslot_find t pid key with
   | Some s -> s.k_senders
   | None -> Pidset.empty
-
-let keyed_envs t pid key =
-  match keyslot_find t pid key with
-  | Some s -> List.rev s.k_envs
-  | None -> []
 
 let keyed_fold t pid key ~init ~f =
   match keyslot_find t pid key with

@@ -9,25 +9,23 @@
     the two wheels under a k-set agreement) each create their own network
     over the same simulator, mirroring the paper's module structure.
 
-    {b Mailboxes are indexed.}  Each destination owns an append-only log
-    read either whole ({!inbox}), incrementally ({!recv_since} with a
-    cursor), or through per-key aggregates maintained at delivery time
-    when a {!create}-time [classify] function maps payloads to integer
-    keys: {!keyed_count}, {!keyed_senders} and {!keyed_envs} are O(1)/
-    O(matches) lookups, never mailbox rescans.  Every delivery to [dst]
-    signals {!cond}[ t dst], which is what {!Setagree_dsys.Sim.Cond.await}
-    predicates over this network subscribe to. *)
+    A delivery carries what the paper's channels carry: a sender, a
+    destination and a content ({!envelope}).  Protocols observe it in
+    two ways: {!on_deliver} handlers (the paper's "when m is delivered"
+    tasks), and, when a {!create}-time [classify] function maps payloads
+    to integer keys, a per-(destination, key) index maintained at
+    delivery time — {!keyed_senders}, {!keyed_nsenders} and
+    {!keyed_fold} are O(1)/O(matches) lookups, never mailbox rescans.
+    Every delivery to [dst] signals {!cond}[ t dst], which is what
+    {!Setagree_dsys.Sim.Cond.await} predicates over this network
+    subscribe to. *)
 
 open Setagree_util
 open Setagree_dsys
 
-type 'm envelope = {
-  src : Pid.t;
-  dst : Pid.t;
-  sent_at : float;
-  delivered_at : float;
-  payload : 'm;
-}
+type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
+(** One delivered message.  Its delivery time is the handler's
+    [Sim.now]. *)
 
 type 'm t
 
@@ -44,14 +42,12 @@ val create :
     counters (default ["net"]); [delay] defaults to {!Delay.default}.
     Delay draws come from an RNG split off the simulator's root with the
     tag as key, so adding another network does not perturb this one.
-    [retain] (default true): keep delivered envelopes in mailboxes for
-    {!inbox}-style reads; protocols that consume messages purely through
-    {!on_deliver} callbacks should pass [false] so unbounded runs stay in
-    bounded memory.
+    [retain] (default false): also keep every delivered envelope in a
+    per-destination mailbox for {!inbox}.  Without it, what a long run
+    keeps is bounded by the keyed index's live rounds ({!keyed_drop}).
     [classify]: map each payload to an integer key maintained in the
     per-(destination, key) delivery index — the protocol's round/phase
-    structure, typically.  Classification happens on every delivery even
-    with [retain = false].
+    structure, typically.
     [loss]: when given, every {!send} travels through a stubborn reliable
     transport over a fair-lossy link dropping that fraction of copies
     ({!Lossy.Transport}) — same delivery guarantees between correct
@@ -63,7 +59,8 @@ val sim : 'm t -> Sim.t
 val cond : 'm t -> Pid.t -> Sim.cond
 (** The destination's delivery condition: signalled on every delivery to
     the process.  Subscribe {!Sim.Cond.await} predicates that read this
-    process's mailbox state to it. *)
+    process's keyed index, or state its {!on_deliver} handlers update, to
+    it. *)
 
 val quorum_cond : 'm t -> Pid.t -> key:int -> q:int -> Sim.cond
 (** Threshold form of {!cond} for the quorum waits that dominate round
@@ -117,38 +114,19 @@ val broadcast_staggered : 'm t -> src:Pid.t -> step:float -> 'm -> unit
     exists to mask. *)
 
 val inbox : 'm t -> Pid.t -> 'm envelope list
-(** All messages delivered to the process so far, in delivery order. *)
-
-val recv_filter : 'm t -> Pid.t -> ('m envelope -> bool) -> 'm envelope list
-
-val recv_count : 'm t -> Pid.t -> ('m envelope -> bool) -> int
-
-val distinct_senders : 'm t -> Pid.t -> ('m envelope -> bool) -> Pidset.t
-(** Senders of matching delivered messages — the "received from n-t
-    processes" guards count distinct senders. *)
-
-val mail_cursor : 'm t -> Pid.t -> int
-(** Current length of the process's mailbox log; pass to {!recv_since}
-    later to read only what arrived in between. *)
-
-val recv_since : 'm t -> Pid.t -> cursor:int -> 'm envelope list
-(** Envelopes appended at positions [>= cursor], in delivery order. *)
+(** All messages delivered to the process so far, in delivery order, on a
+    net created with [~retain:true]; [[]] otherwise. *)
 
 (** {1 Keyed delivery index} (requires [classify] at {!create}) *)
 
-val keyed_count : 'm t -> Pid.t -> int -> int
-(** Deliveries to the process whose payload classified to the key. *)
-
 val keyed_senders : 'm t -> Pid.t -> int -> Pidset.t
-(** Distinct senders among them — the O(1) form of the "received PHASE1(r)
+(** Distinct senders of the deliveries to the process whose payload
+    classified to the key — the O(1) form of the "received PHASE1(r)
     from n-t processes" readiness checks. *)
 
 val keyed_nsenders : 'm t -> Pid.t -> int -> int
 (** [cardinal (keyed_senders t pid key)] without the popcount — an int
     maintained at delivery, for quorum predicates evaluated per event. *)
-
-val keyed_envs : 'm t -> Pid.t -> int -> 'm envelope list
-(** The matching envelopes, in delivery order (copies the stored list). *)
 
 val keyed_fold :
   'm t -> Pid.t -> int -> init:'a -> f:('a -> 'm envelope -> 'a) -> 'a
@@ -161,28 +139,29 @@ val keyed_drop : 'm t -> Pid.t -> int -> unit
     it again (a finished round).  Its envelopes become garbage instead of
     retained history, keeping a long run's live heap bounded by the round
     window, and a late delivery for the key is still delivered (counted,
-    appended to a retained mailbox, handed to {!on_deliver} handlers, and
-    it signals {!cond}) but indexes nothing: {!keyed_count},
-    {!keyed_nsenders}, {!keyed_senders}, {!keyed_envs} and {!keyed_fold}
-    read the key as empty from the drop on, and no {!quorum_cond} watch on
-    it fires.  A key may be retired before any delivery for it. *)
+    handed to {!on_deliver} handlers, and it signals {!cond}) but indexes
+    nothing: {!keyed_nsenders}, {!keyed_senders} and {!keyed_fold} read
+    the key as empty from the drop on, and no {!quorum_cond} watch on it
+    fires.  A key may be retired before any delivery for it. *)
 
 val inject : 'm t -> src:Pid.t -> 'm -> unit
 (** Real-runtime ingress: deliver a message that already traveled the
     wire to the {!Setagree_dsys.Sim.local} pid, as an immediate delivery
-    event of the local simulator (mailbox append, keyed index, handlers
-    and condition signal all happen inside the next [Sim.advance] tick).
+    event of the local simulator (keyed index, handlers and condition
+    signal all happen inside the next [Sim.advance] tick).
     Raises [Invalid_argument] on a simulator without [local].  The
     inverse direction is automatic: on a [local] simulator, {!create}
     registers an inlet under the net's tag that decodes and injects, and
     {!send} routes remote-bound messages through [Sim.set_router]. *)
 
 val on_deliver : 'm t -> ('m envelope -> unit) -> unit
-(** Register a callback run at each delivery (after the mailbox append and
-    only if the destination is alive).  Callbacks run in registration
-    order.  Used for the paper's "when m is delivered" tasks. *)
+(** Register a callback run at each delivery (after the keyed index is
+    updated, and only if the destination is alive and not stalled).
+    Callbacks run in registration order.  Used for the paper's "when m is
+    delivered" tasks. *)
 
 val sent_count : 'm t -> int
 (** Total messages sent through this network. *)
 
 val delivered_count : 'm t -> int
+(** Total messages delivered by this network. *)

@@ -14,7 +14,9 @@
 open Setagree_util
 open Setagree_dsys
 
-type 'm delivery = { origin : Pid.t; body : 'm; at : float }
+type 'm delivery = { origin : Pid.t; body : 'm }
+(** One R-delivery: the R-broadcasting process and its message.  Its
+    delivery time is the handler's [Sim.now]. *)
 
 type 'm t
 
@@ -37,13 +39,10 @@ val cond : 'm t -> Pid.t -> Sim.cond
 val broadcast : 'm t -> src:Pid.t -> 'm -> unit
 (** R-broadcast.  No-op if [src] has crashed. *)
 
-val delivered : 'm t -> Pid.t -> 'm delivery list
-(** Messages R-delivered by the process so far, in delivery order. *)
-
-val delivered_count : 'm t -> Pid.t -> ('m delivery -> bool) -> int
-
 val on_deliver : 'm t -> (Pid.t -> 'm delivery -> unit) -> unit
-(** Callback at each R-delivery (pid is the delivering process). *)
+(** Callback at each R-delivery (pid is the delivering process), in
+    registration order.  R-deliveries are observed only here: the module
+    keeps no delivery log. *)
 
 val underlying_sent : 'm t -> int
 (** Point-to-point messages consumed by the implementation. *)

@@ -153,7 +153,11 @@ let test_shrink_race_to_single_reorder () =
   let base = Explore.default_exec ~make:make_race ~stats ~depth:8 in
   let roots = Explore.alternatives_at stats base 0 in
   let found = Explore.dfs ~make:make_race ~stats ~depth:8 ~delays:2 ~max_runs:50 roots in
+  let before = stats.Explore.shrink_runs in
   let choices, notes = Explore.shrink ~make:make_race ~stats (List.hd found) in
+  (* The empty schedule, dropping the one choice, normalizing it, the
+     final single-choice pass, the confirming run. *)
+  check_int "shrink runs" 5 (stats.Explore.shrink_runs - before);
   check "minimized to the one reordering" true (choices = [ Schedule.Deliver 1 ]);
   check "violation preserved" true (notes = [ "src 2 overtook src 1" ]);
   (* Replay of the minimized schedule exhibits the same violation. *)

@@ -236,10 +236,30 @@ let test_legal () =
 (* --- ddmin & chaos minimization --- *)
 
 let test_ddmin_minimizes () =
-  let test l = List.mem 3 l && List.mem 6 l in
+  let tried = ref [] in
+  let test l =
+    tried := l :: !tried;
+    List.mem 3 l && List.mem 6 l
+  in
   let out = Explore.ddmin ~test [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   check "ddmin keeps exactly the relevant atoms" true
-    (List.sort compare out = [ 3; 6 ])
+    (List.sort compare out = [ 3; 6 ]);
+  (* The empty list first, then chunks of 4, 2 and 1, left to right. *)
+  check "candidates in order" true
+    (List.rev !tried
+    = [
+        [];
+        [ 5; 6; 7; 8 ];
+        [ 1; 2; 3; 4 ];
+        [ 3; 4; 5; 6; 7; 8 ];
+        [ 5; 6; 7; 8 ];
+        [ 3; 4; 7; 8 ];
+        [ 3; 4; 5; 6 ];
+        [ 4; 5; 6 ];
+        [ 3; 5; 6 ];
+        [ 3; 6 ];
+        [ 3 ];
+      ])
 
 let test_minimize_illegal () =
   (* t+1 explicit crashes plus an irrelevant stall: minimization must

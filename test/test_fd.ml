@@ -367,25 +367,6 @@ let test_oracle_requires_correct_process () =
   let _ = Oracle.es_x sim ~x:1 () in
   check "ok with one correct" true true
 
-(* --- viz --- *)
-
-let test_viz_timeline () =
-  let sim = mk ~n:7 ~seed:64 () in
-  Sim.install_crashes sim [ (2, 30.0) ];
-  let v = ref (Pidset.singleton 0) in
-  Sim.schedule sim ~delay:60.0 (fun () -> v := Pidset.singleton 1);
-  let mon = run_watching sim (fun _ -> !v) in
-  let s = Viz.timeline sim mon ~width:40 () in
-  check "has a row per process" true
-    (List.length (String.split_on_char '\n' s) >= 7);
-  check "crash marker present" true (String.contains s 'x');
-  check "legend present" true
-    (let rec has_sub i =
-       i + 3 <= String.length s && (String.sub s i 3 = "a =" || has_sub (i + 1))
-     in
-     has_sub 0);
-  check "two values lettered" true (String.contains s 'b')
-
 let () =
   Alcotest.run "fd"
     [
@@ -427,6 +408,5 @@ let () =
           Alcotest.test_case "monitor values_after" `Quick test_monitor_values_after;
           Alcotest.test_case "param validation" `Quick test_oracle_param_validation;
           Alcotest.test_case "one correct suffices" `Quick test_oracle_requires_correct_process;
-          Alcotest.test_case "viz timeline" `Quick test_viz_timeline;
         ] );
     ]

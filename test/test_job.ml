@@ -2022,6 +2022,52 @@ let test_daemon_refuses_oracle_range () =
   Domain.join d;
   rm_rf dir
 
+(* An unknown backend or trace level is a refused spec, at [validate] and
+   at submit, instead of a simulator run whose replay line fdkit rejects.
+   Every listed backend and every trace level passes. *)
+let test_daemon_refuses_backend_trace () =
+  let spec =
+    match
+      Job.of_json
+        (Json.of_string_exn
+           {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"backend":"bogus","trace":"loud"}}|})
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  (match Job.validate spec with
+  | Error errs ->
+      check_int "one error each" 2 (List.length errs);
+      check "names the backend" true
+        (List.exists (fun e -> Strutil.contains e ~sub:"bogus") errs);
+      check "names the trace level" true
+        (List.exists (fun e -> Strutil.contains e ~sub:"loud") errs)
+  | Ok () -> Alcotest.fail "validate accepted backend bogus, trace loud");
+  List.iter
+    (fun (backend, trace) ->
+      check (backend ^ "/" ^ trace ^ " accepted") true
+        (Job.validate
+           (Job.of_flags ~kind:`Run ~protocol:"kset"
+              { Protocol.default with Protocol.backend; trace })
+        = Ok ()))
+    (List.concat_map (fun b -> List.map (fun l -> (b, l)) [ "off"; "default"; "full" ]) Job.backends);
+  check "only rt backends are rt" true
+    (List.filter Job.is_rt (Job.backends @ [ "rtx"; "rt-udp" ]) = [ "rt"; "rt-chan" ]);
+  let dir = tmpdir "backend" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let conn = connect config in
+  let ack = expect (Serve.Client.submit conn spec) in
+  check "rejected at submit" true
+    (frame_type ack = "ack" && Json.member "accepted" ack = Some (Json.Bool false));
+  (match record_of conn (ack_id ack) with
+  | Some r -> check "exit 3" true (Json.member "exit" r = Some (Json.Int 3))
+  | None -> Alcotest.fail "rejected record missing from status");
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
 (* The daemon writes a finished spec's files with the CLI's writer:
    byte-identical triage files for a failing sweep and for a misuse
    exploration. *)
@@ -2439,6 +2485,7 @@ let () =
             test_daemon_history_bound;
           Alcotest.test_case "replay paths agree" `Quick test_daemon_replay_paths_agree;
           Alcotest.test_case "oracle range refused" `Quick test_daemon_refuses_oracle_range;
+          Alcotest.test_case "backend/trace refused" `Quick test_daemon_refuses_backend_trace;
           Alcotest.test_case "artifacts match the CLI" `Quick test_daemon_artifacts_match_cli;
         ] );
       ( "telemetry",

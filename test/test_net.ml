@@ -46,26 +46,39 @@ let test_delay_clamped () =
 
 (* Channels *)
 
+(* Tests observe deliveries the way protocols do, through [on_deliver]:
+   [received net] gives, per destination, the envelopes handed to the
+   handlers so far in delivery order, each with the [Sim.now] the
+   handler saw. *)
+let received net =
+  let log = ref [] in
+  Net.on_deliver net (fun e -> log := (e, Sim.now (Net.sim net)) :: !log);
+  fun dst -> List.rev (List.filter (fun ((e : _ Net.envelope), _) -> e.dst = dst) !log)
+
+let payloads got = List.map (fun ((e : _ Net.envelope), _) -> e.payload) got
+
 let test_send_delivers () =
   let sim = mk () in
   let net : string Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let got = received net in
   Net.send net ~src:0 ~dst:1 "hello";
   ignore (Sim.run sim);
-  match Net.inbox net 1 with
-  | [ e ] ->
+  match got 1 with
+  | [ (e, at) ] ->
       check "payload" true (e.payload = "hello");
       check_int "src" 0 e.src;
-      Alcotest.(check (float 0.001)) "delivered_at" 1.0 e.delivered_at
+      Alcotest.(check (float 0.001)) "delivered at" 1.0 at
   | l -> Alcotest.failf "expected 1 message, got %d" (List.length l)
 
 let test_no_loss_no_dup () =
   let sim = mk () in
   let net : int Net.t = Net.create sim () in
+  let received = received net in
   for i = 1 to 100 do
     Net.send net ~src:0 ~dst:1 i
   done;
   ignore (Sim.run sim);
-  let got = List.map (fun e -> e.Net.payload) (Net.inbox net 1) in
+  let got = payloads (received 1) in
   Alcotest.(check (list int)) "all delivered exactly once" (List.init 100 (fun i -> i + 1))
     (List.sort compare got)
 
@@ -73,79 +86,72 @@ let test_non_fifo_possible () =
   (* With spread-out delays, some pair of messages is reordered. *)
   let sim = mk ~seed:3 () in
   let net : int Net.t = Net.create sim ~delay:(Delay.Uniform (0.1, 10.0)) () in
+  let received = received net in
   for i = 1 to 50 do
     Net.send net ~src:0 ~dst:1 i
   done;
   ignore (Sim.run sim);
-  let got = List.map (fun e -> e.Net.payload) (Net.inbox net 1) in
+  let got = payloads (received 1) in
   check "reordering observed" true (got <> List.sort compare got)
 
 let test_send_from_crashed_dropped () =
   let sim = mk () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let got = received net in
   Sim.schedule sim ~delay:5.0 (fun () -> Net.send net ~src:0 ~dst:1 99);
   ignore (Sim.run sim);
-  check_int "dead senders send nothing" 0 (List.length (Net.inbox net 1))
+  check_int "dead senders send nothing" 0 (List.length (got 1))
 
 let test_send_to_crashed_dropped () =
   let sim = mk () in
   Sim.install_crashes sim [ (1, 0.5) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 2.0) () in
+  let got = received net in
   Net.send net ~src:0 ~dst:1 7;
   ignore (Sim.run sim);
-  check_int "no delivery to the dead" 0 (List.length (Net.inbox net 1))
+  check_int "no delivery to the dead" 0 (List.length (got 1))
 
 let test_in_flight_survives_sender_crash () =
   let sim = mk () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 5.0) () in
+  let got = received net in
   Net.send net ~src:0 ~dst:1 42;
   ignore (Sim.run sim);
-  check_int "in-flight delivered" 1 (List.length (Net.inbox net 1))
+  check_int "in-flight delivered" 1 (List.length (got 1))
 
 let test_send_at_adversarial () =
   let sim = mk () in
   let net : int Net.t = Net.create sim () in
+  let got = received net in
   Net.send_at net ~src:0 ~dst:1 ~deliver_at:33.25 5;
   ignore (Sim.run sim);
-  match Net.inbox net 1 with
-  | [ e ] -> Alcotest.(check (float 0.001)) "exact time" 33.25 e.delivered_at
+  match got 1 with
+  | [ (_, at) ] -> Alcotest.(check (float 0.001)) "exact time" 33.25 at
   | _ -> Alcotest.fail "one message expected"
 
 let test_broadcast_reaches_all () =
   let sim = mk ~n:5 () in
   let net : string Net.t = Net.create sim () in
+  let got = received net in
   Net.broadcast net ~src:2 "b";
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    check_int "everyone got it (incl. sender)" 1 (List.length (Net.inbox net i))
+    check_int "everyone got it (incl. sender)" 1 (List.length (got i))
   done
 
 let test_broadcast_staggered_partial_on_crash () =
   let sim = mk ~n:5 ~t:1 () in
   Sim.install_crashes sim [ (0, 1.0) ];
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 0.1) () in
+  let got = received net in
   (* Sender p0 crashes at 1.0; with step 0.4 it reaches only destinations
      0, 1, 2 (sent at 0.0, 0.4, 0.8). *)
   Net.broadcast_staggered net ~src:0 ~step:0.4 7;
   ignore (Sim.run sim);
-  let receivers =
-    List.filter (fun i -> Net.inbox net i <> []) (List.init 5 Fun.id)
-  in
+  let receivers = List.filter (fun i -> got i <> []) (List.init 5 Fun.id) in
   Alcotest.(check (list int)) "prefix only" [ 0; 1; 2 ] receivers
-
-let test_recv_filter_count_senders () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim () in
-  Net.send net ~src:0 ~dst:3 1;
-  Net.send net ~src:1 ~dst:3 2;
-  Net.send net ~src:1 ~dst:3 3;
-  ignore (Sim.run sim);
-  check_int "filter evens" 1 (List.length (Net.recv_filter net 3 (fun e -> e.payload mod 2 = 0)));
-  check_int "count" 3 (Net.recv_count net 3 (fun _ -> true));
-  check "distinct senders" true
-    (Pidset.equal (Net.distinct_senders net 3 (fun _ -> true)) (Pidset.of_list [ 0; 1 ]))
 
 let test_on_deliver_callbacks () =
   let sim = mk () in
@@ -156,16 +162,22 @@ let test_on_deliver_callbacks () =
   ignore (Sim.run sim);
   Alcotest.(check (list (pair int int))) "callback fired" [ (2, 9) ] !seen
 
+(* Mailboxes are kept only on request: by default a net retains nothing,
+   while handlers and counters still see every delivery. *)
 let test_retain_false_empty_inbox () =
   let sim = mk () in
-  let net : int Net.t = Net.create sim ~retain:false () in
+  let net : int Net.t = Net.create sim () in
+  let kept : int Net.t = Net.create sim ~tag:"kept" ~retain:true () in
   let count = ref 0 in
   Net.on_deliver net (fun _ -> incr count);
   Net.send net ~src:0 ~dst:1 1;
+  Net.send kept ~src:0 ~dst:1 2;
   ignore (Sim.run sim);
   check_int "callback still fires" 1 !count;
   check_int "inbox empty" 0 (List.length (Net.inbox net 1));
-  check_int "counter still counts" 1 (Net.delivered_count net)
+  check_int "counter still counts" 1 (Net.delivered_count net);
+  Alcotest.(check (list int)) "~retain:true keeps the mailbox" [ 2 ]
+    (List.map (fun (e : int Net.envelope) -> e.payload) (Net.inbox kept 1))
 
 let test_counters () =
   let sim = mk ~n:5 () in
@@ -175,55 +187,46 @@ let test_counters () =
   check_int "sent" 5 (Net.sent_count net);
   check_int "delivered" 5 (Net.delivered_count net)
 
-let test_cursor_recv_since () =
-  let sim = mk () in
-  let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
-  Net.send net ~src:0 ~dst:1 1;
-  Net.send net ~src:2 ~dst:1 2;
-  ignore (Sim.run sim);
-  let c = Net.mail_cursor net 1 in
-  check_int "cursor = mailbox length" 2 c;
-  Net.send net ~src:0 ~dst:1 3;
-  ignore (Sim.run sim);
-  Alcotest.(check (list int)) "only what arrived after the cursor" [ 3 ]
-    (List.map (fun e -> e.Net.payload) (Net.recv_since net 1 ~cursor:c));
-  Alcotest.(check (list int)) "cursor 0 = whole inbox"
-    (List.map (fun e -> e.Net.payload) (Net.inbox net 1))
-    (List.map (fun e -> e.Net.payload) (Net.recv_since net 1 ~cursor:0))
+(* The keyed envelopes, oldest first ([keyed_fold] walks newest first). *)
+let keyed_payloads net pid key =
+  Net.keyed_fold net pid key ~init:[] ~f:(fun acc (e : int Net.envelope) -> e.payload :: acc)
 
 let test_keyed_index_matches_filters () =
-  (* The delivery-time keyed index must agree with the old rescan-the-inbox
-     accessors, including order. *)
+  (* The delivery-time keyed index must agree with what the handlers saw,
+     filtered by key, including order. *)
   let sim = mk ~seed:9 () in
   let net : int Net.t =
     Net.create sim ~delay:(Delay.Uniform (0.1, 3.0)) ~classify:(fun m -> m mod 2) ()
   in
+  let got = received net in
   for i = 1 to 40 do
     Net.send net ~src:(i mod 4) ~dst:4 i
   done;
   ignore (Sim.run sim);
   List.iter
     (fun key ->
-      let f (e : int Net.envelope) = e.payload mod 2 = key in
-      check_int "count" (Net.recv_count net 4 f) (Net.keyed_count net 4 key);
-      check "senders" true
-        (Pidset.equal (Net.distinct_senders net 4 f) (Net.keyed_senders net 4 key));
-      Alcotest.(check (list int)) "envelopes in delivery order"
-        (List.map (fun e -> e.Net.payload) (Net.recv_filter net 4 f))
-        (List.map (fun e -> e.Net.payload) (Net.keyed_envs net 4 key)))
+      let matching = List.filter (fun ((e : int Net.envelope), _) -> e.payload mod 2 = key) (got 4) in
+      let senders =
+        List.fold_left (fun acc ((e : int Net.envelope), _) -> Pidset.add e.src acc) Pidset.empty matching
+      in
+      check "senders" true (Pidset.equal senders (Net.keyed_senders net 4 key));
+      check_int "nsenders" (Pidset.cardinal senders) (Net.keyed_nsenders net 4 key);
+      Alcotest.(check (list int)) "envelopes in delivery order" (payloads matching)
+        (keyed_payloads net 4 key))
     [ 0; 1 ];
-  check_int "absent key count" 0 (Net.keyed_count net 4 7);
   check "absent key senders" true (Pidset.is_empty (Net.keyed_senders net 4 7));
-  check_int "absent key envs" 0 (List.length (Net.keyed_envs net 4 7))
+  check_int "absent key nsenders" 0 (Net.keyed_nsenders net 4 7);
+  check_int "absent key envs" 0 (List.length (keyed_payloads net 4 7))
 
 let test_keyed_index_with_retain_false () =
   let sim = mk () in
-  let net : int Net.t = Net.create sim ~retain:false ~classify:(fun m -> m) () in
+  let net : int Net.t = Net.create sim ~classify:(fun m -> m) () in
   Net.send net ~src:0 ~dst:1 5;
   Net.send net ~src:2 ~dst:1 5;
   ignore (Sim.run sim);
   check_int "inbox empty" 0 (List.length (Net.inbox net 1));
-  check_int "keyed count still maintained" 2 (Net.keyed_count net 1 5);
+  Alcotest.(check (list int)) "keyed envelopes still maintained" [ 5; 5 ]
+    (keyed_payloads net 1 5);
   check "keyed senders still maintained" true
     (Pidset.equal (Pidset.of_list [ 0; 2 ]) (Net.keyed_senders net 1 5))
 
@@ -234,14 +237,14 @@ let test_keyed_index_with_retain_false () =
 let test_keyed_drop_retires () =
   let sim = mk () in
   let net : int Net.t =
-    Net.create sim ~delay:(Delay.Constant 1.0) ~classify:(fun m -> m / 10) ()
+    Net.create sim ~delay:(Delay.Constant 1.0) ~retain:true ~classify:(fun m -> m / 10) ()
   in
   let handled = ref 0 in
   Net.on_deliver net (fun _ -> incr handled);
   let used = 50 and early = 4_000 and neg = -3 and big = 100_000 in
   Net.send net ~src:0 ~dst:1 (used * 10);
   Sim.schedule sim ~delay:2.0 (fun () ->
-      check_int "indexed before the drop" 1 (Net.keyed_count net 1 used);
+      check_int "indexed before the drop" 1 (List.length (keyed_payloads net 1 used));
       List.iter (Net.keyed_drop net 1) [ used; early; neg; big ];
       List.iter
         (fun key ->
@@ -252,12 +255,11 @@ let test_keyed_drop_retires () =
   List.iter
     (fun key ->
       let label = Printf.sprintf "key %d" key in
-      check_int (label ^ ": count") 0 (Net.keyed_count net 1 key);
       check (label ^ ": senders") true (Pidset.is_empty (Net.keyed_senders net 1 key));
       check_int (label ^ ": nsenders") 0 (Net.keyed_nsenders net 1 key);
-      check_int (label ^ ": envs") 0 (List.length (Net.keyed_envs net 1 key)))
+      check_int (label ^ ": envs") 0 (List.length (keyed_payloads net 1 key)))
     [ used; early; neg; big ];
-  check_int "live key indexed" 2 (Net.keyed_count net 1 7);
+  check_int "live key indexed" 2 (List.length (keyed_payloads net 1 7));
   check "live key senders" true
     (Pidset.equal (Pidset.of_list [ 2; 3 ]) (Net.keyed_senders net 1 7));
   check_int "all delivered" 11 (Net.delivered_count net);
@@ -277,23 +279,109 @@ let test_handlers_run_in_registration_order () =
 let test_delivery_signals_cond () =
   let sim = mk () in
   let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let got = received net in
   let woke = ref false in
   Sim.spawn sim ~pid:1 (fun () ->
-      Sim.Cond.await [ Net.cond net 1 ] (fun () -> Net.inbox net 1 <> []);
+      Sim.Cond.await [ Net.cond net 1 ] (fun () -> got 1 <> []);
       woke := true);
   Net.send net ~src:0 ~dst:1 5;
   ignore (Sim.run sim);
   check "delivery woke the waiter" true !woke
 
+(* Every way a message reaches a handler: the timed batch, a
+   re-presentation after a stall, a controlled pick, the lossy transport
+   and real-runtime ingress.  Each hands every message to the handlers
+   once, with sender, destination and payload intact, and at the full
+   trace level each [Deliver] entry carries the time the handler saw. *)
+let test_delivery_paths () =
+  let full ?local () =
+    Sim.create ?local ~horizon:1000.0 ~trace_level:Trace.Full ~n:4 ~t:1 ~seed:3 ()
+  in
+  (* Each path sends to one destination, so its deliveries are the whole
+     trace's [Deliver] entries. *)
+  let verify label sim got expected =
+    Alcotest.(check (list (triple int int int)))
+      (label ^ ": each message once, intact")
+      (List.sort compare expected)
+      (List.sort compare (List.map (fun ((e : int Net.envelope), _) -> (e.src, e.dst, e.payload)) got));
+    let delivers =
+      List.filter_map
+        (fun { Trace.time; entry } ->
+          match entry with Trace.Deliver { src; dst; _ } -> Some (src, dst, time) | _ -> None)
+        (Trace.entries (Sim.trace sim))
+    in
+    Alcotest.(check (list (triple int int (float 0.0))))
+      (label ^ ": Deliver entries at the handler's now")
+      (List.map (fun ((e : int Net.envelope), at) -> (e.src, e.dst, at)) got)
+      delivers
+  in
+  let times got = List.map snd got in
+  (* Three messages reach p3 at one instant: one batch. *)
+  let sim = full () in
+  let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let got = received net in
+  List.iter (fun src -> Net.send net ~src ~dst:3 (10 + src)) [ 0; 1; 2 ];
+  ignore (Sim.run sim);
+  verify "batch" sim (got 3) [ (0, 3, 10); (1, 3, 11); (2, 3, 12) ];
+  Alcotest.(check (list (float 0.0))) "batch: one instant" [ 1.0; 1.0; 1.0 ] (times (got 3));
+  (* p3 is stalled when the message arrives: the channel re-presents it at
+     the stall's end. *)
+  let sim = full () in
+  Sim.install_stalls sim [ { Faults.s_pid = 3; s_from = 0.5; s_until = 4.0 } ];
+  let net : int Net.t = Net.create sim ~delay:(Delay.Constant 1.0) () in
+  let got = received net in
+  Net.send net ~src:0 ~dst:3 20;
+  ignore (Sim.run sim);
+  verify "stall" sim (got 3) [ (0, 3, 20) ];
+  Alcotest.(check (list (float 0.0))) "stall: at the stall's end" [ 4.0 ] (times (got 3));
+  check_int "stall: deferred" 1 (Trace.counter (Sim.trace sim) "fault.deferred");
+  (* A chooser picks the newest offer first. *)
+  let sim = full () in
+  let net : int Net.t = Net.create sim () in
+  let got = received net in
+  Sim.set_chooser sim (fun _ m -> if m > 0 then Sim.Deliver (m - 1) else Sim.Pass);
+  Net.send net ~src:0 ~dst:1 30;
+  Net.send net ~src:2 ~dst:1 31;
+  ignore (Sim.run sim);
+  verify "pick" sim (got 1) [ (0, 1, 30); (2, 1, 31) ];
+  Alcotest.(check (list int)) "pick: the chooser's order" [ 31; 30 ] (payloads (got 1));
+  (* Lost copies are resent; the transport hands each message over once. *)
+  let sim = full () in
+  let net : int Net.t = Net.create sim ~loss:0.5 () in
+  let got = received net in
+  for m = 40 to 49 do
+    Net.send net ~src:(m mod 3) ~dst:3 m
+  done;
+  ignore (Sim.run sim);
+  verify "lossy" sim (got 3) (List.init 10 (fun i -> ((40 + i) mod 3, 3, 40 + i)));
+  check "lossy: copies were resent" true (Trace.counter (Sim.trace sim) "net.retransmits" > 0);
+  (* Messages off the wire are delivered at the local simulator's next
+     tick. *)
+  let sim = full ~local:1 () in
+  let net : int Net.t = Net.create sim () in
+  let got = received net in
+  Net.inject net ~src:0 50;
+  Net.inject net ~src:2 51;
+  ignore (Sim.advance sim ~upto:1.0);
+  verify "inject" sim (got 1) [ (0, 1, 50); (2, 1, 51) ]
+
 (* Reliable broadcast *)
+
+(* The R-deliveries handed to [on_deliver] handlers so far, per process,
+   in delivery order. *)
+let rdelivered rb =
+  let log = ref [] in
+  Rbcast.on_deliver rb (fun pid d -> log := (pid, d) :: !log);
+  fun i -> List.rev (List.filter_map (fun (p, d) -> if p = i then Some d else None) !log)
 
 let test_rb_basic_delivery () =
   let sim = mk ~n:5 () in
   let rb : string Rbcast.t = Rbcast.create sim () in
+  let delivered = rdelivered rb in
   Rbcast.broadcast rb ~src:1 "m";
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    match Rbcast.delivered rb i with
+    match delivered i with
     | [ d ] ->
         check "payload" true (d.body = "m");
         check_int "origin" 1 d.origin
@@ -303,12 +391,13 @@ let test_rb_basic_delivery () =
 let test_rb_integrity_no_duplicates () =
   let sim = mk ~n:5 () in
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let delivered = rdelivered rb in
   for k = 1 to 20 do
     Rbcast.broadcast rb ~src:(k mod 5) k
   done;
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    let got = List.map (fun (d : int Rbcast.delivery) -> d.body) (Rbcast.delivered rb i) in
+    let got = List.map (fun (d : int Rbcast.delivery) -> d.body) (delivered i) in
     Alcotest.(check (list int)) "each message once" (List.init 20 (fun k -> k + 1))
       (List.sort compare got)
   done
@@ -321,12 +410,13 @@ let test_rb_termination_under_origin_crash () =
   let rb : int Rbcast.t =
     Rbcast.create sim ~delay:(Delay.Constant 0.1) ~stagger:0.3 ()
   in
+  let delivered = rdelivered rb in
   Rbcast.broadcast rb ~src:0 99;
   ignore (Sim.run sim);
   (* p0 reached destinations 0 and 1 before dying (sends at 0.0 and 0.3);
      p1 must have relayed to everyone. *)
   for i = 1 to 4 do
-    check_int "correct process delivered" 1 (List.length (Rbcast.delivered rb i))
+    check_int "correct process delivered" 1 (List.length (delivered i))
   done
 
 let test_rb_all_or_nothing_when_unreached () =
@@ -334,21 +424,23 @@ let test_rb_all_or_nothing_when_unreached () =
   let sim = mk ~n:5 ~t:1 () in
   Sim.install_crashes sim [ (0, 0.0) ];
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let delivered = rdelivered rb in
   Sim.schedule sim ~delay:1.0 (fun () -> Rbcast.broadcast rb ~src:0 1);
   ignore (Sim.run sim);
   for i = 0 to 4 do
-    check_int "nobody delivered" 0 (List.length (Rbcast.delivered rb i))
+    check_int "nobody delivered" 0 (List.length (delivered i))
   done
 
 let test_rb_validity_no_spurious () =
   let sim = mk ~n:5 () in
   let rb : int Rbcast.t = Rbcast.create sim () in
+  let delivered = rdelivered rb in
   Rbcast.broadcast rb ~src:2 5;
   ignore (Sim.run sim);
   for i = 0 to 4 do
     List.iter
       (fun (d : int Rbcast.delivery) -> check "only the sent message" true (d.body = 5 && d.origin = 2))
-      (Rbcast.delivered rb i)
+      (delivered i)
   done
 
 let test_rb_agreement_same_set_everywhere () =
@@ -362,6 +454,7 @@ let test_rb_agreement_same_set_everywhere () =
     let rb : int Rbcast.t =
       Rbcast.create sim ~delay:(Delay.Uniform (0.1, 2.0)) ~stagger:0.2 ()
     in
+    let delivered = rdelivered rb in
     for k = 0 to 5 do
       Sim.schedule sim ~delay:(float_of_int k) (fun () -> Rbcast.broadcast rb ~src:k (100 + k))
     done;
@@ -371,7 +464,7 @@ let test_rb_agreement_same_set_everywhere () =
       List.map
         (fun i ->
           List.sort compare
-            (List.map (fun (d : int Rbcast.delivery) -> (d.origin, d.body)) (Rbcast.delivered rb i)))
+            (List.map (fun (d : int Rbcast.delivery) -> (d.origin, d.body)) (delivered i)))
         correct
     in
     match sets with
@@ -420,10 +513,11 @@ let test_rb_delivery_order_can_differ () =
     if not !differs then begin
       let sim = mk ~n:5 ~seed () in
       let rb : int Rbcast.t = Rbcast.create sim ~delay:(Delay.Uniform (0.1, 5.0)) () in
+      let delivered = rdelivered rb in
       Rbcast.broadcast rb ~src:0 1;
       Rbcast.broadcast rb ~src:1 2;
       ignore (Sim.run sim);
-      let order i = List.map (fun (d : int Rbcast.delivery) -> d.body) (Rbcast.delivered rb i) in
+      let order i = List.map (fun (d : int Rbcast.delivery) -> d.body) (delivered i) in
       for i = 0 to 4 do
         if order i <> order 0 then differs := true
       done
@@ -465,17 +559,19 @@ let test_lossy_bad_loss_rejected () =
 let test_transport_reliable_over_heavy_loss () =
   let sim = Sim.create ~horizon:500.0 ~n:5 ~t:2 ~seed:24 () in
   let tr : int Lossy.Transport.t = Lossy.Transport.create sim ~loss:0.6 () in
+  let got = ref [] in
+  Lossy.Transport.on_deliver tr (fun ~src:_ ~dst m -> if dst = 1 then got := m :: !got);
   for i = 1 to 30 do
     Lossy.Transport.send tr ~src:0 ~dst:1 i
   done;
-  let all_in () = List.length (Lossy.Transport.inbox tr 1) >= 30 in
+  let all_in () = List.length !got >= 30 in
   let o = Sim.run ~stop_when:all_in sim in
   check "stopped on completion" true (o.reason = Sim.Stopped);
-  let got = List.map snd (Lossy.Transport.inbox tr 1) in
   Alcotest.(check (list int)) "every message exactly once (60% loss)"
     (List.init 30 (fun i -> i + 1))
-    (List.sort compare got);
-  check "retransmissions happened" true (Lossy.Transport.link_sent tr > 60)
+    (List.sort compare !got);
+  check "retransmissions happened" true
+    (Trace.counter (Sim.trace sim) "transport.link.sent" > 60)
 
 let test_transport_acks_clear_pending () =
   let sim = Sim.create ~horizon:500.0 ~n:5 ~t:2 ~seed:25 () in
@@ -530,17 +626,17 @@ let test_backoff_interval_capped () =
 
 let test_transport_backoff_metrics () =
   let sim = Sim.create ~horizon:2000.0 ~n:3 ~t:1 ~seed:26 () in
-  let tr : int Lossy.Transport.t =
-    Lossy.Transport.create sim ~loss:0.5 ~retransmit_every:0.5 ()
-  in
+  let tr : int Lossy.Transport.t = Lossy.Transport.create sim ~loss:0.5 () in
+  let delivered = ref 0 in
+  Lossy.Transport.on_deliver tr (fun ~src:_ ~dst:_ _ -> incr delivered);
   for i = 1 to 20 do
     Lossy.Transport.send tr ~src:0 ~dst:1 i
   done;
   ignore (Sim.run ~stop_when:(fun () -> Lossy.Transport.pending tr 0 = 0) sim);
-  let m = Lossy.Transport.metrics tr in
-  check_int "all delivered" 20 (List.length (Lossy.Transport.inbox tr 1));
-  check "retransmits recorded" true (Metrics.counter m "net.retransmits" > 0);
-  check "backoff resets recorded" true (Metrics.counter m "net.backoff_resets" > 0)
+  let counter = Trace.counter (Sim.trace sim) in
+  check_int "all delivered" 20 !delivered;
+  check "retransmits recorded" true (counter "net.retransmits" > 0);
+  check "backoff resets recorded" true (counter "net.backoff_resets" > 0)
 
 (* qcheck: a sender crashing mid-staggered-broadcast reaches exactly a
    prefix of the destination order — and the reliable broadcast's echo
@@ -565,12 +661,13 @@ let qcheck_staggered_prefix =
       let sim = Sim.create ~horizon:100.0 ~n ~t:1 ~seed () in
       Sim.install_crashes sim [ (0, ct) ];
       let net : int Net.t = Net.create sim ~delay:(Delay.Constant 0.05) () in
+      let received = received net in
       Net.broadcast_staggered net ~src:0 ~step 99;
       ignore (Sim.run sim);
       (* Only the surviving destinations witness the prefix property —
          p0's own copy can be dropped by its crash. *)
       let live = List.init (n - 1) (fun i -> i + 1) in
-      let got = List.map (fun i -> Net.inbox net i <> []) live in
+      let got = List.map (fun i -> received i <> []) live in
       let rec is_prefix = function
         | true :: rest -> is_prefix rest
         | rest -> List.for_all not rest
@@ -589,12 +686,11 @@ let qcheck_rbcast_masks_partial =
       let rb : int Rbcast.t =
         Rbcast.create sim ~delay:(Delay.Constant 0.05) ~stagger:step ()
       in
+      let delivered = rdelivered rb in
       Rbcast.broadcast rb ~src:0 42;
       ignore (Sim.run sim);
       let correct = List.init (n - 1) (fun i -> i + 1) in
-      let cnt =
-        List.length (List.filter (fun i -> Rbcast.delivered rb i <> []) correct)
-      in
+      let cnt = List.length (List.filter (fun i -> delivered i <> []) correct) in
       cnt = 0 || cnt = List.length correct)
 
 let () =
@@ -619,16 +715,15 @@ let () =
           Alcotest.test_case "send_at" `Quick test_send_at_adversarial;
           Alcotest.test_case "broadcast" `Quick test_broadcast_reaches_all;
           Alcotest.test_case "staggered partial" `Quick test_broadcast_staggered_partial_on_crash;
-          Alcotest.test_case "filters" `Quick test_recv_filter_count_senders;
           Alcotest.test_case "on_deliver" `Quick test_on_deliver_callbacks;
           Alcotest.test_case "retain:false" `Quick test_retain_false_empty_inbox;
           Alcotest.test_case "counters" `Quick test_counters;
-          Alcotest.test_case "cursors" `Quick test_cursor_recv_since;
           Alcotest.test_case "keyed index" `Quick test_keyed_index_matches_filters;
           Alcotest.test_case "keyed w/o retain" `Quick test_keyed_index_with_retain_false;
           Alcotest.test_case "keyed_drop retires" `Quick test_keyed_drop_retires;
           Alcotest.test_case "handler order" `Quick test_handlers_run_in_registration_order;
           Alcotest.test_case "delivery signals cond" `Quick test_delivery_signals_cond;
+          Alcotest.test_case "delivery paths" `Quick test_delivery_paths;
         ] );
       ( "rbcast",
         [
