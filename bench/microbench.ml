@@ -28,24 +28,13 @@ let b_combi_unrank =
            ignore (Combi.unrank ~n:20 ~size:10 (r * 1847))
          done))
 
-let b_pqueue =
-  Test.make ~name:"pqueue push/pop x100"
-    (Staged.stage (fun () ->
-         let q = Pqueue.create ~cmp:Int.compare in
-         for i = 0 to 99 do
-           Pqueue.push q ((i * 7919) mod 100)
-         done;
-         while not (Pqueue.is_empty q) do
-           ignore (Pqueue.pop q)
-         done))
-
 let b_earena =
   Test.make ~name:"earena add/pop x100 (steady state)"
     (Staged.stage
        (let a = Earena.create ~initial:128 () in
         fun () ->
           for i = 0 to 99 do
-            ignore (Earena.add a ~time:(float_of_int ((i * 7919) mod 100)) ~kind:0 ~arg:i)
+            Earena.add a ~time:(float_of_int ((i * 7919) mod 100)) ~kind:0 ~arg:i
           done;
           while not (Earena.is_empty a) do
             ignore (Earena.pop a)
@@ -79,7 +68,7 @@ let b_consensus =
 
 let tests =
   Test.make_grouped ~name:"micro"
-    [ b_ring_next; b_combi_unrank; b_pqueue; b_earena; b_pidset; b_rbcast; b_consensus ]
+    [ b_ring_next; b_combi_unrank; b_earena; b_pidset; b_rbcast; b_consensus ]
 
 let run () =
   print_newline ();

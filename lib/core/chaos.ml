@@ -159,8 +159,8 @@ let failure_of_json = function
       in
       let params =
         match List.assoc_opt "params" fields with
-        | Some (Json.Obj p) -> Protocol.params_of_json p
-        | _ -> Protocol.default
+        | Some (Json.Obj p) -> Result.to_option (Protocol.params_of_json p)
+        | _ -> Some Protocol.default
       in
       let kind =
         match str "kind" "safety" with
@@ -168,14 +168,16 @@ let failure_of_json = function
         | "illegal" -> Illegal
         | _ -> Safety
       in
-      Some
-        {
-          f_protocol = str "protocol" "";
-          f_mix = str "mix" "";
-          f_kind = kind;
-          f_notes = notes;
-          f_params = params;
-        }
+      Option.map
+        (fun params ->
+          {
+            f_protocol = str "protocol" "";
+            f_mix = str "mix" "";
+            f_kind = kind;
+            f_notes = notes;
+            f_params = params;
+          })
+        params
   | _ -> None
 
 (* Each record's replay line names the file it is written to. *)

@@ -38,25 +38,20 @@ let bounds_to_json b =
   ]
 
 let bounds_of_json fields =
-  let geti name d =
-    match List.assoc_opt name fields with Some (Json.Int i) -> i | _ -> d
-  in
-  let getf name d =
-    match Option.bind (List.assoc_opt name fields) Json.to_float_opt with
-    | Some f -> f
-    | None -> d
-  in
+  let ( let* ) = Result.bind in
+  let j = Json.Obj fields in
+  let int name d = Json.field name ~what:"an int" Json.to_int_opt ~default:d j in
+  let num name d = Json.field name ~what:"a number" Json.to_float_opt ~default:d j in
   let d = default_bounds in
-  {
-    depth = geti "depth" d.depth;
-    delays = geti "delays" d.delays;
-    walks = geti "walks" d.walks;
-    p_deviate = getf "p_deviate" d.p_deviate;
-    p_crash = getf "p_crash" d.p_crash;
-    max_runs_per_job = geti "max_runs_per_job" d.max_runs_per_job;
-    walk_batch = geti "walk_batch" d.walk_batch;
-    shrink_budget = geti "shrink_budget" d.shrink_budget;
-  }
+  let* depth = int "depth" d.depth in
+  let* delays = int "delays" d.delays in
+  let* walks = int "walks" d.walks in
+  let* p_deviate = num "p_deviate" d.p_deviate in
+  let* p_crash = num "p_crash" d.p_crash in
+  let* max_runs_per_job = int "max_runs_per_job" d.max_runs_per_job in
+  let* walk_batch = int "walk_batch" d.walk_batch in
+  let* shrink_budget = int "shrink_budget" d.shrink_budget in
+  Ok { depth; delays; walks; p_deviate; p_crash; max_runs_per_job; walk_batch; shrink_budget }
 
 let schedule_of ~protocol ~(p : Protocol.params) (choices, notes) =
   {
@@ -215,10 +210,10 @@ let load_counterexamples path =
 let replay (s : Schedule.t) =
   match Protocol.find s.Schedule.protocol with
   | None -> Error ("replay: unknown protocol " ^ s.Schedule.protocol)
-  | Some pk ->
-      let p =
-        { (Protocol.params_of_json s.Schedule.params) with crashes = s.Schedule.crashes }
-      in
-      let make = Protocol.explore_make pk p in
-      let e = Explore.run_schedule ~make s.Schedule.choices in
-      Ok (e, e.Explore.ex_violation = s.Schedule.violation)
+  | Some pk -> (
+      match Protocol.params_of_json s.Schedule.params with
+      | Error e -> Error ("replay: " ^ e)
+      | Ok p ->
+          let make = Protocol.explore_make pk { p with crashes = s.Schedule.crashes } in
+          let e = Explore.run_schedule ~make s.Schedule.choices in
+          Ok (e, e.Explore.ex_violation = s.Schedule.violation))

@@ -37,9 +37,10 @@ val bounds_to_json : bounds -> (string * Setagree_util.Json.t) list
 (** Fixed field order — the canonical form feeds exploration cache
     keys and [Job] specs. *)
 
-val bounds_of_json : (string * Setagree_util.Json.t) list -> bounds
-(** Tolerant inverse: missing/ill-typed fields fall back to
-    {!default_bounds}. *)
+val bounds_of_json : (string * Setagree_util.Json.t) list -> (bounds, string) result
+(** Inverse of {!bounds_to_json}: a missing field takes its
+    {!default_bounds} value, one of the wrong JSON type is an error
+    naming the field. *)
 
 val schedule_of :
   protocol:string ->

@@ -87,71 +87,70 @@ let to_json spec =
           ("index", Json.Int index);
         ]))
 
+(* A missing field takes its default; one of the wrong JSON type refuses
+   the spec, naming the field.  Unknown fields are ignored. *)
 let of_json j =
-  let str name = match Json.member name j with Some (Json.String s) -> Some s | _ -> None in
-  let int name d = match Json.member name j with Some (Json.Int i) -> i | _ -> d in
-  let fields name =
-    match Json.member name j with Some (Json.Obj l) -> Some l | _ -> None
-  in
-  let params name =
-    match fields name with
-    | Some l -> Protocol.params_of_json l
-    | None -> Protocol.default
-  in
-  let string_list name =
+  let ( let* ) = Result.bind in
+  let required name =
     match Json.member name j with
-    | Some (Json.List l) ->
-        List.filter_map (function Json.String s -> Some s | _ -> None) l
-    | _ -> []
+    | Some (Json.String s) -> Ok s
+    | Some _ -> Error (Printf.sprintf "%S must be a string" name)
+    | None -> Error (Printf.sprintf "missing %S" name)
   in
-  match str "kind" with
-  | Some "run" -> (
-      match str "protocol" with
-      | Some protocol -> Ok (Run { protocol; params = params "params" })
-      | None -> Error "run spec: missing \"protocol\"")
-  | Some "campaign" -> (
-      match str "protocol" with
-      | Some protocol ->
-          Ok (Campaign { protocol; seeds = int "seeds" 32; params = params "params" })
-      | None -> Error "campaign spec: missing \"protocol\"")
-  | Some "chaos" ->
-      Ok
-        (Chaos
-           {
-             protocols =
-               (match string_list "protocols" with
-               | [] -> Chaos.default_protocols
-               | l -> l);
-             mixes =
-               (match string_list "mixes" with [] -> Chaos.mix_names | l -> l);
-             seeds = int "seeds" 8;
-             base = params "params";
-           })
-  | Some "explore" -> (
-      match str "protocol" with
-      | Some protocol ->
-          Ok
-            (Explore
-               {
-                 protocol;
-                 params = params "params";
-                 bounds =
-                   Explorer.bounds_of_json
-                     (Option.value ~default:[] (fields "bounds"));
-               })
-      | None -> Error "explore spec: missing \"protocol\"")
-  | Some "replay" -> (
-      match str "path" with
-      | None -> Error "replay spec: missing \"path\""
-      | Some path ->
-          let source =
-            match str "source" with
-            | Some "faults" -> Faults_file
-            | _ -> Schedule_file
-          in
-          Ok (Replay { source; path; index = int "index" 0 }))
-  | Some k -> Error (Printf.sprintf "unknown job kind %S" k)
-  | None -> Error "job spec: missing \"kind\""
+  let int name d = Json.field name ~what:"an int" Json.to_int_opt ~default:d j in
+  let obj name decode d =
+    match Json.member name j with
+    | None -> Ok d
+    | Some (Json.Obj l) -> Result.map_error (Printf.sprintf "%S: %s" name) (decode l)
+    | Some _ -> Error (Printf.sprintf "%S must be an object" name)
+  in
+  let params () = obj "params" Protocol.params_of_json Protocol.default in
+  (* An empty list also takes the default. *)
+  let strings name d =
+    Json.field name ~what:"a list of strings"
+      (function
+        | Json.List l ->
+            let ss = List.filter_map Json.to_string_opt l in
+            if List.compare_lengths ss l <> 0 then None else if ss = [] then Some d else Some ss
+        | _ -> None)
+      ~default:d j
+  in
+  let* kind = Result.map_error (( ^ ) "job spec: ") (required "kind") in
+  Result.map_error (Printf.sprintf "%s spec: %s" kind)
+    (match kind with
+    | "run" ->
+        let* protocol = required "protocol" in
+        let* params = params () in
+        Ok (Run { protocol; params })
+    | "campaign" ->
+        let* protocol = required "protocol" in
+        let* seeds = int "seeds" 32 in
+        let* params = params () in
+        Ok (Campaign { protocol; seeds; params })
+    | "chaos" ->
+        let* protocols = strings "protocols" Chaos.default_protocols in
+        let* mixes = strings "mixes" Chaos.mix_names in
+        let* seeds = int "seeds" 8 in
+        let* base = params () in
+        Ok (Chaos { protocols; mixes; seeds; base })
+    | "explore" ->
+        let* protocol = required "protocol" in
+        let* params = params () in
+        let* bounds = obj "bounds" Explorer.bounds_of_json Explorer.default_bounds in
+        Ok (Explore { protocol; params; bounds })
+    | "replay" ->
+        let* path = required "path" in
+        let* source =
+          Json.field "source" ~what:{|"schedule" or "faults"|}
+            (function
+              | Json.String "schedule" -> Some Schedule_file
+              | Json.String "faults" -> Some Faults_file
+              | _ -> None)
+            ~default:Schedule_file j
+        in
+        let* index = int "index" 0 in
+        Ok (Replay { source; path; index })
+    | _ -> Error "unknown job kind")
 
 let canonical spec = Json.to_string ~minify:true (to_json spec)
 let equal a b = canonical a = canonical b

@@ -60,52 +60,42 @@ let params_to_json p =
   ]
 
 let params_of_json fields =
+  let ( let* ) = Result.bind in
   let j = Json.Obj fields in
-  let int name dflt =
-    match Json.member name j with Some (Json.Int i) -> i | _ -> dflt
+  let int name d = Json.field name ~what:"an int" Json.to_int_opt ~default:d j in
+  let flt name d = Json.field name ~what:"a number" Json.to_float_opt ~default:d j in
+  let str name d = Json.field name ~what:"a string" Json.to_string_opt ~default:d j in
+  let spec name of_json d =
+    match Json.member name j with
+    | None -> Ok d
+    | Some v -> Result.map_error (Printf.sprintf "%S: %s" name) (of_json v)
   in
-  let flt name dflt =
-    match Option.bind (Json.member name j) Json.to_float_opt with
-    | Some f -> f
-    | None -> dflt
+  let* n = int "n" default.n in
+  let* t = int "t" default.t in
+  let* seed = int "seed" default.seed in
+  let* z = int "z" default.z in
+  let* k = int "k" default.k in
+  let* x = int "x" default.x in
+  let* y = int "y" default.y in
+  let* gst = flt "gst" default.gst in
+  let* horizon = flt "horizon" default.horizon in
+  let* crashes = spec "crashes" Crash.spec_of_json default.crashes in
+  let* faults = spec "faults" Faults.of_json default.faults in
+  let* adversarial =
+    Json.field "adversarial" ~what:"a bool" Json.to_bool_opt ~default:default.adversarial j
   in
-  let boolean name dflt =
-    match Json.member name j with Some (Json.Bool b) -> b | _ -> dflt
+  let* variant = str "variant" default.variant in
+  let* trace = str "trace" default.trace in
+  let* backend = str "backend" default.backend in
+  (* One spelling per trace level, so "OFF" and "off" share a cache key;
+     an unknown level is kept for [Job.validate] to refuse. *)
+  let trace =
+    match Trace.level_of_string trace with
+    | Ok level -> Trace.level_to_string level
+    | Error _ -> trace
   in
-  let str name dflt =
-    match Json.member name j with Some (Json.String s) -> s | _ -> dflt
-  in
-  let crashes =
-    match Json.member "crashes" j with
-    | Some cj -> (
-        match Crash.spec_of_json cj with
-        | Ok s -> s
-        | Error _ -> default.crashes)
-    | None -> default.crashes
-  in
-  let faults =
-    match Json.member "faults" j with
-    | Some fj -> (
-        match Faults.of_json fj with Ok f -> f | Error _ -> default.faults)
-    | None -> default.faults
-  in
-  {
-    n = int "n" default.n;
-    t = int "t" default.t;
-    seed = int "seed" default.seed;
-    z = int "z" default.z;
-    k = int "k" default.k;
-    x = int "x" default.x;
-    y = int "y" default.y;
-    gst = flt "gst" default.gst;
-    horizon = flt "horizon" default.horizon;
-    crashes;
-    faults;
-    adversarial = boolean "adversarial" default.adversarial;
-    variant = str "variant" default.variant;
-    trace = str "trace" default.trace;
-    backend = str "backend" default.backend;
-  }
+  Ok
+    { n; t; seed; z; k; x; y; gst; horizon; crashes; faults; adversarial; variant; trace; backend }
 
 module type S = sig
   type t

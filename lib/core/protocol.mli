@@ -57,10 +57,13 @@ type params = {
 val default : params
 
 val params_to_json : params -> (string * Json.t) list
-val params_of_json : (string * Json.t) list -> params
-(** Tolerant inverse of {!params_to_json}: missing or ill-typed fields
-    fall back to {!default} — a schedule file only needs the fields its
-    protocol reads. *)
+val params_of_json : (string * Json.t) list -> (params, string) result
+(** Inverse of {!params_to_json}.  A missing field takes its {!default}
+    value (a schedule file only needs the fields its protocol reads); a
+    field of the wrong JSON type, or a [crashes]/[faults] value that
+    {!Crash.spec_of_json}/{!Faults.of_json} rejects, is an error naming
+    the field.  A trace level that parses is stored as
+    {!Trace.level_to_string} spells it. *)
 
 module type S = sig
   type t

@@ -345,7 +345,7 @@ let rs_take t slot : (unit, unit) Effect.Deep.continuation =
 let park t pid (k : (unit, unit) Effect.Deep.continuation) =
   ignore (rs_alloc t pid (Obj.repr k))
 
-let add_event t ~time ~kind ~arg = ignore (Earena.add t.arena ~time ~kind ~arg)
+let add_event t ~time ~kind ~arg = Earena.add t.arena ~time ~kind ~arg
 
 let schedule t ~delay run =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
@@ -356,8 +356,7 @@ let at t ~time run =
   add_event t ~time ~kind:k_thunk ~arg:(th_alloc t run)
 
 (* Substrate internals: batched deliveries (Net).  The dispatcher is
-   called with the row argument it was scheduled with; the returned slot
-   id lets the substrate append to a still-queued event. *)
+   called with the row argument it was scheduled with. *)
 
 let register_dispatcher t f =
   if t.disp_len >= 64 then
@@ -381,7 +380,6 @@ let faults_none t = t.faults_none
 let set_faults t f =
   t.faults <- f;
   t.faults_none <- Faults.is_none f
-let is_stalled t pid = t.now < t.stalled_until.(pid)
 
 let stall_end t pid =
   if t.now < t.stalled_until.(pid) then Some t.stalled_until.(pid) else None

@@ -164,9 +164,6 @@ val install_stalls : t -> Faults.stall list -> unit
 (** Schedule stall windows.  Must be called before {!run}.  Overlapping
     windows for the same process keep the latest end time. *)
 
-val is_stalled : t -> Pid.t -> bool
-(** Whether the process is inside a stall window at the current time. *)
-
 val stall_end : t -> Pid.t -> float option
 (** [Some end_time] iff the process is currently stalled — substrates
     (e.g. [Net.deliver]) use it to defer deliveries to frozen
@@ -257,9 +254,9 @@ val ticker : t -> every:float -> unit
     timestamp into a single event: it registers a dispatcher once, then
     schedules [k_net] events whose integer argument encodes the
     dispatcher id and a row index into the substrate's own flat store.
-    The returned slot id identifies the queued event so the substrate can
-    recognize it when it fires (and keep appending rows to its batch
-    until then).  Controlled deliveries ({!offer}) name a dispatcher and a
+    A queued event always fires, so the substrate keeps appending rows to
+    a batch it scheduled until the dispatcher is called with that batch's
+    first row.  Controlled deliveries ({!offer}) name a dispatcher and a
     row the same way.  These hooks are for substrate implementations;
     protocol code never calls them. *)
 
@@ -269,9 +266,9 @@ val register_dispatcher : t -> (int -> unit) -> int
     most 64 dispatchers per simulator (the id is packed into 6 bits of
     the event argument); raises [Invalid_argument] beyond that. *)
 
-val schedule_dispatch : t -> time:float -> disp:int -> row:int -> int
+val schedule_dispatch : t -> time:float -> disp:int -> row:int -> unit
 (** Queue a dispatch event at an absolute time (>= now, else
-    [Invalid_argument]); returns the arena slot id of the queued event. *)
+    [Invalid_argument]). *)
 
 (** {1 Choice-point control (schedule exploration)}
 

@@ -79,7 +79,6 @@ type 'm t = {
   (* The open (= still-queued, still-appendable) batch per destination:
      head/tail row of the chain and the batch's delivery time.  Cleared by
      the dispatcher when the tracked batch fires. *)
-  open_slot : int array; (* arena slot of the queued event, -1 = none *)
   open_head : int array;
   open_tail : int array;
   open_time : float array;
@@ -227,7 +226,6 @@ let row_free t r =
 let dispatch t head =
   let dst = t.r_dst.(head) in
   if t.open_head.(dst) = head then begin
-    t.open_slot.(dst) <- -1;
     t.open_head.(dst) <- -1;
     t.open_tail.(dst) <- -1;
     t.open_time.(dst) <- neg_infinity
@@ -259,10 +257,7 @@ let schedule_delivery t ~src ~dst ~deliver_at payload =
       t.open_tail.(dst) <- r
     end
     else begin
-      let slot =
-        Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r
-      in
-      t.open_slot.(dst) <- slot;
+      Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r;
       t.open_head.(dst) <- r;
       t.open_tail.(dst) <- r;
       t.open_time.(dst) <- deliver_at
@@ -316,7 +311,6 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = false) ?classi
       r_pay = [||];
       r_next = [||];
       r_free = -1;
-      open_slot = Array.make n (-1);
       open_head = Array.make n (-1);
       open_tail = Array.make n (-1);
       open_time = Array.make n neg_infinity;

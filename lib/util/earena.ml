@@ -2,8 +2,7 @@
    min-heap, both over struct-of-arrays slots.  One slot holds
    (time, seq, kind, arg); entries are ordered by (time, seq), seq being a
    monotonic insertion counter so that ties at one instant preserve
-   insertion order — the same contract the scheduler previously got from a
-   [Pqueue.t] of closure records.
+   insertion order.
 
    The point of the layout is the steady state: [add] recycles slots off a
    free list threaded through [arg], [pop] releases the popped slot back,
@@ -25,15 +24,17 @@
    chain passes [chain_limit]) the wheel rebuilds with half the bucket
    width, so chains stay short at any scale.
 
-   [hpos] maps a live slot to its place (heap index, or the wheel marker),
-   giving true removal for [cancel] — the queue length stays exact. *)
+   A queued event is never removed before it fires: a sent message is
+   never withdrawn, a crashed destination drops its delivery at dispatch,
+   and a stall re-queues it.  So the only removal is [pop] of the minimum,
+   which is a bucket-chain unlink or the heap's root, and no slot needs to
+   know where it sits. *)
 
 type t = {
   mutable time : float array; (* per slot *)
   mutable seq : int array;
   mutable kind : int array;
   mutable arg : int array; (* free slots: next free slot id, or -1 *)
-  mutable hpos : int array; (* slot -> heap index; in wheel = -2; free = -1 *)
   (* Overflow heap of slot ids, with (time, seq) mirrored at heap positions
      so sift comparisons read sequentially (a 4-child probe is one cache
      line of [h_time]) instead of chasing heap.(i) -> time.(slot) into a
@@ -87,7 +88,6 @@ let create ?(initial = 64) () =
     seq = Array.make cap 0;
     kind = Array.make cap 0;
     arg = Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1);
-    hpos = Array.make cap (-1);
     heap = Array.make cap 0;
     h_time = Array.make cap 0.0;
     h_seq = Array.make cap 0;
@@ -127,7 +127,6 @@ let grow t =
   t.seq <- copy t.seq 0;
   t.kind <- copy t.kind 0;
   t.arg <- copy t.arg 0;
-  t.hpos <- copy t.hpos (-1);
   t.heap <- copy t.heap 0;
   t.h_time <- copy t.h_time 0.0;
   t.h_seq <- copy t.h_seq 0;
@@ -153,11 +152,9 @@ let sift_up t i0 =
   while !continue && !i > 0 do
     let p = (!i - 1) / 4 in
     if tm < t.h_time.(p) || (tm = t.h_time.(p) && sq < t.h_seq.(p)) then begin
-      let sp = t.heap.(p) in
-      t.heap.(!i) <- sp;
+      t.heap.(!i) <- t.heap.(p);
       t.h_time.(!i) <- t.h_time.(p);
       t.h_seq.(!i) <- t.h_seq.(p);
-      t.hpos.(sp) <- !i;
       i := p
     end
     else continue := false
@@ -165,8 +162,7 @@ let sift_up t i0 =
   if !i <> i0 then begin
     t.heap.(!i) <- slot;
     t.h_time.(!i) <- tm;
-    t.h_seq.(!i) <- sq;
-    t.hpos.(slot) <- !i
+    t.h_seq.(!i) <- sq
   end
 
 let sift_down t i0 =
@@ -190,11 +186,9 @@ let sift_down t i0 =
       done;
       let b = !best in
       if t.h_time.(b) < tm || (t.h_time.(b) = tm && t.h_seq.(b) < sq) then begin
-        let sb = t.heap.(b) in
-        t.heap.(!i) <- sb;
+        t.heap.(!i) <- t.heap.(b);
         t.h_time.(!i) <- t.h_time.(b);
         t.h_seq.(!i) <- t.h_seq.(b);
-        t.hpos.(sb) <- !i;
         i := b
       end
       else continue := false
@@ -203,8 +197,7 @@ let sift_down t i0 =
   if !i <> i0 then begin
     t.heap.(!i) <- slot;
     t.h_time.(!i) <- tm;
-    t.h_seq.(!i) <- sq;
-    t.hpos.(slot) <- !i
+    t.h_seq.(!i) <- sq
   end
 
 let heap_insert t slot ~time ~sq =
@@ -213,23 +206,17 @@ let heap_insert t slot ~time ~sq =
   t.heap.(i) <- slot;
   t.h_time.(i) <- time;
   t.h_seq.(i) <- sq;
-  t.hpos.(slot) <- i;
   sift_up t i
 
-(* Remove the heap entry at index [i]; the slot stays live (caller decides
-   whether to release it). *)
-let heap_remove_at t i =
+(* Drop the heap's root: the last entry fills the hole and sinks. *)
+let heap_pop_root t =
   let last = t.hsize - 1 in
   t.hsize <- last;
-  if i < last then begin
-    let moved = t.heap.(last) in
-    t.heap.(i) <- moved;
-    t.h_time.(i) <- t.h_time.(last);
-    t.h_seq.(i) <- t.h_seq.(last);
-    t.hpos.(moved) <- i;
-    (* The filler can need either direction relative to position [i]. *)
-    sift_up t i;
-    sift_down t t.hpos.(moved)
+  if last > 0 then begin
+    t.heap.(0) <- t.heap.(last);
+    t.h_time.(0) <- t.h_time.(last);
+    t.h_seq.(0) <- t.h_seq.(last);
+    sift_down t 0
   end
 
 (* ---- Wheel ---- *)
@@ -295,7 +282,6 @@ let wheel_insert t slot ~time ~ab =
   t.bnext.(slot) <- head;
   t.buckets.(b) <- slot;
   if head = -1 then bit_set t b;
-  t.hpos.(slot) <- -2;
   t.wcount <- t.wcount + 1;
   (* Keep the cached minimum exact: a strictly earlier entry replaces it
      (equal times lose — larger seq), and a head insert in the cached
@@ -338,8 +324,8 @@ let route t slot ~time ~sq =
       true
     end
     else if t.wcount = 0 && ab >= t.floor_ab then begin
-      (* Empty wheel: re-base the window so a jump forward in time (or a
-         freshly cleared arena) still gets bucketed. *)
+      (* Empty wheel: re-base the window so a jump forward in time still
+         gets bucketed. *)
       t.floor_ab <- ab;
       wheel_insert t slot ~time ~ab;
       true
@@ -438,14 +424,10 @@ let find_min t =
 let rec find_min_retry t =
   try find_min t with Narrowed -> find_min_retry t
 
-let release t slot =
-  t.hpos.(slot) <- -1;
-  t.arg.(slot) <- t.free;
-  t.free <- slot
-
 let flush_pending t =
   if t.pending >= 0 then begin
-    release t t.pending;
+    t.arg.(t.pending) <- t.free;
+    t.free <- t.pending;
     t.pending <- -1
   end
 
@@ -460,14 +442,11 @@ let add t ~time ~kind ~arg =
   t.seq.(slot) <- sq;
   t.kind.(slot) <- kind;
   t.arg.(slot) <- arg;
-  route t slot ~time ~sq;
-  slot
+  route t slot ~time ~sq
 
 let time_of t slot = t.time.(slot)
-let seq_of t slot = t.seq.(slot)
 let kind_of t slot = t.kind.(slot)
 let arg_of t slot = t.arg.(slot)
-let mem t slot = slot >= 0 && slot < Array.length t.hpos && t.hpos.(slot) <> -1
 
 let peek_time t =
   if is_empty t then infinity
@@ -489,74 +468,14 @@ let pop t =
           [ab >= floor_ab]. *)
        t.floor_ab <- int_of_float (t.time.(slot) *. t.bw_inv)
      end
-     else heap_remove_at t t.hpos.(slot));
+     else heap_pop_root t);
     t.last_pop <- t.time.(slot);
     t.cm_valid <- false;
     (* Field reads stay valid until the next [add] or [pop]: recycling is
        deferred because the free list lives in [arg]. *)
-    t.hpos.(slot) <- -1;
     t.pending <- slot;
     slot
   end
-
-let cancel t slot =
-  if not (mem t slot) then false
-  else begin
-    (if t.hpos.(slot) = -2 then begin
-       (* Wheel entry: walk its chain for the predecessor, then unlink. *)
-       let b = int_of_float (t.time.(slot) *. t.bw_inv) land t.nb_mask in
-       let prev = ref (-1) in
-       let s = ref t.buckets.(b) in
-       while !s <> slot do
-         prev := !s;
-         s := t.bnext.(!s)
-       done;
-       wheel_unlink t slot ~bucket:b ~prev:!prev
-     end
-     else heap_remove_at t t.hpos.(slot));
-    t.cm_valid <- false;
-    release t slot;
-    true
-  end
-
-let clear t =
-  for i = 0 to t.hsize - 1 do
-    release t t.heap.(i)
-  done;
-  t.hsize <- 0;
-  for b = 0 to t.nb_mask do
-    let s = ref t.buckets.(b) in
-    while !s >= 0 do
-      let nxt = t.bnext.(!s) in
-      t.bnext.(!s) <- -1;
-      release t !s;
-      s := nxt
-    done;
-    t.buckets.(b) <- -1
-  done;
-  Array.fill t.bits 0 (Array.length t.bits) 0;
-  Array.fill t.summary 0 (Array.length t.summary) 0;
-  t.wcount <- 0;
-  t.cm_valid <- false
-
-let to_sorted_list t =
-  let out = ref [] in
-  for i = 0 to t.hsize - 1 do
-    let s = t.heap.(i) in
-    out := (t.time.(s), t.seq.(s), t.kind.(s), t.arg.(s)) :: !out
-  done;
-  for b = 0 to t.nb_mask do
-    let s = ref t.buckets.(b) in
-    while !s >= 0 do
-      out := (t.time.(!s), t.seq.(!s), t.kind.(!s), t.arg.(!s)) :: !out;
-      s := t.bnext.(!s)
-    done
-  done;
-  List.sort
-    (fun (ta, sa, _, _) (tb, sb, _, _) ->
-      let c = Float.compare ta tb in
-      if c <> 0 then c else Int.compare sa sb)
-    !out
 
 let capacity t = Array.length t.time
 let buckets t = t.nb_mask + 1

@@ -16,9 +16,12 @@
 
     [kind]/[arg] are opaque ints owned by the caller (the simulator's
     event-kind table).  Slots are recycled through a free list, so a
-    simulation in steady state pushes and pops events without allocating;
-    [cancel] is a true removal on both paths (bucket unlink or heap
-    delete via a slot → position map). *)
+    simulation in steady state pushes and pops events without allocating.
+
+    A queued event is never removed before it fires: the model's sent
+    messages are never withdrawn, and a crashed process simply takes no
+    further steps.  [pop] is the only removal, so the arena keeps no map
+    from a slot to its place in the wheel or the heap. *)
 
 type t
 
@@ -33,14 +36,13 @@ val create : ?initial:int -> unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val add : t -> time:float -> kind:int -> arg:int -> int
-(** Insert an event and return its slot id (valid until popped or
-    cancelled).  The entry is sequenced after every earlier [add]. *)
+val add : t -> time:float -> kind:int -> arg:int -> unit
+(** Queue an event, sequenced after every earlier [add]. *)
 
 val pop : t -> int
-(** Remove and return the slot id of the earliest event, or [-1] when
-    empty.  The popped slot's fields ({!time_of}, {!kind_of}, {!arg_of},
-    {!seq_of}) remain readable {b until the next [add] or [pop]} — the
+(** Remove the earliest event and return its slot id, or [-1] when
+    empty.  The popped slot's fields ({!time_of}, {!kind_of},
+    {!arg_of}) remain readable {b until the next [add] or [pop]} — the
     slot is recycled lazily (the free list is threaded through the arg
     field). *)
 
@@ -48,23 +50,9 @@ val peek_time : t -> float
 (** Time of the earliest event; [infinity] when empty (no option
     allocation on the hot path). *)
 
-val cancel : t -> int -> bool
-(** Remove the event in the given slot, if still queued.  Returns
-    whether anything was removed; stale slot ids are safely refused. *)
-
 val time_of : t -> int -> float
-val seq_of : t -> int -> int
 val kind_of : t -> int -> int
 val arg_of : t -> int -> int
-
-val mem : t -> int -> bool
-(** Whether the slot currently holds a queued event. *)
-
-val clear : t -> unit
-
-val to_sorted_list : t -> (float * int * int * int) list
-(** Snapshot [(time, seq, kind, arg)] in ascending [(time, seq)] order
-    (test/debug helper; allocates). *)
 
 val capacity : t -> int
 (** Current slot capacity (sizing diagnostics). *)

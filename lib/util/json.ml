@@ -416,6 +416,18 @@ let to_float_opt = function
   | Float f -> Some f
   | _ -> None
 
+let to_int_opt = function Int i -> Some i | _ -> None
+let to_bool_opt = function Bool b -> Some b | _ -> None
+let to_string_opt = function String s -> Some s | _ -> None
+
+let field name ~what conv ~default j =
+  match member name j with
+  | None -> Ok default
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "%S must be %s" name what))
+
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

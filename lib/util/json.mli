@@ -93,5 +93,16 @@ val member : string -> t -> t option
 val to_float_opt : t -> float option
 (** [Int] and [Float] both convert. *)
 
+val to_int_opt : t -> int option
+val to_bool_opt : t -> bool option
+val to_string_opt : t -> string option
+
+val field :
+  string -> what:string -> (t -> 'a option) -> default:'a -> t -> ('a, string) result
+(** [field name ~what conv ~default obj] reads one member of a spec
+    object: [Ok default] when it is missing, and an error naming the
+    field and what it must be ([what], e.g. ["an int"]) when [conv]
+    refuses its value. *)
+
 val equal : t -> t -> bool
 (** Structural equality, with [Int i] and [Float f] distinct. *)

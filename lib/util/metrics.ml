@@ -93,11 +93,6 @@ let hist_merge a b =
   in
   h
 
-let hist_equal a b =
-  a.bounds = b.bounds && a.counts = b.counts && a.h_count = b.h_count
-  && a.h_sum = b.h_sum
-  && (a.h_count = 0 || (a.h_min = b.h_min && a.h_max = b.h_max))
-
 let hist_copy h =
   {
     bounds = Array.copy h.bounds;
@@ -140,34 +135,6 @@ let hist_json h =
 
 let create () = { items = Hashtbl.create 32 }
 
-(* Pre-registered handles: the string name is hashed once, at registration;
-   every bump/observe after that is a direct ref/array update.  Handles
-   alias the named instrument, so exports, merge laws and [-j1 ≡ -jN]
-   artifacts see exactly the registry they always did. *)
-
-type counter_handle = int ref
-type hist_handle = hist
-
-let counter_handle t name =
-  match Hashtbl.find_opt t.items name with
-  | Some (Counter r) -> r
-  | Some _ -> invalid_arg ("Metrics.counter_handle: " ^ name ^ " is not a counter")
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.items name (Counter r);
-      r
-
-let bump ?(by = 1) (h : counter_handle) = h := !h + by
-
-let hist_handle t ?bounds name =
-  match Hashtbl.find_opt t.items name with
-  | Some (Hist h) -> h
-  | Some _ -> invalid_arg ("Metrics.hist_handle: " ^ name ^ " is not a histogram")
-  | None ->
-      let h = hist_create ?bounds () in
-      Hashtbl.replace t.items name (Hist h);
-      h
-
 let incr t ?(by = 1) name =
   match Hashtbl.find_opt t.items name with
   | Some (Counter r) -> r := !r + by
@@ -204,13 +171,11 @@ let hist t name =
   | Some (Hist h) -> Some h
   | _ -> None
 
+(* Sorted, not Hashtbl fold order: exports and debug dumps must be
+   deterministic without every caller re-sorting. *)
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.items []
   |> List.sort String.compare
-
-(* Sorted, not Hashtbl fold order: exports and debug dumps must be
-   deterministic without every caller re-sorting. *)
-let keys = names
 
 let merge a b =
   let out = create () in

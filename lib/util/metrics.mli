@@ -41,36 +41,9 @@ val observe : t -> ?bounds:float array -> string -> float -> unit
 val hist : t -> string -> hist option
 
 val names : t -> string list
-(** All registered instrument names, sorted. *)
-
-val keys : t -> string list
-(** Alias of {!names}: sorted instrument names, {e never} raw Hashtbl
-    fold order — exports and debug dumps stay deterministic without
+(** All registered instrument names, sorted ({e never} raw Hashtbl fold
+    order), so exports and debug dumps stay deterministic without
     callers re-sorting. *)
-
-(** {1 Pre-registered handles (hot paths)}
-
-    A handle resolves the instrument name once; bumps through it are a
-    single O(1) update with no hashing.  Handles alias the named
-    instrument in the registry, so {!merge}, {!names} and {!to_json}
-    are oblivious to how an instrument was updated — merge laws and
-    byte-identical [-j1 ≡ -jN] artifacts hold unchanged. *)
-
-type counter_handle
-
-val counter_handle : t -> string -> counter_handle
-(** Register (or look up) the named counter and return its handle.
-    @raise Invalid_argument if the name is bound to another kind. *)
-
-val bump : ?by:int -> counter_handle -> unit
-(** O(1) counter bump; [by] defaults to 1. *)
-
-type hist_handle = hist
-
-val hist_handle : t -> ?bounds:float array -> string -> hist_handle
-(** Register (or look up) the named histogram; record through it with
-    {!hist_record}.  [bounds] applies only on first registration.
-    @raise Invalid_argument if the name is bound to another kind. *)
 
 val merge : t -> t -> t
 (** Pointwise merge (see above); inputs are not mutated.
@@ -133,8 +106,6 @@ val hist_percentile : hist -> float -> float
 
 val hist_merge : hist -> hist -> hist
 (** @raise Invalid_argument on differing bounds. *)
-
-val hist_equal : hist -> hist -> bool
 
 val hist_json : hist -> Json.t
 (** [{count, sum, min, max, p50, p90, p95, p99, buckets}] with

@@ -158,7 +158,6 @@ let fold f s init =
   !acc
 
 let to_list s = List.rev (fold (fun p acc -> p :: acc) s [])
-let elements = to_list
 let iter f s = fold (fun p () -> f p) s ()
 let for_all f s = fold (fun p acc -> acc && f p) s true
 let exists f s = fold (fun p acc -> acc || f p) s false
@@ -173,7 +172,6 @@ let min_elt s =
 
 let min_elt_opt s = if is_empty s then None else Some (min_elt s)
 let max_elt_opt s = fold (fun p _ -> Some p) s None
-let choose_opt = min_elt_opt
 
 let random rng ~n ~size =
   assert (size >= 0 && size <= n);

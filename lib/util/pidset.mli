@@ -55,9 +55,6 @@ val of_list : Pid.t list -> t
 val to_list : t -> Pid.t list
 (** Ascending order. *)
 
-val elements : t -> Pid.t list
-(** Alias of {!to_list}. *)
-
 val iter : (Pid.t -> unit) -> t -> unit
 
 val fold : (Pid.t -> 'a -> 'a) -> t -> 'a -> 'a
@@ -74,8 +71,6 @@ val min_elt : t -> Pid.t
 val min_elt_opt : t -> Pid.t option
 
 val max_elt_opt : t -> Pid.t option
-
-val choose_opt : t -> Pid.t option
 
 val random : Rng.t -> n:int -> size:int -> t
 (** [random rng ~n ~size] draws a uniformly random subset of [{0..n-1}] of

@@ -1,29 +1,20 @@
 (* Fixed-capacity overwrite-oldest ring buffer.  Not to be confused with
    [Ring], the combinatorial wheels ring: this one is a plain bounded
-   history buffer (QoS time-series, telemetry windows). *)
+   history buffer (the runtime node's phi series). *)
 
 type 'a t = {
   data : 'a option array;
   cap : int;
   mutable next : int; (* write index *)
   mutable len : int; (* live elements, <= cap *)
-  mutable dropped : int; (* overwritten since creation/clear *)
+  mutable dropped : int; (* overwritten since creation *)
 }
 
 let create ~cap =
   if cap < 1 then invalid_arg "Ringbuf.create: cap must be >= 1";
   { data = Array.make cap None; cap; next = 0; len = 0; dropped = 0 }
 
-let capacity t = t.cap
-let length t = t.len
 let dropped t = t.dropped
-let is_empty t = t.len = 0
-
-let clear t =
-  Array.fill t.data 0 t.cap None;
-  t.next <- 0;
-  t.len <- 0;
-  t.dropped <- 0
 
 let push t x =
   if t.len = t.cap then t.dropped <- t.dropped + 1;
@@ -31,26 +22,7 @@ let push t x =
   t.next <- (t.next + 1) mod t.cap;
   if t.len < t.cap then t.len <- t.len + 1
 
-(* Oldest live element sits [len] slots behind the write index. *)
-let oldest_index t = (t.next - t.len + t.cap) mod t.cap
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Ringbuf.get: index out of bounds";
-  match t.data.((oldest_index t + i) mod t.cap) with
-  | Some x -> x
-  | None -> assert false
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done
-
-let fold_left f init t =
-  let acc = ref init in
-  iter (fun x -> acc := f !acc x) t;
-  !acc
-
-let to_list t = List.init t.len (fun i -> get t i)
-
-let newest t = if t.len = 0 then None else Some (get t (t.len - 1))
-let peek_oldest t = if t.len = 0 then None else Some (get t 0)
+(* The oldest live element sits [len] slots behind the write index. *)
+let to_list t =
+  let oldest = t.next - t.len + t.cap in
+  List.init t.len (fun i -> Option.get t.data.((oldest + i) mod t.cap))

@@ -1,43 +1,23 @@
 (** Fixed-capacity ring buffer that overwrites the oldest element when
-    full — a bounded history window for time-series (QoS phi samples,
-    telemetry snapshots).
+    full — a bounded history window for a time series (the runtime
+    node's phi samples).
 
     Distinct from {!Ring}, which is the combinatorial wheels ring of the
-    protocol layer; this module is a plain container.  All operations
-    are O(1) except the traversals. *)
+    protocol layer; this module is a plain container. *)
 
 type 'a t
 
 val create : cap:int -> 'a t
 (** [cap >= 1] or [Invalid_argument]. *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Live elements, [<= capacity]. *)
+val push : 'a t -> 'a -> unit
+(** Append in O(1); overwrites (and counts) the oldest element when
+    full. *)
 
 val dropped : 'a t -> int
-(** Elements overwritten since creation (or the last {!clear}) — lets a
-    consumer report "window covers the last [length] of
-    [length + dropped] samples" instead of silently truncating. *)
+(** Elements overwritten since creation — lets a consumer report
+    "window covers the last [n] of [n + dropped] samples" instead of
+    silently truncating. *)
 
-val is_empty : 'a t -> bool
-
-val push : 'a t -> 'a -> unit
-(** Append; overwrites (and counts) the oldest element when full. *)
-
-val get : 'a t -> int -> 'a
-(** [get t 0] is the oldest live element, [get t (length t - 1)] the
-    newest; out of range raises [Invalid_argument]. *)
-
-val newest : 'a t -> 'a option
-val peek_oldest : 'a t -> 'a option
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Oldest to newest. *)
-
-val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
-(** Oldest first. *)
-
-val clear : 'a t -> unit
+(** The live elements, oldest first. *)

@@ -32,8 +32,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

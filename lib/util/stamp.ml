@@ -14,7 +14,6 @@ let fp = ref unstamped
 
 let set_fingerprint s = fp := s
 let fingerprint () = !fp
-let is_stamped () = !fp <> unstamped
 
 let fields () =
   [

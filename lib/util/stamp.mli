@@ -18,9 +18,6 @@ val schema_version : int
 val set_fingerprint : string -> unit
 val fingerprint : unit -> string
 
-val is_stamped : unit -> bool
-(** [false] until {!set_fingerprint} has been called. *)
-
 val fields : unit -> (string * Json.t) list
 (** [[("schema_version", ...); ("code_fingerprint", ...)]] — prepend to
     artifact objects. *)

@@ -320,26 +320,27 @@ let test_cache_key_sensitivity () =
   check "part boundaries matter" true
     (key [ "ab"; "c" ] <> key [ "a"; "bc" ])
 
-(* The key recipe is the cache's address space: one that drifts turns
-   every warm cache cold.  Each spec runs cold into an empty cache under
-   a fixed fingerprint; the entry names are the keys, computed when the
-   recipe was written once for all kinds. *)
-let test_cache_keys_pinned () =
-  let entries spec =
-    let dir = tmpdir "keys" in
-    ignore
-      (Job.execute ~jobs:1 ~fingerprint:(fun p -> "fp-" ^ p)
-         ~cache:(Runner.Cache.create ~dir ()) spec);
-    let names =
-      Array.to_list (Sys.readdir dir)
-      |> List.concat_map (fun shard ->
-             Array.to_list (Sys.readdir (Filename.concat dir shard)))
-      |> List.map Filename.remove_extension
-      |> List.sort compare
-    in
-    rm_rf dir;
-    names
+(* The job keys a spec stores: its cold run into an empty cache under a
+   fixed fingerprint, read back as the cache's entry names. *)
+let cache_entries spec =
+  let dir = tmpdir "keys" in
+  ignore
+    (Job.execute ~jobs:1 ~fingerprint:(fun p -> "fp-" ^ p)
+       ~cache:(Runner.Cache.create ~dir ()) spec);
+  let names =
+    Array.to_list (Sys.readdir dir)
+    |> List.concat_map (fun shard ->
+           Array.to_list (Sys.readdir (Filename.concat dir shard)))
+    |> List.map Filename.remove_extension
+    |> List.sort compare
   in
+  rm_rf dir;
+  names
+
+(* The key recipe is the cache's address space: one that drifts turns
+   every warm cache cold.  The pinned keys were computed when the recipe
+   was written once for all kinds. *)
+let test_cache_keys_pinned () =
   let explore =
     Job.of_flags ~kind:`Explore ~protocol:"kset"
       ~bounds:{ Explorer.default_bounds with Explorer.depth = 4; delays = 1 }
@@ -354,7 +355,7 @@ let test_cache_keys_pinned () =
   in
   List.iter
     (fun (kind, spec, keys) ->
-      Alcotest.(check (list string)) (kind ^ " keys") keys (entries spec))
+      Alcotest.(check (list string)) (kind ^ " keys") keys (cache_entries spec))
     [
       ( "run",
         Job.of_flags ~kind:`Run ~protocol:"kset" Protocol.default,
@@ -717,6 +718,22 @@ let write_all fd s =
   in
   go 0
 
+(* The next whole frame on a raw connection. *)
+let read_frame fd dec =
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    match Json.Stream.next dec with
+    | `Value v -> v
+    | `Error e -> Alcotest.failf "bad frame: %s" (Json.error_to_string e)
+    | `Await -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> Alcotest.fail "connection closed before a whole frame"
+        | n ->
+            Json.Stream.feed dec (Bytes.sub_string buf 0 n);
+            go ())
+  in
+  go ()
+
 let test_daemon_submit_stream_status_shutdown () =
   let dir = tmpdir "daemon" in
   let config = daemon_config dir ~cache:true in
@@ -914,19 +931,8 @@ let test_daemon_oversized_frame () =
       | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> sent
   in
   check "dropped only past 8 MiB" true (push 0 > limit);
-  let dec = Json.Stream.decoder () and buf = Bytes.create 4096 in
-  let rec read_error () =
-    match Json.Stream.next dec with
-    | `Value v -> v
-    | `Error e -> Alcotest.failf "bad frame: %s" (Json.error_to_string e)
-    | `Await -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 -> Alcotest.fail "connection closed without an error frame"
-        | n ->
-            Json.Stream.feed dec (Bytes.sub_string buf 0 n);
-            read_error ())
-  in
-  check "error frame before the drop" true (frame_type (read_error ()) = "error");
+  check "error frame before the drop" true
+    (frame_type (read_frame fd (Json.Stream.decoder ())) = "error");
   Unix.close fd;
   check "others still served" true
     (frame_type (expect (Serve.Client.ping conn)) = "pong");
@@ -2068,6 +2074,79 @@ let test_daemon_refuses_backend_trace () =
   Domain.join d;
   rm_rf dir
 
+(* A spec field of the wrong JSON type, or a crash or fault spec its own
+   decoder rejects, refuses the spec, naming the field, instead of
+   running with a default in its place (no faults, two crashes, n = 8,
+   32 seeds): [fdkit submit --spec] exits 3 and the daemon answers the
+   submit with an error frame. *)
+let test_daemon_refuses_malformed () =
+  let specs =
+    [
+      ("links", {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"faults":{"links":"bogus"}}}|});
+      ("crashes", {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"crashes":"three"}}|});
+      ({|"n"|}, {|{"kind":"run","protocol":"kset","params":{"n":"4","t":1}}|});
+      ("seeds", {|{"kind":"campaign","protocol":"kset","seeds":"5"}|});
+    ]
+  in
+  let dir = tmpdir "malformed" in
+  let config = daemon_config dir ~cache:false in
+  let d = start_daemon config in
+  let fd = raw_connect config.Serve.socket_path and dec = Json.Stream.decoder () in
+  List.iter
+    (fun (field, text) ->
+      (match Job.of_json (Json.of_string_exn text) with
+      | Ok s -> Alcotest.failf "decoded %s as %s" text (Job.canonical s)
+      | Error e -> check ("error names " ^ field ^ ": " ^ e) true (Strutil.contains e ~sub:field));
+      let path = Filename.concat dir "spec.json" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let code, out = fdkit [ "submit"; "--socket"; config.Serve.socket_path; "--spec"; path ] in
+      check_int ("submit --spec exit\n" ^ out) 3 code;
+      write_all fd (Printf.sprintf {|{"op":"submit","spec":%s}|} text ^ "\n");
+      let v = read_frame fd dec in
+      check ("daemon error frame for " ^ field) true
+        (frame_type v = "error"
+        &&
+        match Json.member "message" v with
+        | Some (Json.String m) -> Strutil.contains m ~sub:field
+        | _ -> false))
+    specs;
+  Unix.close fd;
+  let conn = connect config in
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
+(* A trace level's spelling is not part of a spec: "OFF" decodes as
+   "off", so both spellings have one canonical form and one job key, and
+   a daemon that ran one serves the other from its cache. *)
+let test_daemon_trace_spelling_cached () =
+  let text level =
+    Printf.sprintf
+      {|{"kind":"campaign","protocol":"kset","seeds":2,"params":{"trace":"%s"}}|} level
+  in
+  let decode level = expect (Job.of_json (Json.of_string_exn (text level))) in
+  let upper = decode "OFF" and lower = decode "off" in
+  Alcotest.(check string) "one canonical form" (Job.canonical lower) (Job.canonical upper);
+  Alcotest.(check (list string)) "one job key each" (cache_entries lower) (cache_entries upper);
+  let dir = tmpdir "trace-spelling" in
+  let config = daemon_config dir ~cache:true in
+  let d = start_daemon config in
+  let submit level flags =
+    let path = Filename.concat dir (level ^ ".json") in
+    Out_channel.with_open_bin path (fun oc -> output_string oc (text level));
+    fdkit ([ "submit"; "--socket"; config.Serve.socket_path; "--spec"; path ] @ flags)
+  in
+  let code, out = submit "OFF" [] in
+  check_int ("cold submit exit\n" ^ out) 0 code;
+  let code, out = submit "off" [ "--expect-cached" ] in
+  check_int ("other spelling, --expect-cached exit\n" ^ out) 0 code;
+  let conn = connect config in
+  check "bye" true (frame_type (expect (Serve.Client.shutdown conn)) = "bye");
+  Serve.Client.close conn;
+  Domain.join d;
+  rm_rf dir
+
 (* The daemon writes a finished spec's files with the CLI's writer:
    byte-identical triage files for a failing sweep and for a misuse
    exploration. *)
@@ -2487,6 +2566,8 @@ let () =
           Alcotest.test_case "oracle range refused" `Quick test_daemon_refuses_oracle_range;
           Alcotest.test_case "backend/trace refused" `Quick test_daemon_refuses_backend_trace;
           Alcotest.test_case "artifacts match the CLI" `Quick test_daemon_artifacts_match_cli;
+          Alcotest.test_case "malformed fields refused" `Quick test_daemon_refuses_malformed;
+          Alcotest.test_case "trace spelling cached" `Quick test_daemon_trace_spelling_cached;
         ] );
       ( "telemetry",
         [

@@ -25,29 +25,12 @@ let test_metrics_counter_gauge () =
   Metrics.set_gauge m "g" 2.5;
   Metrics.set_gauge m "g" 1.0;
   check "gauge keeps last" true (Metrics.gauge m "g" = Some 1.0);
-  Alcotest.(check (list string)) "names sorted" [ "c"; "g" ] (Metrics.names m)
-
-let test_metrics_handles () =
-  (* Int-keyed hot-path handles: a handle write is the same cell a
-     by-name read observes, registration order never leaks into [keys],
-     and [keys] = [names] (both sorted). *)
-  let m = Metrics.create () in
-  let hz = Metrics.counter_handle m "z.late" in
-  let ha = Metrics.counter_handle m "a.early" in
-  Metrics.bump hz;
-  Metrics.bump ~by:9 hz;
-  Metrics.bump ha;
-  check_int "handle writes visible by name" 10 (Metrics.counter m "z.late");
-  Metrics.incr m ~by:5 "a.early";
-  check_int "by-name writes visible via same cell" 6 (Metrics.counter m "a.early");
-  let hz' = Metrics.counter_handle m "z.late" in
-  Metrics.bump hz';
-  check_int "re-registration aliases, not shadows" 11 (Metrics.counter m "z.late");
-  let h = Metrics.hist_handle m "lat" in
-  Metrics.hist_record h 3.0;
-  check_int "hist handle aliases registry" 1 (Metrics.hist_count (Metrics.hist_handle m "lat"));
-  Alcotest.(check (list string)) "keys sorted" [ "a.early"; "lat"; "z.late" ] (Metrics.keys m);
-  Alcotest.(check (list string)) "keys = names" (Metrics.names m) (Metrics.keys m)
+  Alcotest.(check (list string)) "names sorted" [ "c"; "g" ] (Metrics.names m);
+  (* Registered out of order, and the table's own fold order differs. *)
+  Metrics.incr m "z.late";
+  Metrics.incr m "a.early";
+  Alcotest.(check (list string)) "names sorted, not in registration order"
+    [ "a.early"; "c"; "g"; "z.late" ] (Metrics.names m)
 
 let test_metrics_hist_basic () =
   let h = Metrics.hist_create ~bounds:[| 1.0; 2.0; 5.0 |] () in
@@ -527,7 +510,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counter/gauge" `Quick test_metrics_counter_gauge;
-          Alcotest.test_case "handles + sorted keys" `Quick test_metrics_handles;
           Alcotest.test_case "histogram basics" `Quick test_metrics_hist_basic;
           Alcotest.test_case "bad bounds" `Quick test_metrics_hist_bad_bounds;
           Alcotest.test_case "merge mismatch" `Quick test_metrics_merge_mismatch;

@@ -461,7 +461,10 @@ let run_corpus_case j =
       let s = Result.get_ok (Schedule.of_json sj) in
       let pk = Option.get (Protocol.find s.Schedule.protocol) in
       let p =
-        { (Protocol.params_of_json s.Schedule.params) with crashes = s.Schedule.crashes }
+        {
+          (Result.get_ok (Protocol.params_of_json s.Schedule.params)) with
+          crashes = s.Schedule.crashes;
+        }
       in
       let sim = ref None in
       let make () =
@@ -482,7 +485,9 @@ let run_corpus_case j =
         match Json.member "params" j with Some (Json.Obj l) -> l | _ -> []
       in
       let r =
-        Protocol.run (Option.get (Protocol.find protocol)) (Protocol.params_of_json params)
+        Protocol.run
+          (Option.get (Protocol.find protocol))
+          (Result.get_ok (Protocol.params_of_json params))
       in
       let o = r.Protocol.rp_outcome in
       (entry_digest r.Protocol.rp_sim, o.Sim.events, o.Sim.end_time)
@@ -498,7 +503,7 @@ let test_golden_corpus () =
         let j = Json.of_string_exn line in
         match (Json.member "protocol" j, Json.member "params" j) with
         | Some (Json.String protocol), Some (Json.Obj params) ->
-            Some (protocol, (Protocol.params_of_json params).Protocol.variant)
+            Some (protocol, (Result.get_ok (Protocol.params_of_json params)).Protocol.variant)
         | _ -> None)
       cases
   in

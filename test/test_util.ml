@@ -209,66 +209,6 @@ let test_rng_mean_sanity () =
   check "uniform mean near 0.5" true (mean > 0.45 && mean < 0.55)
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_pqueue_basic () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  check "empty" true (Pqueue.is_empty q);
-  Pqueue.push q 5;
-  Pqueue.push q 1;
-  Pqueue.push q 3;
-  check_int "length" 3 (Pqueue.length q);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Pqueue.peek q);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 5" (Some 5) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop empty" None (Pqueue.pop q)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create ~cmp:Int.compare in
-  Pqueue.push q 1;
-  Pqueue.clear q;
-  check "cleared" true (Pqueue.is_empty q)
-
-let test_pqueue_sorts () =
-  let rng = Rng.create 11 in
-  let q = Pqueue.create ~cmp:Int.compare in
-  let items = List.init 500 (fun _ -> Rng.int rng 10_000) in
-  List.iter (Pqueue.push q) items;
-  let rec drain acc = match Pqueue.pop q with None -> List.rev acc | Some v -> drain (v :: acc) in
-  Alcotest.(check (list int)) "heap sort" (List.sort compare items) (drain [])
-
-let test_pqueue_stability_by_cmp () =
-  (* (time, seq) ordering: ties on time break by seq. *)
-  let cmp (t1, s1) (t2, s2) =
-    let c = Float.compare t1 t2 in
-    if c <> 0 then c else Int.compare s1 s2
-  in
-  let q = Pqueue.create ~cmp in
-  Pqueue.push q (1.0, 2);
-  Pqueue.push q (1.0, 0);
-  Pqueue.push q (1.0, 1);
-  let v1 = Pqueue.pop q and v2 = Pqueue.pop q and v3 = Pqueue.pop q in
-  check "tie order" true (v1 = Some (1.0, 0) && v2 = Some (1.0, 1) && v3 = Some (1.0, 2))
-
-(* Sorted-snapshot property: a push-all / pop-until-empty cycle is a
-   sort, and [to_list] shows exactly that order without disturbing the
-   heap. *)
-let pqueue_sorted_qcheck =
-  QCheck.Test.make ~name:"pqueue pop sequence = sorted" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun items ->
-      let q = Pqueue.create ~cmp:Int.compare in
-      List.iter (Pqueue.push q) items;
-      let snapshot = Pqueue.to_list q in
-      let rec drain acc =
-        match Pqueue.pop q with None -> List.rev acc | Some v -> drain (v :: acc)
-      in
-      let popped = drain [] in
-      popped = List.sort compare items && snapshot = popped)
-
-(* ------------------------------------------------------------------ *)
 (* Earena                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -277,154 +217,76 @@ let test_earena_basic () =
   check "empty" true (Earena.is_empty a);
   check "peek empty = inf" true (Earena.peek_time a = infinity);
   check_int "pop empty = -1" (-1) (Earena.pop a);
-  let s1 = Earena.add a ~time:2.0 ~kind:1 ~arg:10 in
-  let s2 = Earena.add a ~time:1.0 ~kind:2 ~arg:20 in
-  let s3 = Earena.add a ~time:3.0 ~kind:3 ~arg:30 in
+  Earena.add a ~time:2.0 ~kind:1 ~arg:10;
+  Earena.add a ~time:1.0 ~kind:2 ~arg:20;
+  Earena.add a ~time:3.0 ~kind:3 ~arg:30;
   check_int "length" 3 (Earena.length a);
   check "peek = 1.0" true (Earena.peek_time a = 1.0);
-  check "mem live" true (Earena.mem a s1 && Earena.mem a s2 && Earena.mem a s3);
   let p = Earena.pop a in
-  check_int "min slot" s2 p;
+  check "time survives pop" true (Earena.time_of a p = 1.0);
   check_int "kind survives pop" 2 (Earena.kind_of a p);
   check_int "arg survives pop" 20 (Earena.arg_of a p);
-  check "popped not mem" false (Earena.mem a p);
-  check_int "then s1" s1 (Earena.pop a);
-  check_int "then s3" s3 (Earena.pop a);
+  check_int "length after pop" 2 (Earena.length a);
+  check_int "then time 2.0" 10 (Earena.arg_of a (Earena.pop a));
+  check_int "then time 3.0" 30 (Earena.arg_of a (Earena.pop a));
   check "drained" true (Earena.is_empty a)
 
 let test_earena_tie_insertion_order () =
   (* Equal times pop in insertion order — the replay-determinism contract. *)
   let a = Earena.create () in
-  let slots = List.init 10 (fun i -> Earena.add a ~time:1.0 ~kind:0 ~arg:i) in
-  List.iter (fun s -> check_int "fifo at one instant" s (Earena.pop a)) slots
-
-let test_earena_cancel () =
-  let a = Earena.create () in
-  let s1 = Earena.add a ~time:1.0 ~kind:0 ~arg:1 in
-  let s2 = Earena.add a ~time:2.0 ~kind:0 ~arg:2 in
-  check "cancel live" true (Earena.cancel a s1);
-  check "cancel stale refused" false (Earena.cancel a s1);
-  check "cancel bogus refused" false (Earena.cancel a 9999);
-  check_int "s2 remains" s2 (Earena.pop a);
-  check "empty after" true (Earena.is_empty a)
+  for i = 0 to 9 do
+    Earena.add a ~time:1.0 ~kind:0 ~arg:i
+  done;
+  for i = 0 to 9 do
+    check_int "fifo at one instant" i (Earena.arg_of a (Earena.pop a))
+  done
 
 let test_earena_grow_and_recycle () =
   (* Force growth past the initial capacity, then verify steady-state slot
      recycling keeps capacity fixed. *)
   let a = Earena.create ~initial:4 () in
-  let slots = Array.init 100 (fun i -> Earena.add a ~time:(float_of_int i) ~kind:0 ~arg:i) in
-  ignore slots;
+  for i = 0 to 99 do
+    Earena.add a ~time:(float_of_int i) ~kind:0 ~arg:i
+  done;
   for i = 0 to 99 do
     let s = Earena.pop a in
     check_int "fifo by time" i (Earena.arg_of a s)
   done;
   let cap = Earena.capacity a in
   for round = 0 to 999 do
-    let s = Earena.add a ~time:(float_of_int round) ~kind:0 ~arg:round in
+    Earena.add a ~time:(float_of_int round) ~kind:0 ~arg:round;
     let p = Earena.pop a in
-    check_int "recycled slot round-trips arg" round (Earena.arg_of a p);
-    ignore s
+    check_int "recycled slot round-trips arg" round (Earena.arg_of a p)
   done;
   check_int "capacity stable in steady state" cap (Earena.capacity a)
-
-(* The arena against a sorted-list model AND against the legacy Pqueue it
-   replaced, under interleaved add / pop / cancel with slot recycling —
-   the schedule-preservation half of the engine overhaul in property
-   form. *)
-let earena_differential_qcheck =
-  (* ops: 0-2 = add (time bucket), 3 = pop, 4 = cancel a random live slot *)
-  let gen_ops = QCheck.Gen.(list_size (int_range 0 200) (int_bound 4)) in
-  QCheck.Test.make ~name:"earena = legacy pqueue under add/pop/cancel" ~count:200
-    (QCheck.make ~print:(fun l -> String.concat "," (List.map string_of_int l)) gen_ops)
-    (fun ops ->
-      let cmp (t1, s1, _) (t2, s2, _) =
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c else Int.compare s1 s2
-      in
-      let a = Earena.create ~initial:4 () in
-      let q = Pqueue.create ~cmp in
-      (* live: arena slot -> (time, seq, arg) as mirrored in the model *)
-      let live = Hashtbl.create 16 in
-      let seq = ref 0 in
-      let next_arg = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          if op <= 2 then begin
-            let time = float_of_int ((op * 17) mod 5) in
-            let arg = !next_arg in
-            incr next_arg;
-            let slot = Earena.add a ~time ~kind:op ~arg in
-            Hashtbl.replace live slot (time, !seq, arg);
-            Pqueue.push q (time, !seq, arg);
-            incr seq
-          end
-          else if op = 3 then begin
-            let s = Earena.pop a in
-            match Pqueue.pop q with
-            | None -> if s <> -1 then ok := false
-            | Some (_, _, arg) ->
-                if s = -1 || Earena.arg_of a s <> arg then ok := false
-                else Hashtbl.remove live s
-          end
-          else begin
-            (* Cancel the live slot with the smallest id, if any. *)
-            let victim =
-              Hashtbl.fold (fun s _ acc -> match acc with Some m -> Some (min m s) | None -> Some s) live None
-            in
-            match victim with
-            | None -> ()
-            | Some s ->
-                let entry = Hashtbl.find live s in
-                if not (Earena.cancel a s) then ok := false;
-                Hashtbl.remove live s;
-                (* Remove from the model by rebuilding without the entry. *)
-                let rest = List.filter (fun e -> e <> entry) (Pqueue.to_list q) in
-                Pqueue.clear q;
-                List.iter (Pqueue.push q) rest
-          end)
-        ops;
-      (* Drain both: remaining schedules must agree exactly. *)
-      let rec drain_both () =
-        match Pqueue.pop q with
-        | None -> Earena.pop a = -1
-        | Some (_, _, arg) ->
-            let s = Earena.pop a in
-            s <> -1 && Earena.arg_of a s = arg && drain_both ()
-      in
-      !ok && drain_both ())
 
 let earena_sorted_qcheck =
   QCheck.Test.make ~name:"earena pop sequence = sorted" ~count:200
     QCheck.(list (pair (int_bound 10) (int_bound 1000)))
     (fun items ->
       let a = Earena.create () in
-      List.iter (fun (tm, arg) -> ignore (Earena.add a ~time:(float_of_int tm) ~kind:0 ~arg)) items;
-      let snapshot = Earena.to_sorted_list a in
+      List.iter (fun (tm, arg) -> Earena.add a ~time:(float_of_int tm) ~kind:0 ~arg) items;
       let rec drain acc =
         let s = Earena.pop a in
         if s = -1 then List.rev acc
         else drain ((Earena.time_of a s, Earena.arg_of a s) :: acc)
       in
-      let popped = drain [] in
       (* Stable sort by time: ties keep insertion order, exactly what
          sorting by (time, seq) produces. *)
       let expected =
-        List.stable_sort
-          (fun (t1, _) (t2, _) -> Int.compare t1 t2)
-          (List.map (fun (tm, arg) -> (tm, arg)) items)
+        List.stable_sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) items
         |> List.map (fun (tm, arg) -> (float_of_int tm, arg))
       in
-      popped = expected
-      && List.map (fun (tm, _, _, arg) -> (tm, arg)) snapshot = expected)
+      drain [] = expected)
 
 (* The arena against a list model at both wheel sizes a simulator gets:
    1024 buckets (a small system, [initial] 4) and 16384 ([initial] 1024,
-   n >= 32).  Most adds land on one of two instants just past the pop
-   frontier, so a bucket chain passes the rebuild limit and the wheel
-   narrows, again and again up to its fuse; the narrowed window then
-   sends the spread adds (up to 40 time units out) to the heap.  Pops
-   and cancels interleave throughout. *)
+   n >= 32), under interleaved adds and pops with slot recycling.  Most
+   adds land on one of two instants just past the pop frontier, so a
+   bucket chain passes the rebuild limit and the wheel narrows, again and
+   again up to its fuse; the narrowed window then sends the spread adds
+   (up to 40 time units out) to the heap.  Adds behind the frontier,
+   negative times among them, take the heap too. *)
 let earena_wheel_sizes_qcheck =
   let gen_ops = QCheck.Gen.(list_size (int_range 0 400) (pair (int_bound 9) (int_bound 1000))) in
   QCheck.Test.make ~name:"earena = list model at 1024 and 16384 buckets" ~count:100
@@ -436,11 +298,11 @@ let earena_wheel_sizes_qcheck =
       List.for_all
         (fun (initial, buckets) ->
           let a = Earena.create ~initial () in
-          (* live entries as (time, seq, slot), oldest first *)
+          (* live entries as (time, seq); each event's arg is its seq *)
           let live = ref [] in
           let seq = ref 0 in
           let frontier = ref 0.0 in
-          let before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2) in
+          let before (t1, s1) (t2, s2) = t1 < t2 || (t1 = t2 && s1 < s2) in
           let model_min () =
             List.fold_left
               (fun acc e -> match acc with Some m when before m e -> acc | _ -> Some e)
@@ -451,36 +313,51 @@ let earena_wheel_sizes_qcheck =
             let s = Earena.pop a in
             match model_min () with
             | None -> if s <> -1 then ok := false
-            | Some ((time, _, slot) as e) ->
-                if s <> slot || Earena.time_of a s <> time then ok := false;
+            | Some ((time, sq) as e) ->
+                if s = -1 || Earena.arg_of a s <> sq || Earena.time_of a s <> time then
+                  ok := false;
                 frontier := time;
                 live := List.filter (fun x -> x != e) !live
           in
           List.iter
             (fun (op, v) ->
-              if op <= 7 then begin
+              if op = 8 then pop ()
+              else begin
                 let time =
                   if op <= 5 then !frontier +. float_of_int (v mod 2)
-                  else !frontier +. (float_of_int (v mod 120) /. 3.0)
+                  else if op <= 7 then !frontier +. (float_of_int (v mod 120) /. 3.0)
+                  else !frontier -. 0.5 -. (float_of_int (v mod 40) /. 4.0)
                 in
-                let slot = Earena.add a ~time ~kind:0 ~arg:!seq in
-                live := !live @ [ (time, !seq, slot) ];
+                Earena.add a ~time ~kind:0 ~arg:!seq;
+                live := (time, !seq) :: !live;
                 incr seq
-              end
-              else if op = 8 then pop ()
-              else
-                match !live with
-                | [] -> ()
-                | (_, _, slot) :: rest ->
-                    (* Cancel the oldest live entry. *)
-                    if not (Earena.cancel a slot) then ok := false;
-                    live := rest)
+              end)
             ops;
           while !live <> [] do
             pop ()
           done;
           !ok && Earena.pop a = -1)
         [ (4, 1024); (1024, 16384) ])
+
+(* ------------------------------------------------------------------ *)
+(* Ringbuf                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* What the runtime node's phi series relies on: the window reads oldest
+   first after it wraps, and [dropped] counts what the wrap overwrote. *)
+let test_ringbuf_wraps () =
+  let r = Ringbuf.create ~cap:3 in
+  Alcotest.(check (list int)) "empty" [] (Ringbuf.to_list r);
+  List.iter (Ringbuf.push r) [ 1; 2 ];
+  Alcotest.(check (list int)) "below capacity" [ 1; 2 ] (Ringbuf.to_list r);
+  check_int "nothing dropped yet" 0 (Ringbuf.dropped r);
+  List.iter (Ringbuf.push r) [ 3; 4; 5; 6; 7 ];
+  Alcotest.(check (list int)) "wrapped, oldest first" [ 5; 6; 7 ] (Ringbuf.to_list r);
+  check_int "overwrites counted" 4 (Ringbuf.dropped r)
+
+let test_ringbuf_bad_cap () =
+  Alcotest.check_raises "cap 0" (Invalid_argument "Ringbuf.create: cap must be >= 1")
+    (fun () -> ignore (Ringbuf.create ~cap:0))
 
 (* ------------------------------------------------------------------ *)
 (* Combi                                                               *)
@@ -1271,31 +1148,22 @@ let () =
           Alcotest.test_case "pick/shuffle" `Quick test_rng_pick_shuffle;
           Alcotest.test_case "uniform mean" `Quick test_rng_mean_sanity;
         ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "basic" `Quick test_pqueue_basic;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
-          Alcotest.test_case "sorts" `Quick test_pqueue_sorts;
-          Alcotest.test_case "tie-break" `Quick test_pqueue_stability_by_cmp;
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 42 |])
-            pqueue_sorted_qcheck;
-        ] );
       ( "earena",
         [
           Alcotest.test_case "basic" `Quick test_earena_basic;
           Alcotest.test_case "tie = insertion order" `Quick test_earena_tie_insertion_order;
-          Alcotest.test_case "cancel" `Quick test_earena_cancel;
           Alcotest.test_case "grow + recycle" `Quick test_earena_grow_and_recycle;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             earena_sorted_qcheck;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
-            earena_differential_qcheck;
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 42 |])
             earena_wheel_sizes_qcheck;
+        ] );
+      ( "ringbuf",
+        [
+          Alcotest.test_case "wrap + dropped" `Quick test_ringbuf_wraps;
+          Alcotest.test_case "zero capacity refused" `Quick test_ringbuf_bad_cap;
         ] );
       ( "combi",
         [
