@@ -159,8 +159,9 @@ let failure_of_json = function
       in
       let params =
         match List.assoc_opt "params" fields with
-        | Some (Json.Obj p) -> Result.to_option (Protocol.params_of_json p)
-        | _ -> Some Protocol.default
+        | Some (Json.Obj p) ->
+            Result.map_error (fun e -> "params: " ^ e) (Protocol.params_of_json p)
+        | _ -> Ok Protocol.default
       in
       let kind =
         match str "kind" "safety" with
@@ -168,7 +169,7 @@ let failure_of_json = function
         | "illegal" -> Illegal
         | _ -> Safety
       in
-      Option.map
+      Result.map
         (fun params ->
           {
             f_protocol = str "protocol" "";
@@ -178,7 +179,7 @@ let failure_of_json = function
             f_params = params;
           })
         params
-  | _ -> None
+  | _ -> Error "expected an object"
 
 (* Each record's replay line names the file it is written to. *)
 let write_failures ?(dir = "_results") fails =
@@ -217,7 +218,7 @@ let load_failures path =
             | Json.List l -> l
             | _ -> []
           in
-          Ok (List.filter_map failure_of_json l))
+          Ok (List.map failure_of_json l))
 
 (* ---- campaigns ---- *)
 
@@ -329,7 +330,7 @@ let jobs ~fingerprint ~protocols ~mixes:names ~seeds base =
 let outcome c =
   let fails =
     Array.to_list c.Runner.c_results
-    |> List.filter_map (fun r -> failure_of_json r.Runner.r_extra)
+    |> List.filter_map (fun r -> Result.to_option (failure_of_json r.Runner.r_extra))
   in
   {
     o_campaign = c;

@@ -112,4 +112,7 @@ val write_failures : ?dir:string -> failure list -> string
     [fdkit replay --faults <dir>/chaos_failures.json --index i] command,
     naming the file written. *)
 
-val load_failures : string -> (failure list, string) result
+val load_failures : string -> ((failure, string) result list, string) result
+(** Read a [chaos_failures.json] artifact: every record in file order,
+    each decoded or the reason it does not decode, so the [i]-th element
+    is the file's [i]-th record. *)

@@ -95,17 +95,16 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
       (* Phase 1: the coordinator pushes its estimate; everyone adopts it
          as aux unless the coordinator becomes suspect first. *)
       if i = coord then Net.broadcast net ~src:i (Est { r = round; v = !est });
-      (* Re-evaluated per event while polling: fold the stored envelope
-         list in place (no copy; the coordinator broadcasts at most one
-         Est per round, so order is irrelevant). *)
+      (* Re-evaluated per event while polling: fold the key's deliveries
+         in place (no copy; the coordinator broadcasts at most one Est
+         per round, so order is irrelevant). *)
       let est_from_coord () =
-        Net.keyed_fold net i (key_est round) ~init:None
-          ~f:(fun acc (e : msg Net.envelope) ->
+        Net.keyed_fold net i (key_est round) ~init:None ~f:(fun acc src payload ->
             match acc with
             | Some _ -> acc
             | None -> (
-                match e.payload with
-                | Est { v; _ } when e.src = coord -> Some v
+                match payload with
+                | Est { v; _ } when src = coord -> Some v
                 | Est _ | Aux _ -> None))
       in
       (* Reads the suspector's output (clock-derived): poll cadence. *)
@@ -131,9 +130,8 @@ let install sim ~(suspector : Iface.suspector) ~proposals ?(delay = Delay.defaul
         if not (decided_i ()) then begin
           let saw_bot = ref false in
           let raw =
-            Net.keyed_fold net i (key_aux round) ~init:[]
-              ~f:(fun acc (e : msg Net.envelope) ->
-                match e.payload with
+            Net.keyed_fold net i (key_aux round) ~init:[] ~f:(fun acc _ payload ->
+                match payload with
                 | Aux { aux = Some v; _ } -> v :: acc
                 | Aux { aux = None; _ } ->
                     saw_bot := true;

@@ -196,16 +196,11 @@ let load_counterexamples path =
       | Error msg -> Error msg
       | Ok j -> (
           match Json.member "counterexamples" j with
-          | Some (Json.List l) ->
-              Ok
-                (List.filter_map
-                   (fun cj ->
-                     match Schedule.of_json cj with Ok s -> Some s | Error _ -> None)
-                   l)
+          | Some (Json.List l) -> Ok (List.map Schedule.of_json l)
           | Some _ -> Error "counterexamples: expected a list"
           | None -> (
               (* Also accept a bare schedule file. *)
-              match Schedule.of_json j with Ok s -> Ok [ s ] | Error e -> Error e)))
+              match Schedule.of_json j with Ok s -> Ok [ Ok s ] | Error e -> Error e)))
 
 let replay (s : Schedule.t) =
   match Protocol.find s.Schedule.protocol with

@@ -71,9 +71,11 @@ val write_counterexamples :
     the path.  The artifact carries no timing, so it is byte-identical
     across worker counts. *)
 
-val load_counterexamples : string -> (Schedule.t list, string) result
+val load_counterexamples : string -> ((Schedule.t, string) result list, string) result
 (** Read a [counterexamples.json] artifact {e or} a bare schedule file
-    (a single [Schedule.to_json] object). *)
+    (a single [Schedule.to_json] object): every record in file order,
+    each decoded or the reason it does not decode, so the [i]-th element
+    is the file's [i]-th record. *)
 
 val replay : Schedule.t -> (Explore.exec * bool, string) result
 (** Re-execute a schedule: protocol from the registry, params from the

@@ -91,12 +91,7 @@ let to_json spec =
    the spec, naming the field.  Unknown fields are ignored. *)
 let of_json j =
   let ( let* ) = Result.bind in
-  let required name =
-    match Json.member name j with
-    | Some (Json.String s) -> Ok s
-    | Some _ -> Error (Printf.sprintf "%S must be a string" name)
-    | None -> Error (Printf.sprintf "missing %S" name)
-  in
+  let required name = Json.required name ~what:"a string" Json.to_string_opt j in
   let int name d = Json.field name ~what:"an int" Json.to_int_opt ~default:d j in
   let obj name decode d =
     match Json.member name j with
@@ -234,7 +229,9 @@ let replay_target source path index =
     | Ok [] -> Error (Printf.sprintf "%s: no %s recorded" path none)
     | Ok l -> (
         match List.filteri (fun i _ -> i = index) l with
-        | [ x ] -> Ok x
+        | [ Ok x ] -> Ok x
+        | [ Error e ] ->
+            Error (Printf.sprintf "%s: record %d does not decode: %s" path index e)
         | _ ->
             Error
               (Printf.sprintf "--index %d out of range (%d %s)" index

@@ -18,6 +18,13 @@ type t = {
   (* Lemma 2 witness: per round, the distinct non-⊥ aux values any process
      broadcast in phase 2. *)
   aux_per_round : (int, int list) Hashtbl.t;
+  (* [majority_leader_set]'s tally, reused by every call: the distinct
+     leader sets of one key's PHASE1 deliveries with their sender
+     counts, and per sender the call that last counted it. *)
+  tally_sets : Pidset.t array;
+  tally_counts : int array;
+  tally_seen : int array;
+  mutable tally_gen : int;
 }
 
 let decided t pid =
@@ -54,23 +61,39 @@ let record_aux t ~round = function
 
 (* Find the leader set announced (in its PHASE1 of this round) by a strict
    majority of distinct senders, if any; at most one set can qualify.  Runs
-   on every phase-1 quorum wakeup, so the tallies are mutable cells scanned
-   in one pass (the distinct-lset list stays tiny: every process trusting
-   the same leaders is the common case). *)
-let majority_leader_set net ~i ~key ~n =
-  let counts : (Pidset.t * Pidset.t ref) list ref = ref [] in
-  Net.keyed_fold net i key ~init:()
-    ~f:(fun () (e : msg Net.envelope) ->
-      match e.payload with
-      | Phase1 { lset; _ } -> (
-          match
-            List.find_opt (fun (l, _) -> Pidset.equal l lset) !counts
-          with
-          | Some (_, senders) -> senders := Pidset.add e.src !senders
-          | None -> counts := (lset, ref (Pidset.singleton e.src)) :: !counts)
-      | Phase2 _ -> ());
-  List.find_opt (fun (_, senders) -> 2 * Pidset.cardinal !senders > n) !counts
-  |> Option.map fst
+   on every phase-1 quorum wakeup, so it tallies in the instance's scratch
+   rows.  A process broadcasts one PHASE1 per round, so every copy from a
+   sender carries the same set and the sender counts once, at its first
+   copy.  The distinct sets stay few: every process trusting the same
+   leaders is the common case. *)
+let majority_leader_set t ~i ~key ~n =
+  let gen = t.tally_gen + 1 in
+  t.tally_gen <- gen;
+  let len =
+    Net.keyed_fold t.net i key ~init:0 ~f:(fun len src payload ->
+        match payload with
+        | Phase1 { lset; _ } when t.tally_seen.(src) <> gen ->
+            t.tally_seen.(src) <- gen;
+            let j = ref 0 in
+            while !j < len && not (Pidset.equal t.tally_sets.(!j) lset) do
+              incr j
+            done;
+            if !j < len then begin
+              t.tally_counts.(!j) <- t.tally_counts.(!j) + 1;
+              len
+            end
+            else begin
+              t.tally_sets.(len) <- lset;
+              t.tally_counts.(len) <- 1;
+              len + 1
+            end
+        | Phase1 _ | Phase2 _ -> len)
+  in
+  let j = ref 0 in
+  while !j < len && 2 * t.tally_counts.(!j) <= n do
+    incr j
+  done;
+  if !j < len then Some t.tally_sets.(!j) else None
 
 type tie_break = Smallest | By_pid
 
@@ -107,6 +130,10 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
       round_of = Array.make n 0;
       max_round = 0;
       aux_per_round = Hashtbl.create 32;
+      tally_sets = Array.make n Pidset.empty;
+      tally_counts = Array.make n 0;
+      tally_seen = Array.make n 0;
+      tally_gen = 0;
     }
   in
   (* Task T2: decide on R-delivery of a DECISION value. *)
@@ -168,17 +195,15 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
           || not (Pidset.equal (omega.Iface.trusted i) l_i));
       if not (decided_i ()) then begin
         let aux =
-          match majority_leader_set net ~i ~key:(key_p1 round) ~n with
+          match majority_leader_set t ~i ~key:(key_p1 round) ~n with
           | None -> None
           | Some lset -> (
               (* Estimates announced by members of the majority leader set,
                  as a sorted value set; one fold, no intermediate pairs. *)
               let ests =
-                Net.keyed_fold net i (key_p1 round) ~init:[]
-                  ~f:(fun acc (e : msg Net.envelope) ->
-                    match e.payload with
-                    | Phase1 { est; _ } when Pidset.mem e.src lset ->
-                        est :: acc
+                Net.keyed_fold net i (key_p1 round) ~init:[] ~f:(fun acc src payload ->
+                    match payload with
+                    | Phase1 { est; _ } when Pidset.mem src lset -> est :: acc
                     | _ -> acc)
               in
               match List.sort_uniq Int.compare ests with
@@ -196,9 +221,8 @@ let install sim ~omega ~proposals ?(delay = Delay.default) ?(step = 0.05)
         if not (decided_i ()) then begin
           let saw_bot = ref false in
           let vals =
-            Net.keyed_fold net i (key_p2 round) ~init:[]
-              ~f:(fun acc (e : msg Net.envelope) ->
-                match e.payload with
+            Net.keyed_fold net i (key_p2 round) ~init:[] ~f:(fun acc _ payload ->
+                match payload with
                 | Phase2 { aux = Some v; _ } -> v :: acc
                 | Phase2 { aux = None; _ } ->
                     saw_bot := true;

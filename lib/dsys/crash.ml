@@ -70,76 +70,47 @@ let spec_to_json = function
 
 let ( let* ) r f = Result.bind r f
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Crash.spec_of_json: missing field %S" name)
+let window =
+  Json.required "window" ~what:"[lo, hi]" (function
+    | Json.List [ lo; hi ] -> (
+        match (Json.to_float_opt lo, Json.to_float_opt hi) with
+        | Some lo, Some hi -> Some (lo, hi)
+        | _ -> None)
+    | _ -> None)
 
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "Crash.spec_of_json: %S must be an int" name)
-
-let as_float name j =
-  match Json.to_float_opt j with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "Crash.spec_of_json: %S must be a number" name)
-
-let as_window name = function
-  | Json.List [ lo; hi ] ->
-      let* lo = as_float name lo in
-      let* hi = as_float name hi in
-      Ok (lo, hi)
-  | _ -> Error (Printf.sprintf "Crash.spec_of_json: %S must be [lo, hi]" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let crash_item j =
+  match
+    ( Option.bind (Json.member "pid" j) Json.to_int_opt,
+      Option.bind (Json.member "time" j) Json.to_float_opt )
+  with
+  | Some pid, Some tm -> Some (pid, tm)
+  | _ -> None
 
 let spec_of_json j =
-  let* kind = field "kind" j in
-  match kind with
-  | Json.String "none" -> Ok No_crashes
-  | Json.String "explicit" ->
-      let* l = field "crashes" j in
-      let* items =
-        match l with
-        | Json.List items ->
-            map_result
-              (fun item ->
-                let* pid = field "pid" item in
-                let* pid = as_int "pid" pid in
-                let* tm = field "time" item in
-                let* tm = as_float "time" tm in
-                Ok (pid, tm))
-              items
-        | _ -> Error "Crash.spec_of_json: \"crashes\" must be a list"
-      in
-      Ok (Explicit items)
-  | Json.String "initial" ->
-      let* l = field "pids" j in
-      let* pids =
-        match l with
-        | Json.List items -> map_result (as_int "pids") items
-        | _ -> Error "Crash.spec_of_json: \"pids\" must be a list"
-      in
-      Ok (Initial pids)
-  | Json.String "random_up_to" ->
-      let* m = field "max_crashes" j in
-      let* max_crashes = as_int "max_crashes" m in
-      let* w = field "window" j in
-      let* window = as_window "window" w in
-      Ok (Random_up_to { max_crashes; window })
-  | Json.String "exactly" ->
-      let* c = field "crashes" j in
-      let* crashes = as_int "crashes" c in
-      let* w = field "window" j in
-      let* window = as_window "window" w in
-      Ok (Exactly { crashes; window })
-  | Json.String k -> Error (Printf.sprintf "Crash.spec_of_json: unknown kind %S" k)
-  | _ -> Error "Crash.spec_of_json: \"kind\" must be a string"
+  Result.map_error (( ^ ) "Crash.spec_of_json: ")
+    (match j with
+    | Json.Obj _ -> (
+        let* kind = Json.required "kind" ~what:"a string" Json.to_string_opt j in
+        match kind with
+        | "none" -> Ok No_crashes
+        | "explicit" ->
+            let* items =
+              Json.required "crashes" ~what:"a list of {pid, time}" (Json.list_opt crash_item) j
+            in
+            Ok (Explicit items)
+        | "initial" ->
+            let* pids = Json.required "pids" ~what:"a list of ints" (Json.list_opt Json.to_int_opt) j in
+            Ok (Initial pids)
+        | "random_up_to" ->
+            let* max_crashes = Json.required "max_crashes" ~what:"an int" Json.to_int_opt j in
+            let* window = window j in
+            Ok (Random_up_to { max_crashes; window })
+        | "exactly" ->
+            let* crashes = Json.required "crashes" ~what:"an int" Json.to_int_opt j in
+            let* window = window j in
+            Ok (Exactly { crashes; window })
+        | k -> Error (Printf.sprintf "unknown kind %S" k))
+    | _ -> Error "expected an object")
 
 let pp fmt l =
   Format.fprintf fmt "[%s]"

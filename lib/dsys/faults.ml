@@ -316,100 +316,66 @@ let to_json t =
     ]
 
 let ( let* ) r f = Result.bind r f
+let ints = Json.list_opt Json.to_int_opt
+let num name ~default j = Json.field name ~what:"a number" Json.to_float_opt ~default j
+let req_num name j = Json.required name ~what:"a number" Json.to_float_opt j
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "Faults.of_json: missing field %S" name)
-
-let opt_field name ~default f j =
-  match Json.member name j with Some v -> f v | None -> Ok default
-
-let as_float name j =
-  match Json.to_float_opt j with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "Faults.of_json: %S must be a number" name)
-
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "Faults.of_json: %S must be an int" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let as_list name f = function
-  | Json.List items -> map_result f items
-  | _ -> Error (Printf.sprintf "Faults.of_json: %S must be a list" name)
-
-let as_pids name j = as_list name (as_int name) j
+(* A list member of objects, each decoded in order; the first one
+   refused refuses the list. *)
+let objects name decode j =
+  let* items =
+    Json.field name ~what:"a list of objects"
+      (Json.list_opt (function Json.Obj _ as o -> Some o | _ -> None))
+      ~default:[] j
+  in
+  List.fold_left
+    (fun acc item ->
+      let* ys = acc in
+      let* y = decode item in
+      Ok (y :: ys))
+    (Ok []) items
+  |> Result.map List.rev
 
 let link_of_json j =
-  let* l_src = opt_field "src" ~default:[] (as_pids "src") j in
-  let* l_dst = opt_field "dst" ~default:[] (as_pids "dst") j in
-  let* f = field "from" j in
-  let* l_from = as_float "from" f in
-  let* u = field "until" j in
-  let* l_until = as_float "until" u in
-  let* l_drop = opt_field "drop" ~default:0.0 (as_float "drop") j in
-  let* l_dup = opt_field "dup" ~default:0.0 (as_float "dup") j in
-  let* l_reorder = opt_field "reorder" ~default:0.0 (as_float "reorder") j in
-  let* l_spread = opt_field "spread" ~default:2.0 (as_float "spread") j in
-  let* l_inflate = opt_field "inflate" ~default:1.0 (as_float "inflate") j in
+  let* l_src = Json.field "src" ~what:"a list of ints" ints ~default:[] j in
+  let* l_dst = Json.field "dst" ~what:"a list of ints" ints ~default:[] j in
+  let* l_from = req_num "from" j in
+  let* l_until = req_num "until" j in
+  let* l_drop = num "drop" ~default:0.0 j in
+  let* l_dup = num "dup" ~default:0.0 j in
+  let* l_reorder = num "reorder" ~default:0.0 j in
+  let* l_spread = num "spread" ~default:2.0 j in
+  let* l_inflate = num "inflate" ~default:1.0 j in
   Ok { l_src; l_dst; l_from; l_until; l_drop; l_dup; l_reorder; l_spread; l_inflate }
 
 let partition_of_json j =
-  let* n =
-    opt_field "name" ~default:"partition"
-      (function
-        | Json.String s -> Ok s
-        | _ -> Error "Faults.of_json: \"name\" must be a string")
-      j
-  in
-  let* g = field "groups" j in
-  let* p_groups = as_list "groups" (as_pids "groups") g in
-  let* f = field "from" j in
-  let* p_from = as_float "from" f in
-  let* h = field "heal" j in
-  let* p_heal = as_float "heal" h in
-  Ok { p_name = n; p_groups; p_from; p_heal }
+  let* p_name = Json.field "name" ~what:"a string" Json.to_string_opt ~default:"partition" j in
+  let* p_groups = Json.required "groups" ~what:"a list of int lists" (Json.list_opt ints) j in
+  let* p_from = req_num "from" j in
+  let* p_heal = req_num "heal" j in
+  Ok { p_name; p_groups; p_from; p_heal }
 
 let stall_of_json j =
-  let* p = field "pid" j in
-  let* s_pid = as_int "pid" p in
-  let* f = field "from" j in
-  let* s_from = as_float "from" f in
-  let* u = field "until" j in
-  let* s_until = as_float "until" u in
+  let* s_pid = Json.required "pid" ~what:"an int" Json.to_int_opt j in
+  let* s_from = req_num "from" j in
+  let* s_until = req_num "until" j in
   Ok { s_pid; s_from; s_until }
 
 let of_json j =
-  match j with
-  | Json.Obj _ ->
-      let* links = opt_field "links" ~default:[] (as_list "links" link_of_json) j in
-      let* partitions =
-        opt_field "partitions" ~default:[]
-          (as_list "partitions" partition_of_json)
-          j
-      in
-      let* stalls =
-        opt_field "stalls" ~default:[] (as_list "stalls" stall_of_json) j
-      in
-      let* crashes =
-        opt_field "crashes" ~default:Crash.No_crashes Crash.spec_of_json j
-      in
-      let* adversary =
-        opt_field "adversary" ~default:""
-          (function
-            | Json.String s -> Ok s
-            | _ -> Error "Faults.of_json: \"adversary\" must be a string")
-          j
-      in
-      Ok { links; partitions; stalls; crashes; adversary }
-  | _ -> Error "Faults.of_json: expected an object"
+  Result.map_error (( ^ ) "Faults.of_json: ")
+    (match j with
+    | Json.Obj _ ->
+        let* links = objects "links" link_of_json j in
+        let* partitions = objects "partitions" partition_of_json j in
+        let* stalls = objects "stalls" stall_of_json j in
+        let* crashes =
+          match Json.member "crashes" j with
+          | None -> Ok Crash.No_crashes
+          | Some c -> Result.map_error (Printf.sprintf "\"crashes\": %s") (Crash.spec_of_json c)
+        in
+        let* adversary = Json.field "adversary" ~what:"a string" Json.to_string_opt ~default:"" j in
+        Ok { links; partitions; stalls; crashes; adversary }
+    | _ -> Error "expected an object")
 
 let equal (a : t) (b : t) = a = b
 

@@ -61,7 +61,13 @@ and t = {
   mutable router :
     (tag:string -> src:Pid.t -> dst:Pid.t -> Bytes.t -> unit) option;
   inlets : (string, src:Pid.t -> bytes:Bytes.t -> unit) Hashtbl.t;
-  arena : Earena.t;
+  (* The event queue starts sized for the processes' own timers, [2n]
+     events, all a controlled run holds (its deliveries wait in the
+     chooser's [pool]).  The first time it fills, [add_event] replaces it
+     with one of [traffic_capacity] entries; past that it grows on its
+     own. *)
+  mutable arena : Earena.t;
+  mutable arena_sized : bool;
   (* Thunk table (generic events). *)
   mutable th : (unit -> unit) array;
   mutable th_len : int;
@@ -187,9 +193,8 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       local;
       router = None;
       inlets = Hashtbl.create 8;
-      (* n^2 is the delivery pattern of one all-to-all round; n >= 32 gets
-         the arena's full-size wheel. *)
-      arena = Earena.create ~initial:(min (n * n) 1024) ();
+      arena = Earena.create ~initial:(2 * n) ();
+      arena_sized = false;
       th = Array.make 16 nop;
       th_len = 0;
       th_free = Array.make 16 0;
@@ -345,7 +350,25 @@ let rs_take t slot : (unit, unit) Effect.Deep.continuation =
 let park t pid (k : (unit, unit) Effect.Deep.continuation) =
   ignore (rs_alloc t pid (Obj.repr k))
 
-let add_event t ~time ~kind ~arg = Earena.add t.arena ~time ~kind ~arg
+let traffic_capacity t = min (2 * t.n * t.n) 2048
+
+(* Move the queued events, in pop order, to an arena sized for message
+   traffic: re-adding them in (time, seq) order keeps every tie. *)
+let size_arena t =
+  t.arena_sized <- true;
+  let old = t.arena and a = Earena.create ~initial:(traffic_capacity t) () in
+  let s = ref (Earena.pop old) in
+  while !s >= 0 do
+    Earena.add a ~time:(Earena.time_of old !s) ~kind:(Earena.kind_of old !s)
+      ~arg:(Earena.arg_of old !s);
+    s := Earena.pop old
+  done;
+  t.arena <- a
+
+let[@inline] add_event t ~time ~kind ~arg =
+  if (not t.arena_sized) && Earena.length t.arena = Earena.capacity t.arena then
+    size_arena t;
+  Earena.add t.arena ~time ~kind ~arg
 
 let schedule t ~delay run =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
@@ -372,7 +395,7 @@ let register_dispatcher t f =
 
 let schedule_dispatch t ~time ~disp ~row =
   if time < t.now then invalid_arg "Sim.schedule_dispatch: time in the past";
-  Earena.add t.arena ~time ~kind:k_net ~arg:((row lsl 6) lor disp)
+  add_event t ~time ~kind:k_net ~arg:((row lsl 6) lor disp)
 
 let is_crashed t pid = t.crashed.(pid)
 let faults t = t.faults
@@ -570,7 +593,8 @@ let offer t ~src ~dst ~disp ~row =
   if t.chooser = None then invalid_arg "Sim.offer: no chooser installed";
   let len = t.pool_len in
   if len = Array.length t.pool then begin
-    let a' = Array.make (max 16 (2 * len)) 0 in
+    (* The pool holds what the net's in-flight rows hold. *)
+    let a' = Array.make (max (traffic_capacity t) (2 * len)) 0 in
     Array.blit t.pool 0 a' 0 len;
     t.pool <- a'
   end;

@@ -85,6 +85,13 @@ val trace : t -> Trace.t
 val now : t -> float
 val horizon : t -> float
 
+val traffic_capacity : t -> int
+(** The deliveries two all-to-all rounds put in flight, [2n^2], at most
+    2048: the event queue's size from the first time its initial [2n]
+    entries (the processes' own timers) fill, the chooser's pending pool
+    at its first offer, and the in-flight store a substrate starts
+    with. *)
+
 val legacy_queue : t -> bool
 (** Whether this simulator runs the reference closure-per-event queue
     (see {!create}'s [legacy_queue]); [Net] reads it to skip batching. *)

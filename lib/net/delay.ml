@@ -24,6 +24,36 @@ let sample t ~rng ~src ~dst ~now =
   in
   Float.max 0.0 d
 
+(* [sample] for destinations [0 .. len-1] of one broadcast, into [row]:
+   the same draws, in destination order.  The uniform models fill the
+   row inside [Rng], so no delay is boxed on its way here. *)
+let sample_row t ~rng ~src ~now row len =
+  match t with
+  | Constant c -> Array.fill row 0 len (Float.max 0.0 c)
+  | Uniform (lo, hi) ->
+      Rng.fill_uniform rng row len lo hi;
+      for dst = 0 to len - 1 do
+        row.(dst) <- Float.max 0.0 row.(dst)
+      done
+  | Psync { gst; bound; pre_spread } ->
+      if now < gst then begin
+        Rng.fill_uniform rng row len 0.0 pre_spread;
+        let cap = gst +. bound -. now in
+        for dst = 0 to len - 1 do
+          row.(dst) <- Float.max 0.0 (Float.min row.(dst) cap)
+        done
+      end
+      else begin
+        Rng.fill_uniform rng row len 0.0 bound;
+        for dst = 0 to len - 1 do
+          row.(dst) <- Float.max 0.0 row.(dst)
+        done
+      end
+  | Exponential _ | Fn _ ->
+      for dst = 0 to len - 1 do
+        row.(dst) <- sample t ~rng ~src ~dst ~now
+      done
+
 let default = Uniform (0.5, 1.5)
 
 (* Shared by the stubborn transport's resend loop and the adaptive

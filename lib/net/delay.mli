@@ -23,6 +23,14 @@ type t =
 val sample : t -> rng:Rng.t -> src:Pid.t -> dst:Pid.t -> now:float -> float
 (** Draw a delay (>= 0, clamped). *)
 
+val sample_row :
+  t -> rng:Rng.t -> src:Pid.t -> now:float -> float array -> int -> unit
+(** [sample_row t ~rng ~src ~now row len] stores
+    [sample t ~rng ~src ~dst ~now] for [dst = 0 .. len-1] into
+    [row.(dst)]: the draws one broadcast makes, in the same order, with
+    the same values.  For the uniform models ([Uniform], [Psync]) no
+    draw is boxed. *)
+
 val default : t
 (** [Uniform (0.5, 1.5)] — a mild spread around 1 time unit. *)
 

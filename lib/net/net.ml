@@ -3,15 +3,6 @@ open Setagree_dsys
 
 type 'm envelope = { src : Pid.t; dst : Pid.t; payload : 'm }
 
-(* Per-(destination, key) aggregate maintained incrementally at delivery
-   time, so blocked-predicate readiness checks are O(1) lookups instead of
-   whole-mailbox rescans. *)
-type 'm keyslot = {
-  mutable k_senders : Pidset.t;
-  mutable k_nsenders : int; (* = cardinal k_senders, maintained here *)
-  mutable k_envs : 'm envelope list; (* newest-first, as [keyed_fold] walks it *)
-}
-
 type 'm t = {
   sim : Sim.t;
   tag : string;
@@ -25,26 +16,32 @@ type 'm t = {
   (* When present, sends travel through the stubborn transport over a
      fair-lossy link instead of the direct channel. *)
   transport : 'm Lossy.Transport.t option;
-  (* Mailboxes are append-only logs in delivery order, kept only with
-     [retain]. *)
+  (* Mailboxes are append-only logs in delivery order, made and kept only
+     with [retain]. *)
   boxes : 'm envelope Vec.t array;
-  (* Keyed index storage: protocol classify keys are small dense ints
-     (round/phase coordinates), so the common case is a direct array slot
-     read; rare out-of-range keys (negative, or past the dense bound) fall
-     back to a hashtable.  Looked up once per delivery and once per
-     blocked-predicate evaluation, which is what rules out a generic-hash
-     [Hashtbl.find] here. *)
-  kdense : 'm keyslot option array array; (* per dst, key-indexed *)
-  (* Distinct-sender counts mirrored out of the keyslots into flat int
-     rows (grown in lockstep with [kdense]): the quorum predicates reading
-     [keyed_nsenders] run on every blocked-predicate evaluation, and two
-     flat array reads replace the option + record pointer chase. *)
-  knsend : int array array;
-  keyed_ovf : (int, 'm keyslot) Hashtbl.t array;
-  (* What [keyed_drop] leaves in a retired key's place: a slot that is
-     never written, so a late delivery for the key indexes nothing and
-     the key's aggregates read empty.  Physical identity marks it. *)
-  retired : 'm keyslot;
+  (* Keyed index.  Each live (destination, key) owns a slot: [wpn]
+     sender words in [k_words], updated in place, its distinct-sender
+     count, and its deliveries as parallel rows of sources and untyped
+     payloads, in delivery order.  A delivery writes into its slot and
+     allocates nothing once the slot's rows have room; [keyed_drop]
+     hands the slot back through the free list, rows and all, so the
+     next round reuses them.  [kmap] finds a slot: protocol keys are
+     small dense ints (round/phase coordinates), so it is an array per
+     destination indexed by key; the rare out-of-range key (negative,
+     or past [kdense_max]) goes to a per-destination table made at its
+     first use. *)
+  kmap : int array array; (* per dst: slot, [k_none] or [k_retired] *)
+  kovf : (int, int) Hashtbl.t option array;
+  wpn : int; (* [Pidset.words ~n] *)
+  mutable k_words : int array;
+  mutable k_count : int array;
+  (* Deliveries of a live slot; the next free slot of a free one. *)
+  mutable k_len : int array;
+  mutable k_src : int array array;
+  (* Untyped like [r_pay], and for the same reason. *)
+  mutable k_pay : Obj.t array array;
+  mutable k_free : int; (* free-slot list head, -1 = none *)
+  mutable k_slots : int; (* slots ever handed out *)
   conds : Sim.cond array;
   (* Quorum watches: one per destination, registered by [quorum_cond].
      The indexer signals the watch only when the watched key's distinct-
@@ -82,17 +79,17 @@ type 'm t = {
   open_head : int array;
   open_tail : int array;
   open_time : float array;
+  (* One broadcast's delay draws, by destination. *)
+  delays : float array;
 }
 
 let kdense_max = 1 lsl 16
+let k_none = -1
+let k_retired = -2
 
-let fresh_keyslot () =
-  { k_senders = Pidset.empty; k_nsenders = 0; k_envs = [] }
-
-(* The dense row of [dst], grown (with its [knsend] mirror) to hold
-   [key] < [kdense_max]. *)
+(* The key-indexed row of [dst], grown to hold [key] < [kdense_max]. *)
 let dense_row t dst key =
-  let row = t.kdense.(dst) in
+  let row = t.kmap.(dst) in
   let len = Array.length row in
   if key < len then row
   else begin
@@ -100,58 +97,120 @@ let dense_row t dst key =
     while key >= !nlen do
       nlen := 2 * !nlen
     done;
-    let row' = Array.make !nlen None in
+    let row' = Array.make !nlen k_none in
     Array.blit row 0 row' 0 len;
-    t.kdense.(dst) <- row';
-    let kn' = Array.make !nlen 0 in
-    Array.blit t.knsend.(dst) 0 kn' 0 len;
-    t.knsend.(dst) <- kn';
+    t.kmap.(dst) <- row';
     row'
   end
 
-(* Get-or-create the slot for [key] at [dst] (the retired slot for a
-   dropped key). *)
-let keyslot_get t dst key =
+let ovf t dst =
+  match t.kovf.(dst) with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 4 in
+      t.kovf.(dst) <- Some tbl;
+      tbl
+
+(* A cleared slot: off the free list, or a new one.  A new slot's rows
+   hold [n] deliveries, one per sender; duplicates grow them. *)
+let slot_take t =
+  if t.k_free >= 0 then begin
+    let s = t.k_free in
+    t.k_free <- t.k_len.(s);
+    t.k_len.(s) <- 0;
+    s
+  end
+  else begin
+    let s = t.k_slots in
+    let cap = Array.length t.k_count in
+    if s = cap then begin
+      let ncap = max 16 (2 * cap) in
+      let grow a fill =
+        let a' = Array.make ncap fill in
+        Array.blit a 0 a' 0 cap;
+        a'
+      in
+      let words = Array.make (ncap * t.wpn) 0 in
+      Array.blit t.k_words 0 words 0 (cap * t.wpn);
+      t.k_words <- words;
+      t.k_count <- grow t.k_count 0;
+      t.k_len <- grow t.k_len 0;
+      t.k_src <- grow t.k_src [||];
+      t.k_pay <- grow t.k_pay [||]
+    end;
+    let n = Sim.n t.sim in
+    t.k_src.(s) <- Array.make n 0;
+    t.k_pay.(s) <- Array.make n (Obj.repr 0);
+    t.k_slots <- s + 1;
+    s
+  end
+
+let slot_release t s =
+  Array.fill t.k_words (s * t.wpn) t.wpn 0;
+  Array.fill t.k_pay.(s) 0 t.k_len.(s) (Obj.repr 0);
+  t.k_count.(s) <- 0;
+  t.k_len.(s) <- t.k_free;
+  t.k_free <- s
+
+(* The slot of [key] at [dst], taken at its first delivery; [k_retired]
+   for a dropped key. *)
+let slot_get t dst key =
   if key >= 0 && key < kdense_max then begin
     let row = dense_row t dst key in
-    match row.(key) with
-    | Some s -> s
-    | None ->
-        let s = fresh_keyslot () in
-        row.(key) <- Some s;
-        s
+    let s = row.(key) in
+    if s <> k_none then s
+    else begin
+      let s = slot_take t in
+      row.(key) <- s;
+      s
+    end
   end
-  else
-    match Hashtbl.find t.keyed_ovf.(dst) key with
+  else begin
+    let tbl = ovf t dst in
+    match Hashtbl.find tbl key with
     | s -> s
     | exception Not_found ->
-        let s = fresh_keyslot () in
-        Hashtbl.add t.keyed_ovf.(dst) key s;
+        let s = slot_take t in
+        Hashtbl.add tbl key s;
         s
+  end
 
-(* The slot for [key] at [pid], if a delivery created it or the key was
-   retired. *)
-let keyslot_find t pid key =
-  if key >= 0 && key < kdense_max then
-    let row = t.kdense.(pid) in
-    if key < Array.length row then row.(key) else None
-  else Hashtbl.find_opt t.keyed_ovf.(pid) key
+(* The slot of [key] at [pid], or a negative marker. *)
+let slot_find t pid key =
+  if key >= 0 && key < kdense_max then begin
+    let row = t.kmap.(pid) in
+    if key < Array.length row then row.(key) else k_none
+  end
+  else
+    match t.kovf.(pid) with
+    | None -> k_none
+    | Some tbl -> Option.value (Hashtbl.find_opt tbl key) ~default:k_none
 
-let index t ~dst (env : 'm envelope) key =
-  let slot = keyslot_get t dst key in
-  if slot != t.retired then begin
-    if not (Pidset.mem env.src slot.k_senders) then begin
-      slot.k_senders <- Pidset.add env.src slot.k_senders;
-      slot.k_nsenders <- slot.k_nsenders + 1;
-      if key >= 0 && key < kdense_max then
-        t.knsend.(dst).(key) <- slot.k_nsenders;
+let index t ~dst ~src payload key =
+  let s = slot_get t dst key in
+  if s >= 0 then begin
+    if Pidset.add_in t.k_words (s * t.wpn) src then begin
+      let c = t.k_count.(s) + 1 in
+      t.k_count.(s) <- c;
       (* Counts only increment by one, so [=] fires exactly at the
          crossing (a watch registered at-or-above its threshold is
          resolved by the await's immediate first evaluation instead). *)
-      if t.watch_key.(dst) = key && slot.k_nsenders = t.watch_q.(dst) then
+      if t.watch_key.(dst) = key && c = t.watch_q.(dst) then
         Sim.Cond.signal t.watch_conds.(dst)
     end;
-    slot.k_envs <- env :: slot.k_envs
+    let len = t.k_len.(s) in
+    if len = Array.length t.k_src.(s) then begin
+      let grow a fill =
+        let a' = Array.make (2 * len) fill in
+        Array.blit a 0 a' 0 len;
+        a'
+      in
+      t.k_src.(s) <- grow t.k_src.(s) 0;
+      t.k_pay.(s) <- grow t.k_pay.(s) (Obj.repr 0)
+    end;
+    t.k_src.(s).(len) <- src;
+    t.k_pay.(s).(len) <- Obj.repr payload;
+    t.k_len.(s) <- len + 1
   end
 
 let rec deliver t ~src ~dst payload () =
@@ -166,30 +225,25 @@ let rec deliver t ~src ~dst payload () =
   end
 
 and deliver_now t ~src ~dst payload =
-  begin
-    let env = { src; dst; payload } in
-    if t.retain then Vec.push t.boxes.(dst) env;
-    (match t.classify with Some f -> index t ~dst env (f payload) | None -> ());
-    t.delivered <- t.delivered + 1;
-    Trace.bump t.h_delivered 1;
-    let tr = Sim.trace t.sim in
-    if Trace.records_full tr then
-      Trace.record tr ~time:(Sim.now t.sim)
-        (Trace.Deliver { src; dst; tag = t.tag });
-    (* Match form: no closure capture when the common cases (no handler,
-       one handler) run on every delivery. *)
-    (match t.handlers with
-    | [] -> ()
-    | [ h ] -> h env
-    | hs -> List.iter (fun h -> h env) hs);
-    Sim.Cond.signal t.conds.(dst)
-  end
+  (match t.classify with Some f -> index t ~dst ~src payload (f payload) | None -> ());
+  t.delivered <- t.delivered + 1;
+  Trace.bump t.h_delivered 1;
+  let tr = Sim.trace t.sim in
+  if Trace.records_full tr then
+    Trace.record tr ~time:(Sim.now t.sim) (Trace.Deliver { src; dst; tag = t.tag });
+  (* The envelope exists only for the mailbox and the handlers. *)
+  (match t.handlers with
+  | [] -> if t.retain then Vec.push t.boxes.(dst) { src; dst; payload }
+  | hs -> (
+      let env = { src; dst; payload } in
+      if t.retain then Vec.push t.boxes.(dst) env;
+      match hs with [ h ] -> h env | hs -> List.iter (fun h -> h env) hs));
+  Sim.Cond.signal t.conds.(dst)
 
 (* ---- Flat rows and batched dispatch ---- *)
 
-let row_grow t =
+let row_grow t ncap =
   let cap = Array.length t.r_src in
-  let ncap = max 16 (2 * cap) in
   let copy a fill =
     let a' = Array.make ncap fill in
     Array.blit a 0 a' 0 cap;
@@ -205,7 +259,7 @@ let row_grow t =
   t.r_free <- cap
 
 let row_alloc t ~src ~dst payload =
-  if t.r_free = -1 then row_grow t;
+  if t.r_free = -1 then row_grow t (2 * Array.length t.r_src);
   let r = t.r_free in
   t.r_free <- t.r_next.(r);
   t.r_src.(r) <- src;
@@ -247,7 +301,7 @@ let dispatch t head =
    this instant, else open a new batch (one event, one future mailbox
    drain for the whole batch).  Legacy engine: one closure event per
    message, the historical behavior. *)
-let schedule_delivery t ~src ~dst ~deliver_at payload =
+let[@inline] schedule_delivery t ~src ~dst ~deliver_at payload =
   if Sim.legacy_queue t.sim then
     Sim.at t.sim ~time:deliver_at (deliver t ~src ~dst payload)
   else begin
@@ -290,11 +344,17 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = false) ?classi
       retain;
       classify;
       transport;
-      boxes = Array.init n (fun _ -> Vec.create ());
-      kdense = Array.make n [||];
-      knsend = Array.make n [||];
-      keyed_ovf = Array.init n (fun _ -> Hashtbl.create 4);
-      retired = fresh_keyslot ();
+      boxes = (if retain then Array.init n (fun _ -> Vec.create ()) else [||]);
+      kmap = Array.make n [||];
+      kovf = Array.make n None;
+      wpn = Pidset.words ~n;
+      k_words = [||];
+      k_count = [||];
+      k_len = [||];
+      k_src = [||];
+      k_pay = [||];
+      k_free = -1;
+      k_slots = 0;
       conds = Array.init n (fun _ -> Sim.Cond.create sim);
       watch_key = Array.make n min_int;
       watch_q = Array.make n 0;
@@ -314,8 +374,10 @@ let create sim ?(tag = "net") ?(delay = Delay.default) ?(retain = false) ?classi
       open_head = Array.make n (-1);
       open_tail = Array.make n (-1);
       open_time = Array.make n neg_infinity;
+      delays = Array.make n 0.0;
     }
   in
+  row_grow t (Sim.traffic_capacity sim);
   t.disp <- Sim.register_dispatcher sim (fun head -> dispatch t head);
   Option.iter
     (fun tr ->
@@ -340,20 +402,55 @@ let quorum_cond t pid ~key ~q =
   t.watch_q.(pid) <- q;
   t.watch_conds.(pid)
 
-let note_sent t ~src ~dst =
+let full t = Trace.records_full (Sim.trace t.sim)
+
+(* Count a send, and record it when the trace level is [full] (a
+   broadcast reads the level once for all its copies). *)
+let note_sent t ~full ~src ~dst =
   t.sent <- t.sent + 1;
   Trace.bump t.h_sent 1;
-  let tr = Sim.trace t.sim in
-  if Trace.records_full tr then
-    Trace.record tr ~time:(Sim.now t.sim) (Trace.Send { src; dst; tag = t.tag })
+  if full then
+    Trace.record (Sim.trace t.sim) ~time:(Sim.now t.sim)
+      (Trace.Send { src; dst; tag = t.tag })
+
+(* One timed send, the body [send] and [broadcast] share once the sender,
+   routing, chooser and faults are checked.  A delay is never negative,
+   so [deliver_at] is never in the past. *)
+let[@inline] send_timed t ~full ~src ~dst ~deliver_at payload =
+  note_sent t ~full ~src ~dst;
+  schedule_delivery t ~src ~dst ~deliver_at payload
 
 let send_at t ~src ~dst ~deliver_at payload =
   if not (Sim.is_crashed t.sim src) then begin
-    note_sent t ~src ~dst;
+    note_sent t ~full:(full t) ~src ~dst;
     schedule_delivery t ~src ~dst
       ~deliver_at:(Float.max deliver_at (Sim.now t.sim))
       payload
   end
+
+(* A fault spec is attached: each copy's fate is drawn on [frng], then
+   its delay on [rng]. *)
+let send_faulty t ~src ~dst ~now payload =
+  let fa = Sim.faults t.sim in
+  let plan = Faults.send_plan fa t.frng ~src ~dst ~now in
+  let tr = Sim.trace t.sim in
+  match plan.Faults.park with
+  | Some until ->
+      (* Parked, not lost: the link resumes service when the fault
+         window closes and the message then takes a normal hop. *)
+      Trace.incr tr "fault.parked";
+      let d = Delay.sample t.delay ~rng:t.rng ~src ~dst ~now in
+      send_at t ~src ~dst ~deliver_at:(until +. d) payload
+  | None ->
+      if plan.Faults.copies > 1 then
+        Trace.add_to tr "fault.dup" (plan.Faults.copies - 1);
+      if plan.Faults.extra > 0.0 then Trace.incr tr "fault.reorder";
+      if plan.Faults.inflate <> 1.0 then Trace.incr tr "fault.inflated";
+      for _copy = 1 to plan.Faults.copies do
+        let d = Delay.sample t.delay ~rng:t.rng ~src ~dst ~now in
+        let d = (d *. plan.Faults.inflate) +. plan.Faults.extra in
+        send_at t ~src ~dst ~deliver_at:(now +. d) payload
+      done
 
 let send t ~src ~dst payload =
   if not (Sim.is_crashed t.sim src) then begin
@@ -363,7 +460,7 @@ let send t ~src ~dst payload =
        transport.  Self-sends stay on the local delivery path (with a
        sampled delay), so a process's own messages keep sim semantics. *)
     | Some route, Some l when dst <> l ->
-        note_sent t ~src ~dst;
+        note_sent t ~full:(full t) ~src ~dst;
         route ~tag:t.tag ~src ~dst (Marshal.to_bytes payload [])
     | _ -> (
     match t.transport with
@@ -372,45 +469,45 @@ let send t ~src ~dst payload =
        RNG draw, so controlled runs don't perturb uncontrolled replays of
        the same seed).  A pick dispatches it as a one-row batch. *)
     | None when Sim.controlled t.sim ->
-        note_sent t ~src ~dst;
+        note_sent t ~full:(full t) ~src ~dst;
         let r = row_alloc t ~src ~dst payload in
         Sim.offer t.sim ~src ~dst ~disp:t.disp ~row:r
     | None ->
         let now = Sim.now t.sim in
         if Sim.faults_none t.sim then
           let d = Delay.sample t.delay ~rng:t.rng ~src ~dst ~now in
-          send_at t ~src ~dst ~deliver_at:(now +. d) payload
-        else begin
-          let fa = Sim.faults t.sim in
-          let plan = Faults.send_plan fa t.frng ~src ~dst ~now in
-          let tr = Sim.trace t.sim in
-          match plan.Faults.park with
-          | Some until ->
-              (* Parked, not lost: the link resumes service when the fault
-                 window closes and the message then takes a normal hop. *)
-              Trace.incr tr "fault.parked";
-              let d = Delay.sample t.delay ~rng:t.rng ~src ~dst ~now in
-              send_at t ~src ~dst ~deliver_at:(until +. d) payload
-          | None ->
-              if plan.Faults.copies > 1 then
-                Trace.add_to tr "fault.dup" (plan.Faults.copies - 1);
-              if plan.Faults.extra > 0.0 then Trace.incr tr "fault.reorder";
-              if plan.Faults.inflate <> 1.0 then Trace.incr tr "fault.inflated";
-              for _copy = 1 to plan.Faults.copies do
-                let d = Delay.sample t.delay ~rng:t.rng ~src ~dst ~now in
-                let d = (d *. plan.Faults.inflate) +. plan.Faults.extra in
-                send_at t ~src ~dst ~deliver_at:(now +. d) payload
-              done
-        end
+          send_timed t ~full:(full t) ~src ~dst ~deliver_at:(now +. d) payload
+        else send_faulty t ~src ~dst ~now payload
     | Some tr ->
-        note_sent t ~src ~dst;
+        note_sent t ~full:(full t) ~src ~dst;
         Lossy.Transport.send tr ~src ~dst payload)
   end
 
+(* Every copy of a broadcast takes the timed path or none does: the
+   sender, routing, chooser, faults and trace level are checked once, and
+   the n delays are drawn in one call, in destination order, as n [send]s
+   would draw them. *)
 let broadcast t ~src payload =
-  for dst = 0 to Sim.n t.sim - 1 do
-    send t ~src ~dst payload
-  done
+  let sim = t.sim in
+  let n = Sim.n sim in
+  let timed =
+    (match t.transport with None -> true | Some _ -> false)
+    && (match (Sim.router sim, Sim.local sim) with Some _, Some _ -> false | _ -> true)
+    && (not (Sim.controlled sim))
+    && Sim.faults_none sim
+  in
+  if not timed then
+    for dst = 0 to n - 1 do
+      send t ~src ~dst payload
+    done
+  else if not (Sim.is_crashed sim src) then begin
+    let now = Sim.now sim in
+    let full = full t in
+    Delay.sample_row t.delay ~rng:t.rng ~src ~now t.delays n;
+    for dst = 0 to n - 1 do
+      send_timed t ~full ~src ~dst ~deliver_at:(now +. t.delays.(dst)) payload
+    done
+  end
 
 let broadcast_staggered t ~src ~step payload =
   let n = Sim.n t.sim in
@@ -424,32 +521,42 @@ let broadcast_staggered t ~src ~step payload =
   in
   go 0
 
-let inbox t pid = Vec.to_list t.boxes.(pid)
+let inbox t pid = if t.retain then Vec.to_list t.boxes.(pid) else []
 
-(* The per-event quorum predicate: two flat reads off the mirror rows. *)
+(* The per-event quorum predicate: a slot lookup and its count. *)
 let keyed_nsenders t pid key =
-  if key >= 0 && key < kdense_max then begin
-    let row = t.knsend.(pid) in
-    if key < Array.length row then row.(key) else 0
-  end
-  else match keyslot_find t pid key with Some s -> s.k_nsenders | None -> 0
+  let s = slot_find t pid key in
+  if s >= 0 then t.k_count.(s) else 0
 
 let keyed_senders t pid key =
-  match keyslot_find t pid key with
-  | Some s -> s.k_senders
-  | None -> Pidset.empty
+  let s = slot_find t pid key in
+  if s >= 0 then Pidset.of_words t.k_words (s * t.wpn) t.wpn else Pidset.empty
 
-let keyed_fold t pid key ~init ~f =
-  match keyslot_find t pid key with
-  | Some s -> List.fold_left f init s.k_envs
-  | None -> init
+let keyed_fold (t : 'm t) pid key ~init ~f =
+  let s = slot_find t pid key in
+  if s < 0 then init
+  else begin
+    let srcs = t.k_src.(s) and pays = t.k_pay.(s) in
+    let acc = ref init in
+    for i = t.k_len.(s) - 1 downto 0 do
+      acc := f !acc srcs.(i) (Obj.obj pays.(i) : 'm)
+    done;
+    !acc
+  end
 
 let keyed_drop t pid key =
   if key >= 0 && key < kdense_max then begin
-    (dense_row t pid key).(key) <- Some t.retired;
-    t.knsend.(pid).(key) <- 0
+    let row = dense_row t pid key in
+    if row.(key) >= 0 then slot_release t row.(key);
+    row.(key) <- k_retired
   end
-  else Hashtbl.replace t.keyed_ovf.(pid) key t.retired
+  else begin
+    let tbl = ovf t pid in
+    (match Hashtbl.find_opt tbl key with
+    | Some s when s >= 0 -> slot_release t s
+    | _ -> ());
+    Hashtbl.replace tbl key k_retired
+  end
 
 let on_deliver t h = t.handlers <- t.handlers @ [ h ]
 let sent_count t = t.sent

@@ -117,28 +117,41 @@ val inbox : 'm t -> Pid.t -> 'm envelope list
 (** All messages delivered to the process so far, in delivery order, on a
     net created with [~retain:true]; [[]] otherwise. *)
 
-(** {1 Keyed delivery index} (requires [classify] at {!create}) *)
+(** {1 Keyed delivery index} (requires [classify] at {!create})
+
+    For each (destination, key) with a delivery, the index holds the
+    distinct senders, kept as in-place words, their count, and every
+    delivery's sender and payload, in delivery order.  A delivery
+    updates these in place; it builds no envelope unless the net keeps
+    a mailbox ([retain]) or has {!on_deliver} handlers.  {!keyed_drop}
+    hands the key's storage back for a later key to reuse, so a run's
+    index holds its live rounds, not its history. *)
 
 val keyed_senders : 'm t -> Pid.t -> int -> Pidset.t
 (** Distinct senders of the deliveries to the process whose payload
-    classified to the key — the O(1) form of the "received PHASE1(r)
-    from n-t processes" readiness checks. *)
+    classified to the key — the "received PHASE1(r) from n-t
+    processes" readiness checks.  Built from the in-place words on each
+    call. *)
 
 val keyed_nsenders : 'm t -> Pid.t -> int -> int
-(** [cardinal (keyed_senders t pid key)] without the popcount — an int
-    maintained at delivery, for quorum predicates evaluated per event. *)
+(** [cardinal (keyed_senders t pid key)] without building the set — an
+    int maintained at delivery, for quorum predicates evaluated per
+    event. *)
 
 val keyed_fold :
-  'm t -> Pid.t -> int -> init:'a -> f:('a -> 'm envelope -> 'a) -> 'a
-(** Fold over the matching envelopes, newest first — no copy.  For the
-    per-wakeup scans on the protocol hot path whose result is
-    order-independent (tallies, minima, quorum contents). *)
+  'm t -> Pid.t -> int -> init:'a -> f:('a -> Pid.t -> 'm -> 'a) -> 'a
+(** [keyed_fold t pid key ~init ~f] folds [f acc src payload] over the
+    key's deliveries to the process, newest first, a duplicated message
+    once per copy — no copy of the index.  For the per-wakeup scans on
+    the protocol hot path whose result is order-independent (tallies,
+    minima, quorum contents).  [f] must not deliver to or drop the key
+    it folds. *)
 
 val keyed_drop : 'm t -> Pid.t -> int -> unit
 (** Retire the key at the process for good: the protocol will never read
-    it again (a finished round).  Its envelopes become garbage instead of
-    retained history, keeping a long run's live heap bounded by the round
-    window, and a late delivery for the key is still delivered (counted,
+    it again (a finished round).  Its storage goes back to the index for
+    reuse, keeping a long run's live heap bounded by the round window,
+    and a late delivery for the key is still delivered (counted,
     handed to {!on_deliver} handlers, and it signals {!cond}) but indexes
     nothing: {!keyed_nsenders}, {!keyed_senders} and {!keyed_fold} read
     the key as empty from the drop on, and no {!quorum_cond} watch on it

@@ -72,13 +72,13 @@ let chain_limit = 24 (* rebuild with bw/2 when a scanned chain exceeds this *)
 let max_bw_inv = 1e12 (* narrowing fuse: equal-time pileups can't split *)
 
 (* Wheel size for [initial] expected entries: 16 buckets per entry, a
-   power of two between 1024 (one summary word covers the bitmap) and
-   16384.  A small simulation keeps its wheel, bitmaps and set-up cost
-   small; the window still spans 4 time units, so the buckets are only
-   wider, and [rebuild_narrower] halves them if chains grow. *)
+   power of two between 32 (one bitmap word) and 16384.  A small
+   simulation keeps its wheel, bitmaps and set-up cost small; the window
+   still spans 4 time units, so the buckets are only wider, and
+   [rebuild_narrower] halves them if chains grow. *)
 let wheel_buckets initial =
   let rec up nb = if nb >= 16 * initial || nb >= 16384 then nb else up (2 * nb) in
-  up 1024
+  up 32
 
 let create ?(initial = 64) () =
   let cap = max 4 initial in
@@ -96,7 +96,9 @@ let create ?(initial = 64) () =
     nb_mask = nb - 1;
     buckets = Array.make nb (-1);
     bits = Array.make (nb / 32) 0;
-    summary = Array.make (nb / 1024) 0;
+    (* Below 1024 buckets the bitmap's words take part of one summary
+       word. *)
+    summary = Array.make (max 1 (nb / 1024)) 0;
     (* The window starts 4 time units wide, whatever [nb]. *)
     bw_inv = float_of_int nb /. 4.0;
     floor_ab = 0;

@@ -29,9 +29,9 @@ val create : ?initial:int -> unit -> t
 (** Empty arena sized for [initial] (default 64) pending entries: the
     starting slot capacity (it grows by doubling past that), and the
     timing wheel's bucket count, 16 per entry rounded up to a power of
-    two and kept within [1024, 16384] — so [initial >= 1024] gets the
-    full 16384 buckets and a small simulation a 1024-bucket wheel.  The
-    size changes only cost, never the pop order. *)
+    two and kept within [32, 16384] — so [initial >= 1024] gets the
+    full 16384 buckets and [initial <= 2] the 32 buckets of one bitmap
+    word.  The size changes only cost, never the pop order. *)
 
 val length : t -> int
 val is_empty : t -> bool

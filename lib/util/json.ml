@@ -420,13 +420,22 @@ let to_int_opt = function Int i -> Some i | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 
-let field name ~what conv ~default j =
+let list_opt conv = function
+  | List l ->
+      let xs = List.filter_map conv l in
+      if List.compare_lengths xs l = 0 then Some xs else None
+  | _ -> None
+
+let required name ~what conv j =
   match member name j with
-  | None -> Ok default
+  | None -> Error (Printf.sprintf "missing field %S" name)
   | Some v -> (
       match conv v with
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "%S must be %s" name what))
+
+let field name ~what conv ~default j =
+  match member name j with None -> Ok default | Some _ -> required name ~what conv j
 
 let rec equal a b =
   match (a, b) with

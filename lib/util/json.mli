@@ -97,12 +97,20 @@ val to_int_opt : t -> int option
 val to_bool_opt : t -> bool option
 val to_string_opt : t -> string option
 
+val list_opt : (t -> 'a option) -> t -> 'a list option
+(** [list_opt conv] converts a [List] whose every element [conv]
+    converts, in order; [None] otherwise. *)
+
 val field :
   string -> what:string -> (t -> 'a option) -> default:'a -> t -> ('a, string) result
 (** [field name ~what conv ~default obj] reads one member of a spec
     object: [Ok default] when it is missing, and an error naming the
     field and what it must be ([what], e.g. ["an int"]) when [conv]
     refuses its value. *)
+
+val required : string -> what:string -> (t -> 'a option) -> t -> ('a, string) result
+(** {!field} for a member with no default: a missing one is refused as
+    [missing field "name"]. *)
 
 val equal : t -> t -> bool
 (** Structural equality, with [Int i] and [Float f] distinct. *)

@@ -117,24 +117,23 @@ let diff a b =
     trim
       (Array.init la (fun i -> if i < lb then a.(i) land lnot b.(i) else a.(i)))
 
-let subset a b =
-  let la = Array.length a and lb = Array.length b in
-  la <= lb
-  &&
-  let rec go i = i >= la || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
-  go 0
+(* The word loops below are top-level functions of all their operands:
+   a local [let rec go] would allocate a closure per call, and [subset]
+   runs after every simulated event (Kset's stop condition). *)
+let rec subset_from a b i la =
+  i >= la || (a.(i) land lnot b.(i) = 0 && subset_from a b (i + 1) la)
 
-let disjoint a b =
-  let l = min (Array.length a) (Array.length b) in
-  let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
-  go 0
+let subset a b =
+  let la = Array.length a in
+  la <= Array.length b && subset_from a b 0 la
+
+let rec disjoint_from a b i l = i >= l || (a.(i) land b.(i) = 0 && disjoint_from a b (i + 1) l)
+let disjoint a b = disjoint_from a b 0 (min (Array.length a) (Array.length b))
+
+let rec equal_below (a : t) b i = i < 0 || (a.(i) = b.(i) && equal_below a b (i - 1))
 
 let equal (a : t) b =
-  a == b
-  || (Array.length a = Array.length b
-     &&
-     let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
-     go (Array.length a - 1))
+  a == b || (Array.length a = Array.length b && equal_below a b (Array.length a - 1))
 let compare (a : t) b = Stdlib.compare a b
 let of_list l = List.fold_left (fun s p -> add p s) empty l
 
@@ -219,6 +218,26 @@ let to_string s =
     done
   done;
   Bytes.unsafe_to_string b
+
+(* ---- Sets kept in place, in a caller's int array ---- *)
+
+let words ~n = if n <= 0 then 0 else ((n - 1) / word) + 1
+
+let add_in row off p =
+  let i = off + (p / word) and b = 1 lsl (p mod word) in
+  let w = row.(i) in
+  if w land b <> 0 then false
+  else begin
+    row.(i) <- w lor b;
+    true
+  end
+
+let of_words row off len =
+  let top = ref (len - 1) in
+  while !top >= 0 && row.(off + !top) = 0 do
+    decr top
+  done;
+  if !top < 0 then empty else Array.sub row off (!top + 1)
 
 let pp fmt s = Format.pp_print_string fmt (to_string s)
 

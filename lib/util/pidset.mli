@@ -76,6 +76,23 @@ val random : Rng.t -> n:int -> size:int -> t
 (** [random rng ~n ~size] draws a uniformly random subset of [{0..n-1}] of
     cardinality [size]. *)
 
+(** {1 Sets kept in place}
+
+    A hot index that adds members one at a time keeps its sets as
+    [words ~n] ints of its own array, updated in place, and builds a
+    {!t} only when one is asked for. *)
+
+val words : n:int -> int
+(** Ints per in-place set over the pids [0 .. n-1]. *)
+
+val add_in : int array -> int -> Pid.t -> bool
+(** [add_in row off p] adds [p] to the in-place set starting at
+    [row.(off)]; [true] iff [p] was not a member yet. *)
+
+val of_words : int array -> int -> int -> t
+(** [of_words row off len] is the in-place set of [len] ints starting at
+    [row.(off)], as a {!t} (a copy). *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints [{p1,p4,p5}]. *)
 

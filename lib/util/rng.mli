@@ -41,6 +41,12 @@ val exponential : t -> mean:float -> float
 val uniform_in : t -> float -> float -> float
 (** [uniform_in t lo hi] is uniform in [lo, hi). *)
 
+val fill_uniform : t -> float array -> int -> float -> float -> unit
+(** [fill_uniform t row len lo hi] stores [len] successive
+    [uniform_in t lo hi] draws into [row.(0)] .. [row.(len - 1)]: the
+    same values in the same order, without boxing each one on its way
+    out of this module. *)
+
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 

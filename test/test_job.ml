@@ -1998,6 +1998,92 @@ let test_daemon_replay_paths_agree () =
   Domain.join d;
   rm_rf dir
 
+(* [--index i] names the file's i-th record, whether or not the records
+   before it decode: record 0 of each file below does not decode, record
+   1 is a real one.  Index 0 is refused naming record 0 and why, index 1
+   replays record 1 (a counterexample reproduces), and index 2 is out of
+   range of both records.  The daemon validates a replay spec with
+   [Job.validate], so it refuses the same. *)
+let test_replay_by_position () =
+  let dir = tmpdir "replaypos" in
+  let ces =
+    (Job.execute ~jobs:1
+       (Job.of_flags ~kind:`Explore ~protocol:"kset"
+          ~bounds:{ Explorer.default_bounds with Explorer.depth = 4; delays = 1 }
+          {
+            Protocol.default with
+            Protocol.n = 7;
+            t = 2;
+            z = 2;
+            k = 1;
+            crashes = Setagree_dsys.Crash.No_crashes;
+          }))
+      .Job.o_ces
+  in
+  let good = Setagree_dsys.Schedule.to_json (List.hd ces) in
+  let garbage =
+    match good with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "choices" then (k, Json.String "garbage") else (k, v))
+             fields)
+    | _ -> Alcotest.fail "a schedule is an object"
+  in
+  let two name records =
+    let path = Filename.concat dir name in
+    Json.write_file path (Json.Obj [ ("counterexamples", Json.List records) ]);
+    path
+  in
+  let sched = two "counterexamples.json" [ garbage; good ] in
+  let fails =
+    let f =
+      {
+        Chaos.f_protocol = "kset";
+        f_mix = "none";
+        f_kind = Chaos.Safety;
+        f_notes = [];
+        f_params = Protocol.default;
+      }
+    in
+    let path = Chaos.write_failures ~dir [ f ] in
+    let record =
+      match Json.member "failures" (Result.get_ok (Json.of_string (In_channel.with_open_bin path In_channel.input_all))) with
+      | Some (Json.List [ r ]) -> r
+      | _ -> Alcotest.fail "write_failures writes one record"
+    in
+    Json.write_file path
+      (Json.Obj
+         [
+           ( "failures",
+             Json.List [ Json.Obj [ ("params", Json.Obj [ ("n", Json.String "four") ]) ]; record ] );
+         ]);
+    path
+  in
+  (match Explorer.load_counterexamples sched with
+  | Ok [ Error _; Ok s ] ->
+      check "record 1 is the counterexample" true (Setagree_dsys.Schedule.to_json s = good)
+  | _ -> Alcotest.fail "load_counterexamples keeps both records in place");
+  (match Chaos.load_failures fails with
+  | Ok [ Error _; Ok f ] -> check "record 1 is the failure" true (f.Chaos.f_protocol = "kset")
+  | _ -> Alcotest.fail "load_failures keeps both records in place");
+  List.iter
+    (fun (source, path, unit) ->
+      let replay index = Job.Replay { source; path; index } in
+      (match Job.validate (replay 0) with
+      | Error [ e ] ->
+          check ("names record 0: " ^ e) true
+            (Strutil.contains e ~sub:(path ^ ": record 0 does not decode: "))
+      | _ -> Alcotest.fail "index 0 must be refused");
+      check "index 1 is accepted" true (Job.validate (replay 1) = Ok ());
+      check "index 2 is out of range of both records" true
+        (Job.validate (replay 2)
+        = Error [ Printf.sprintf "--index 2 out of range (2 %s)" unit ]))
+    [ (Job.Schedule_file, sched, "counterexample(s)"); (Job.Faults_file, fails, "failure(s)") ];
+  let o = Job.execute ~jobs:1 (Job.Replay { source = Job.Schedule_file; path = sched; index = 1 }) in
+  check_int "record 1 reproduces" 0 o.Job.o_exit;
+  rm_rf dir
+
 (* The daemon refuses at submit what [fdkit explore -z 0] refuses. *)
 let test_daemon_refuses_oracle_range () =
   let dir = tmpdir "zrange" in
@@ -2078,12 +2164,14 @@ let test_daemon_refuses_backend_trace () =
    decoder rejects, refuses the spec, naming the field, instead of
    running with a default in its place (no faults, two crashes, n = 8,
    32 seeds): [fdkit submit --spec] exits 3 and the daemon answers the
-   submit with an error frame. *)
+   submit with an error frame.  A crash spec that is not an object is
+   refused as one, not for a missing "kind". *)
 let test_daemon_refuses_malformed () =
   let specs =
     [
       ("links", {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"faults":{"links":"bogus"}}}|});
-      ("crashes", {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"crashes":"three"}}|});
+      ( {|"crashes": Crash.spec_of_json: expected an object|},
+        {|{"kind":"run","protocol":"kset","params":{"n":4,"t":1,"crashes":"three"}}|} );
       ({|"n"|}, {|{"kind":"run","protocol":"kset","params":{"n":"4","t":1}}|});
       ("seeds", {|{"kind":"campaign","protocol":"kset","seeds":"5"}|});
     ]
@@ -2524,6 +2612,7 @@ let () =
         @ [
             Alcotest.test_case "retired engine keys decode" `Quick test_retired_keys_decode;
             Alcotest.test_case "replay keeps backend" `Quick test_replay_keeps_backend;
+            Alcotest.test_case "replay by record position" `Quick test_replay_by_position;
           ] );
       ( "cache",
         [

@@ -273,6 +273,21 @@ let qcheck_validity_only_proposed =
       let o = run_kset ~seed ~z:2 ~k:2 () in
       List.for_all (fun (_, v, _, _) -> v >= 100 && v < 107) (Kset.decisions o.handle))
 
+(* The message path's allocation budget, end to end: the benchmark's
+   kset run (n=32, t=15, z=k=2, gst=10) through [Protocol.run], set-up
+   and check included, allocates at most 20 minor words per event. *)
+let test_run_allocation () =
+  let p =
+    { Protocol.default with Protocol.n = 32; t = 15; z = 2; k = 2; gst = 10.0; seed = 1 }
+  in
+  let kset = Option.get (Protocol.find "kset") in
+  ignore (Protocol.run kset p);
+  let w0 = Gc.minor_words () in
+  let r = Protocol.run kset p in
+  let per = (Gc.minor_words () -. w0) /. float_of_int r.Protocol.rp_outcome.Sim.events in
+  check "the run decides" true r.Protocol.rp_verdict.Check.ok;
+  check (Printf.sprintf "%.1f minor words per event, at most 20" per) true (per <= 20.0)
+
 let () =
   Alcotest.run "kset"
     [
@@ -293,6 +308,7 @@ let () =
           Alcotest.test_case "zero degradation" `Quick test_zero_degradation;
           Alcotest.test_case "zero degradation all z" `Quick test_zero_degradation_all_z;
           Alcotest.test_case "messages grow with rounds" `Quick test_messages_grow_with_rounds;
+          Alcotest.test_case "run allocation" `Quick test_run_allocation;
         ] );
       ( "mechanics",
         [

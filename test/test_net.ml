@@ -187,9 +187,9 @@ let test_counters () =
   check_int "sent" 5 (Net.sent_count net);
   check_int "delivered" 5 (Net.delivered_count net)
 
-(* The keyed envelopes, oldest first ([keyed_fold] walks newest first). *)
+(* The keyed payloads, oldest first ([keyed_fold] walks newest first). *)
 let keyed_payloads net pid key =
-  Net.keyed_fold net pid key ~init:[] ~f:(fun acc (e : int Net.envelope) -> e.payload :: acc)
+  Net.keyed_fold net pid key ~init:[] ~f:(fun acc _ payload -> payload :: acc)
 
 let test_keyed_index_matches_filters () =
   (* The delivery-time keyed index must agree with what the handlers saw,
@@ -265,6 +265,103 @@ let test_keyed_drop_retires () =
   check_int "all delivered" 11 (Net.delivered_count net);
   check_int "all handled" 11 !handled;
   check_int "all retained" 11 (List.length (Net.inbox net 1))
+
+(* The keyed index against a list model built from what the handlers
+   see.  Four processes broadcast, drop keys and check the index at
+   scheduled instants: keys in the dense range, a negative one and one
+   past it; a drop before any delivery, between deliveries and after
+   all of them, so late deliveries reach retired keys; and freed slots
+   reused by later keys.  Half the cases run under a [dup] fault, whose
+   broadcasts take the per-destination path and deliver some copies
+   twice.  [keyed_nsenders], [keyed_senders] and [keyed_fold] (newest
+   first) must match the model at every check and at the end. *)
+let qcheck_keyed_index_model =
+  let keys = [| 0; 1; 2; 3; -3; 70_000 |] and n = 4 in
+  let dup =
+    Result.get_ok
+      (Faults.of_json (Json.of_string_exn {|{"links":[{"from":0,"until":1000,"dup":0.5}]}|}))
+  in
+  let gen =
+    QCheck.Gen.(
+      pair bool (list_size (int_range 1 60) (triple (int_bound 4) (int_bound (n - 1)) (int_bound 5))))
+  in
+  let print (faulty, ops) =
+    Printf.sprintf "dup=%b %s" faulty
+      (String.concat ","
+         (List.map (fun (op, p, k) -> Printf.sprintf "%d:%d:%d" op p keys.(k)) ops))
+  in
+  QCheck.Test.make ~name:"keyed index = list model" ~count:200 (QCheck.make ~print gen)
+    (fun (faulty, ops) ->
+      let sim = mk ~n ~t:1 ~seed:(List.length ops) () in
+      if faulty then Sim.set_faults sim dup;
+      let net : (int * int) Net.t =
+        Net.create sim ~delay:(Delay.Uniform (0.1, 2.0)) ~classify:fst ()
+      in
+      (* (dst, key) -> deliveries as (src, payload), newest first *)
+      let model = Hashtbl.create 16 and retired = Hashtbl.create 16 in
+      let seen dst key = Option.value ~default:[] (Hashtbl.find_opt model (dst, key)) in
+      Net.on_deliver net (fun e ->
+          let key = fst e.Net.payload in
+          if not (Hashtbl.mem retired (e.Net.dst, key)) then
+            Hashtbl.replace model (e.Net.dst, key)
+              ((e.Net.src, e.Net.payload) :: seen e.Net.dst key));
+      let ok = ref true in
+      let check_all () =
+        for dst = 0 to n - 1 do
+          Array.iter
+            (fun key ->
+              let m = seen dst key in
+              let senders = Pidset.of_list (List.map fst m) in
+              let folded =
+                Net.keyed_fold net dst key ~init:[] ~f:(fun acc src p -> (src, p) :: acc)
+              in
+              if
+                Net.keyed_nsenders net dst key <> Pidset.cardinal senders
+                || not (Pidset.equal (Net.keyed_senders net dst key) senders)
+                || List.rev folded <> m
+              then ok := false)
+            keys
+        done
+      in
+      List.iteri
+        (fun i (op, p, k) ->
+          Sim.schedule sim ~delay:(0.3 *. float_of_int i) (fun () ->
+              match op with
+              | 0 | 1 -> Net.broadcast net ~src:p (keys.(k), i)
+              | 2 ->
+                  Net.keyed_drop net p keys.(k);
+                  Hashtbl.replace retired (p, keys.(k)) ();
+                  Hashtbl.remove model (p, keys.(k))
+              | _ -> check_all ()))
+        ops;
+      ignore (Sim.run sim);
+      check_all ();
+      !ok)
+
+(* The timed message path's allocation budget.  All-to-all rounds of 32
+   processes with keyed quorum waits, shaped like the net probe of the
+   benchmark's engine ladder: each delivery may allocate at most 12
+   minor words (one boxed delivery time per message, and the event
+   loop's per-event floats). *)
+let test_broadcast_round_allocation () =
+  let n = 32 and t = 15 and rounds = 10 in
+  let sim = Sim.create ~horizon:1e6 ~trace_level:Trace.Off ~n ~t ~seed:1 () in
+  let net : int Net.t = Net.create sim ~classify:Fun.id () in
+  for i = 0 to n - 1 do
+    Sim.spawn sim ~pid:i (fun () ->
+        for r = 1 to rounds do
+          Net.broadcast net ~src:i r;
+          Sim.Cond.await
+            [ Net.quorum_cond net i ~key:r ~q:(n - t) ]
+            (fun () -> Net.keyed_nsenders net i r >= n - t);
+          Net.keyed_drop net i r
+        done)
+  done;
+  let w0 = Gc.minor_words () in
+  ignore (Sim.run sim);
+  let per = (Gc.minor_words () -. w0) /. float_of_int (Net.delivered_count net) in
+  check_int "every message delivered" (n * n * rounds) (Net.delivered_count net);
+  check (Printf.sprintf "%.1f minor words per delivery, at most 12" per) true (per <= 12.0)
 
 let test_handlers_run_in_registration_order () =
   let sim = mk () in
@@ -724,6 +821,9 @@ let () =
           Alcotest.test_case "handler order" `Quick test_handlers_run_in_registration_order;
           Alcotest.test_case "delivery signals cond" `Quick test_delivery_signals_cond;
           Alcotest.test_case "delivery paths" `Quick test_delivery_paths;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+            qcheck_keyed_index_model;
+          Alcotest.test_case "round allocation" `Quick test_broadcast_round_allocation;
         ] );
       ( "rbcast",
         [

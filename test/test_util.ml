@@ -279,17 +279,16 @@ let earena_sorted_qcheck =
       in
       drain [] = expected)
 
-(* The arena against a list model at both wheel sizes a simulator gets:
-   1024 buckets (a small system, [initial] 4) and 16384 ([initial] 1024,
-   n >= 32), under interleaved adds and pops with slot recycling.  Most
+(* The arena against a list model at a given [(initial, buckets)] list,
+   under interleaved adds and pops with slot recycling.  Most
    adds land on one of two instants just past the pop frontier, so a
    bucket chain passes the rebuild limit and the wheel narrows, again and
    again up to its fuse; the narrowed window then sends the spread adds
    (up to 40 time units out) to the heap.  Adds behind the frontier,
    negative times among them, take the heap too. *)
-let earena_wheel_sizes_qcheck =
+let earena_wheel_qcheck ~name sizes =
   let gen_ops = QCheck.Gen.(list_size (int_range 0 400) (pair (int_bound 9) (int_bound 1000))) in
-  QCheck.Test.make ~name:"earena = list model at 1024 and 16384 buckets" ~count:100
+  QCheck.Test.make ~name ~count:100
     (QCheck.make
        ~print:(fun l ->
          String.concat "," (List.map (fun (op, v) -> Printf.sprintf "%d:%d" op v) l))
@@ -337,7 +336,20 @@ let earena_wheel_sizes_qcheck =
             pop ()
           done;
           !ok && Earena.pop a = -1)
-        [ (4, 1024); (1024, 16384) ])
+        sizes)
+
+(* The wheels from one summary word up: 1024 buckets ([initial] 64, 32
+   bitmap words under one summary word) and 16384 ([initial] 1024, what
+   a simulator of n >= 23 gets). *)
+let earena_wheel_sizes_qcheck =
+  earena_wheel_qcheck ~name:"earena = list model at 1024 and 16384 buckets"
+    [ (64, 1024); (1024, 16384) ]
+
+(* The wheels below 1024 buckets, whose bitmap fills part of the one
+   summary word: 32 buckets (one bitmap word, [initial] 1, the smallest)
+   and 64 ([initial] 4, what a simulator of n = 2 gets from 2n^2 = 8). *)
+let earena_small_wheel_qcheck =
+  earena_wheel_qcheck ~name:"earena = list model at 32 and 64 buckets" [ (1, 32); (4, 64) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ringbuf                                                             *)
@@ -1159,6 +1171,9 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 42 |])
             earena_wheel_sizes_qcheck;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            earena_small_wheel_qcheck;
         ] );
       ( "ringbuf",
         [
