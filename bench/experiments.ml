@@ -19,15 +19,16 @@ let ok_str v = if Check.verdict_ok v then "OK" else "FAIL"
 (* Seed sweeps go through the campaign engine: jobs run on
    [Runner.default_jobs] domains (override with BENCH_JOBS), rows print
    in canonical job order regardless of interleaving, and every
-   campaign lands in _results/BENCH_<exp>.json.  Every campaign an
-   experiment runs is noted in the triage sink ([Runner.note_campaign]),
-   whose failing jobs [Bench_main] writes to _results/failures.json. *)
-let campaign ?header ?jobs ~exp joblist =
+   campaign lands in [dir]/BENCH_<exp>.json ([dir] defaults to _results).
+   Every campaign an experiment runs is noted in the triage sink
+   ([Runner.note_campaign]), whose failing jobs [Bench_main] writes to
+   _results/failures.json. *)
+let campaign ?header ?jobs ?dir ~exp joblist =
   let c = Runner.run ?jobs ~exp joblist in
   Runner.note_campaign c;
   (match header with Some h -> print_endline h | None -> ());
   List.iter print_endline (Runner.rows c);
-  let path = Runner.write_artifact c in
+  let path = Runner.write_artifact ?dir c in
   Printf.printf "[%s] %d jobs on %d domain(s): %d failed, %.2fs wall, %.1f jobs/s -> %s\n"
     exp
     (Array.length c.Runner.c_results)
@@ -77,6 +78,14 @@ let verdict_body ?metrics ?row (r : Protocol.report) =
 (* BENCH_SMOKE trims the long experiments (sched, obs, chaos, serve, rt)
    to the sizes CI runs. *)
 let smoke () = Sys.getenv_opt "BENCH_SMOKE" <> None
+
+(* Where sched, obs and serve write their artifacts.  Their full-size
+   sweeps are committed under _results/, so a smoke run writes its trimmed
+   ones to _results/smoke/ instead of overwriting them. *)
+let artifact_dir () =
+  let dir = if smoke () then Filename.concat "_results" "smoke" else "_results" in
+  Files.mkdir_p dir;
+  dir
 
 (* Common knobs: n = 8, t = 3 gives a 4-row grid and room for interesting
    (x, y) sweeps while keeping ring sizes small. *)
@@ -944,7 +953,7 @@ let sched () =
      gates read (the smoke probe then saw 16k-33k promoted words in most
      two-domain runs), and events/s is a one-core figure anyway. *)
   let c =
-    campaign ~jobs:1 ~exp:"sched"
+    campaign ~jobs:1 ~dir:(artifact_dir ()) ~exp:"sched"
       ~header:
         (Printf.sprintf "%-5s %-12s %-5s  %-5s %-7s %-9s %-11s %-9s %-12s %-9s" "n" "mode"
            "seed" "ok" "rounds" "events" "pred_evals" "wall_s" "events/s" "minW/ev")
@@ -1016,7 +1025,7 @@ let sched () =
   (match Runner.campaign_json c with
   | Json.Obj fields ->
       Json.write_file
-        (Filename.concat "_results" "BENCH_sched.json")
+        (Filename.concat (artifact_dir ()) "BENCH_sched.json")
         (Json.Obj (fields @ [ ("gate", gate_json) ]))
   | _ -> ());
   if not (Float.is_nan n128) then
@@ -1113,7 +1122,7 @@ let obs () =
       sizes
   in
   let c =
-    campaign ~exp:"obs"
+    campaign ~dir:(artifact_dir ()) ~exp:"obs"
       ~header:
         (Printf.sprintf "%-5s %-8s %-5s  %-5s %-7s %-9s %-9s" "n" "trace" "seed" "ok"
            "rounds" "entries" "wall_s")
@@ -1174,7 +1183,7 @@ let obs () =
         (pct (overhead_pct nn "full")))
     sizes;
   (* Merge the overhead table into the artifact the campaign already
-     wrote, so _results/BENCH_obs.json carries the acceptance numbers. *)
+     wrote, so BENCH_obs.json carries the acceptance numbers. *)
   let overhead_json =
     Json.Obj
       (List.map
@@ -1258,7 +1267,7 @@ let obs () =
   (match Runner.campaign_json c with
   | Json.Obj fields ->
       Json.write_file
-        (Filename.concat "_results" "BENCH_obs.json")
+        (Filename.concat (artifact_dir ()) "BENCH_obs.json")
         (Json.Obj
            (fields
            @ [
@@ -1773,8 +1782,8 @@ let serve () =
           ("signature", Json.String sg);
         ] )
   in
-  Json.write_file
-    (Filename.concat "_results" "BENCH_serve.json")
+  let artifact = Filename.concat (artifact_dir ()) "BENCH_serve.json" in
+  Json.write_file artifact
     (Json.Obj
        (Stamp.fields ()
        @ [
@@ -1823,7 +1832,7 @@ let serve () =
                  ("wall_s", Json.Float mem_wall_s);
                ] );
          ]));
-  Printf.printf "artifact: %s\n" (Filename.concat "_results" "BENCH_serve.json")
+  Printf.printf "artifact: %s\n" artifact
 
 (* ------------------------------------------------------------------ *)
 (* RT — the real-runtime backend (lib/rt): accrual-detector QoS vs     *)

@@ -189,7 +189,12 @@ module Kset_p = struct
   let name = "kset"
   let horizon_hint = 5000.0
   let variants = []
-  let validate p = errors [ Oracle.check_z ~n:p.n ~z:p.z ]
+  (* k-set agreement is defined for 1 <= k <= n: k = 0 would report a
+     configuration error as an agreement failure. *)
+  let check_k ~n ~k =
+    if 1 <= k && k <= n then Ok () else Error (Printf.sprintf "k=%d: need 1 <= k <= n = %d" k n)
+
+  let validate p = errors [ Oracle.check_z ~n:p.n ~z:p.z; check_k ~n:p.n ~k:p.k ]
   let degree (p : params) = Some p.k
 
   let install sim p =

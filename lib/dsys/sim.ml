@@ -7,9 +7,7 @@ open Setagree_util
    kinds (fiber resume, timer re-arm, crash, batched network delivery)
    carry everything in the int [arg] and allocate nothing per event; the
    generic thunk kind backs the public [schedule]/[at] API and every cold
-   path.  [legacy_queue] routes resumes/timers/deliveries through thunk
-   events instead — the pre-arena engine, kept as a differential
-   baseline. *)
+   path. *)
 
 let k_thunk = 0 (* arg = thunk-table slot *)
 let k_resume = 1 (* arg = resume-table slot (pid + continuation) *)
@@ -21,10 +19,10 @@ let k_net = 4 (* arg = (row lsl 6) lor dispatcher id *)
    blocked predicate reads may have changed.  The scheduler re-evaluates a
    blocked fiber's predicate only when one of its subscribed conditions was
    signalled — except "poll" waiters (awaits subscribed to [Cond.poll],
-   e.g. oracle-reading waits), which are re-evaluated after every event,
-   reproducing the legacy fixpoint cadence for predicates with no signal
-   discipline.  Each condition keeps its subscriber list so the drain
-   visits only signalled waiters instead of scanning all of them. *)
+   e.g. oracle-reading waits), which are re-evaluated after every event:
+   the cadence for predicates with no signal discipline.  Each condition
+   keeps its subscriber list so the drain visits only signalled waiters
+   instead of scanning all of them. *)
 type cond = {
   c_owner : t;
   mutable c_pending : bool;
@@ -49,8 +47,6 @@ and t = {
   trace : Trace.t;
   horizon : float;
   max_events : int;
-  legacy_poll : bool;
-  legacy_queue : bool;
   (* Real-runtime mode: the simulator models one process of a distributed
      deployment.  [spawn] silently discards fibers of other pids (they run
      in their own domains, each with its own local simulator), [router]
@@ -73,7 +69,7 @@ and t = {
   mutable th_len : int;
   mutable th_free : int array;
   mutable th_free_len : int;
-  (* Resume table (sleeping/yielding fibers; continuations stored untyped
+  (* Resume table (sleeping fibers; continuations stored untyped
      to avoid a per-event option box).  Every suspended fiber that is not
      a live waiter has its continuation here: crashed processes' fibers
      keep their slot until [release]. *)
@@ -97,8 +93,8 @@ and t = {
   mutable correct_pidset : Pidset.t;
   crash_at : float option array;
   (* Stall windows: [stalled_until.(p) > now] means process [p] is frozen —
-     its fibers are not resumed (sleep expiries, yields and wakeups are
-     deferred to the stall end) but it is *not* crashed: oracles still
+     its fibers are not resumed (sleep expiries and wakeups are deferred
+     to the stall end) but it is *not* crashed: oracles still
      treat it as correct, and it catches up once the window closes. *)
   stalled_until : float array;
   (* The active fault specification (pure data; evaluated by Net on its
@@ -151,7 +147,6 @@ and decision = Deliver of int | Inject_crash of Pid.t | Pass
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
-  | Yield : unit Effect.t
   | Await : cond list * (unit -> bool) -> unit Effect.t
 
 let nop () = ()
@@ -174,8 +169,8 @@ let check_size ~n ~t =
   else if t < 0 || t >= n then Error "need 0 <= t < n"
   else Ok ()
 
-let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
-    ?(legacy_queue = false) ?(trace_level = Trace.Default) ?local ~n ~t ~seed () =
+let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(trace_level = Trace.Default)
+    ?local ~n ~t ~seed () =
   Result.iter_error (fun e -> invalid_arg ("Sim.create: " ^ e)) (check_size ~n ~t);
   (match local with
   | Some p when p < 0 || p >= n -> invalid_arg "Sim.create: bad local pid"
@@ -188,8 +183,6 @@ let create ?(horizon = 1e6) ?(max_events = 10_000_000) ?(legacy_poll = false)
       trace = Trace.create ~level:trace_level ();
       horizon;
       max_events;
-      legacy_poll;
-      legacy_queue;
       local;
       router = None;
       inlets = Hashtbl.create 8;
@@ -263,7 +256,6 @@ let inlet t ~tag = Hashtbl.find_opt t.inlets tag
 let trace t = t.trace
 let now t = t.now
 let horizon t = t.horizon
-let legacy_queue t = t.legacy_queue
 let pred_evals t = t.n_pred_evals
 let cond_signals t = t.n_signals
 let wakeups t = t.n_wakeups
@@ -566,22 +558,18 @@ let install_stalls t stalls =
           end))
     stalls
 
-(* Resume a sleeping or yielding fiber, deferring past any active stall
-   window.  A stalled process is frozen, not crashed: its pending
-   resumptions are re-queued (same slot) and replayed in scheduling order
-   once the window closes.  A crashed process's fiber keeps its slot. *)
-let rec dispatch_resume t slot =
+(* Resume a sleeping fiber, deferring past any active stall window.  A
+   stalled process is frozen, not crashed: its pending resumptions are
+   re-queued (same slot) and replayed in scheduling order once the window
+   closes.  A crashed process's fiber keeps its slot. *)
+let dispatch_resume t slot =
   let pid = t.rs_pid.(slot) in
   if t.crashed.(pid) then ()
-  else if t.now < t.stalled_until.(pid) then begin
-    if t.legacy_queue then
-      at t ~time:t.stalled_until.(pid) (fun () -> dispatch_resume t slot)
-    else add_event t ~time:t.stalled_until.(pid) ~kind:k_resume ~arg:slot
-  end
+  else if t.now < t.stalled_until.(pid) then
+    add_event t ~time:t.stalled_until.(pid) ~kind:k_resume ~arg:slot
   else Effect.Deep.continue (rs_take t slot) ()
 
 let sleep d = Effect.perform (Sleep d)
-let yield () = Effect.perform Yield
 
 (* ---- Choice-point control ---- *)
 
@@ -698,16 +686,7 @@ let spawn t ~pid body =
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   if d < 0.0 then invalid_arg "Sim.schedule: negative delay";
                   let slot = rs_alloc t pid (Obj.repr k) in
-                  if t.legacy_queue then
-                    schedule t ~delay:d (fun () -> dispatch_resume t slot)
-                  else add_event t ~time:(t.now +. d) ~kind:k_resume ~arg:slot)
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let slot = rs_alloc t pid (Obj.repr k) in
-                  if t.legacy_queue then
-                    schedule t ~delay:0.0 (fun () -> dispatch_resume t slot)
-                  else add_event t ~time:t.now ~kind:k_resume ~arg:slot)
+                  add_event t ~time:(t.now +. d) ~kind:k_resume ~arg:slot)
           | Await (conds, pred) ->
               List.iter
                 (fun c ->
@@ -731,24 +710,16 @@ let spawn t ~pid body =
 
 let ticker t ~every =
   if every <= 0.0 then invalid_arg "Sim.ticker";
-  if t.legacy_queue then begin
-    let rec arm time =
-      if time <= t.horizon then at t ~time (fun () -> arm (time +. every))
-    in
-    arm (t.now +. every)
-  end
-  else begin
-    let id = t.tk_len in
-    if Array.length t.tk_every = id then begin
-      let a' = Array.make (max 4 (2 * id)) 0.0 in
-      Array.blit t.tk_every 0 a' 0 id;
-      t.tk_every <- a'
-    end;
-    t.tk_every.(id) <- every;
-    t.tk_len <- id + 1;
-    let first = t.now +. every in
-    if first <= t.horizon then add_event t ~time:first ~kind:k_timer ~arg:id
-  end
+  let id = t.tk_len in
+  if Array.length t.tk_every = id then begin
+    let a' = Array.make (max 4 (2 * id)) 0.0 in
+    Array.blit t.tk_every 0 a' 0 id;
+    t.tk_every <- a'
+  end;
+  t.tk_every.(id) <- every;
+  t.tk_len <- id + 1;
+  let first = t.now +. every in
+  if first <= t.horizon then add_event t ~time:first ~kind:k_timer ~arg:id
 
 type stop_reason = Quiescent | Horizon | Budget | Stopped
 type outcome = { reason : stop_reason; events : int; end_time : float }
@@ -762,13 +733,12 @@ let pp_stop_reason fmt = function
 (* ---- Drain ----------------------------------------------------------
 
    Wake blocked fibers after an event.  Only waiters with a signalled
-   condition (or poll waiters, or everyone under [legacy_poll]) have their
-   predicate re-evaluated; candidates are gathered from the pending
-   conditions' subscriber lists plus the poll array — O(signalled + poll),
-   not O(all waiters) — then evaluated in registration (w_id) order, the
-   same order the historical all-waiter scan produced.  Waking a fiber can
-   enable others at the same instant (zero-time causality chains): its
-   signals arm the next round, so iterate to a fixpoint; the bound catches
+   condition (or poll waiters) have their predicate re-evaluated;
+   candidates are gathered from the pending conditions' subscriber lists
+   plus the poll array — O(signalled + poll), not O(all waiters) — then
+   evaluated in registration (w_id) order.  Waking a fiber can enable
+   others at the same instant (zero-time causality chains): its signals
+   arm the next round, so iterate to a fixpoint; the bound catches
    accidental livelocks.  Fired fibers resume in registration order
    (oldest first). *)
 
@@ -820,29 +790,22 @@ let drain t =
     if !rounds > 100_000 then failwith "Sim: zero-time livelock among waiters";
     progress := false;
     t.cand_len <- 0;
-    if t.legacy_poll then
-      for i = 0 to t.wall_len - 1 do
-        let w = t.wall.(i) in
-        if not w.w_dead then push_cand t w
-      done
-    else begin
-      for i = 0 to t.parr_len - 1 do
-        let w = t.parr.(i) in
-        if not w.w_dead then push_cand t w
-      done;
-      List.iter
-        (fun c ->
-          (* Single pass: push live subscribers, prune (rebuild) only when
-             dead ones are actually present — no allocation otherwise. *)
-          let dead = ref false in
-          List.iter
-            (fun w -> if w.w_dead then dead := true else push_cand t w)
-            c.c_waiters;
-          if !dead then
-            c.c_waiters <- List.filter (fun w -> not w.w_dead) c.c_waiters)
-        t.pending_conds;
-      sort_cands t
-    end;
+    for i = 0 to t.parr_len - 1 do
+      let w = t.parr.(i) in
+      if not w.w_dead then push_cand t w
+    done;
+    List.iter
+      (fun c ->
+        (* Single pass: push live subscribers, prune (rebuild) only when
+           dead ones are actually present — no allocation otherwise. *)
+        let dead = ref false in
+        List.iter
+          (fun w -> if w.w_dead then dead := true else push_cand t w)
+          c.c_waiters;
+        if !dead then
+          c.c_waiters <- List.filter (fun w -> not w.w_dead) c.c_waiters)
+      t.pending_conds;
+    sort_cands t;
     t.fired_len <- 0;
     for i = 0 to t.cand_len - 1 do
       let w = t.cand.(i) in
@@ -874,6 +837,14 @@ let drain t =
       done
     end
   done
+
+(* After an event: drain only if some waiter polls or some condition was
+   signalled — otherwise no blocked predicate can have changed. *)
+let[@inline] maybe_drain t =
+  if
+    t.live_waiters > 0
+    && (t.poll_waiters > 0 || match t.pending_conds with [] -> false | _ :: _ -> true)
+  then drain t
 
 let flush_sched_counters t ~events =
   let flush name value flushed =
@@ -907,11 +878,7 @@ let run ?(stop_when = fun () -> false) (t : t) =
   let continue_loop = ref true in
   let post_step () =
     incr events;
-    (if
-       t.live_waiters > 0
-       && (t.legacy_poll || t.poll_waiters > 0
-          || match t.pending_conds with [] -> false | _ :: _ -> true)
-     then drain t);
+    maybe_drain t;
     if stop_when () then begin
       reason := Stopped;
       continue_loop := false
@@ -963,13 +930,6 @@ let advance t ~upto =
   if t.released then invalid_arg "Sim.advance: released simulator";
   let upto = Float.min upto t.horizon in
   let events = ref 0 in
-  let maybe_drain () =
-    if
-      t.live_waiters > 0
-      && (t.legacy_poll || t.poll_waiters > 0
-         || match t.pending_conds with [] -> false | _ :: _ -> true)
-    then drain t
-  in
   let continue_loop = ref true in
   while !continue_loop do
     let time = Earena.peek_time t.arena in
@@ -978,12 +938,12 @@ let advance t ~upto =
       t.now <- Float.max t.now time;
       exec_event t slot;
       incr events;
-      maybe_drain ()
+      maybe_drain t
     end
     else continue_loop := false
   done;
   t.now <- Float.max t.now upto;
-  maybe_drain ();
+  maybe_drain t;
   flush_sched_counters t ~events:!events;
   !events
 

@@ -13,12 +13,10 @@
     conditions whose observable state they changed, and only then is the
     fiber's predicate re-evaluated.  Predicates with no signal discipline
     (waits that read oracle state derived from the clock) subscribe to the
-    {!Cond.poll} condition and are
-    re-evaluated after every event — the legacy cadence.  The historical
-    evaluate-everything-after-every-event scheduler survives only as a
-    test reference ({!create}'s [legacy_poll]); by design both schedulers
-    produce identical executions (the differential qcheck suite in
-    [test/test_sched.ml] pins this down).
+    {!Cond.poll} condition and are re-evaluated after every event.  An
+    engine that re-evaluated every blocked predicate after every event
+    produced exactly the same executions; [test/test_sched.ml] checks the
+    fingerprints it recorded ([test/engine_fingerprints.jsonl]).
 
     {b Crash semantics.}  A crash schedule is fixed before the run.  When a
     process crashes, none of its fibers is ever resumed again; events it had
@@ -40,8 +38,6 @@ val check_size : n:int -> t:int -> (unit, string) result
 val create :
   ?horizon:float ->
   ?max_events:int ->
-  ?legacy_poll:bool ->
-  ?legacy_queue:bool ->
   ?trace_level:Trace.level ->
   ?local:Pid.t ->
   n:int ->
@@ -55,17 +51,6 @@ val create :
     (default [Trace.Default]) gates what the run records into {!trace}:
     tracing only ever writes to the trace log, so the level cannot change
     the execution (see {!Trace.level}).
-
-    [legacy_poll] and [legacy_queue] (both default [false]) are {b test
-    references}, not options: no CLI flag, [Protocol.params] field or
-    bench experiment selects them.  [test/test_sched.ml] runs them as the
-    differential baselines the arena engine must match.  [legacy_poll]
-    re-evaluates {e every} blocked predicate after every event instead of
-    only the signalled ones — the pre-condition-variable scheduler.
-    [legacy_queue] routes fiber resumptions, tickers and message
-    deliveries through per-event closure thunks instead of the flat event
-    arena's kind-tagged dispatch, and disables delivery batching in [Net]
-    — the pre-arena engine.
 
     [local] (default [None]) puts the simulator in {e real-runtime} mode:
     it models exactly one process of a distributed deployment.  {!spawn}
@@ -91,10 +76,6 @@ val traffic_capacity : t -> int
     entries (the processes' own timers) fill, the chooser's pending pool
     at its first offer, and the in-flight store a substrate starts
     with. *)
-
-val legacy_queue : t -> bool
-(** Whether this simulator runs the reference closure-per-event queue
-    (see {!create}'s [legacy_queue]); [Net] reads it to skip batching. *)
 
 (** {1 Real-runtime mode} *)
 
@@ -159,13 +140,13 @@ val alive_at : t -> float -> Pidset.t
 (** {1 Fault injection}
 
     Stall semantics: a stalled process is frozen, not crashed.  Sleep
-    expiries, yields, wakeups of blocked fibers and message deliveries
-    addressed to it are deferred to the end of the stall window, in
-    their original scheduling order — so the process resumes exactly
-    where it left off and catches up, while heartbeat-style monitors
-    falsely suspect it in the meantime.  Ground truth ({!is_crashed},
-    {!correct_set}, the oracles) is unaffected: a stalled process is a
-    correct, slow process — legal behavior under asynchrony. *)
+    expiries, wakeups of blocked fibers and message deliveries addressed
+    to it are deferred to the end of the stall window, in their original
+    scheduling order — so the process resumes exactly where it left off
+    and catches up, while heartbeat-style monitors falsely suspect it in
+    the meantime.  Ground truth ({!is_crashed}, {!correct_set}, the
+    oracles) is unaffected: a stalled process is a correct, slow process
+    — legal behavior under asynchrony. *)
 
 val install_stalls : t -> Faults.stall list -> unit
 (** Schedule stall windows.  Must be called before {!run}.  Overlapping
@@ -218,9 +199,8 @@ module Cond : sig
       another simulator. *)
 
   val poll : t -> cond
-  (** The built-in condition that subscribes a waiter to every event —
-      the legacy re-poll cadence, for predicates with no signal
-      discipline. *)
+  (** The built-in condition that subscribes a waiter to every event, for
+      predicates with no signal discipline. *)
 end
 
 (** {1 Process code (effects)} *)
@@ -235,10 +215,6 @@ val sleep : float -> unit
 (** Suspend the calling fiber for the given virtual duration.  Must be
     called from fiber context. *)
 
-val yield : unit -> unit
-(** Reschedule the calling fiber at the same virtual instant (after pending
-    events).  Gives the crash scheduler a chance to interleave. *)
-
 (** {1 Scheduling primitives (for substrates such as channels)} *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
@@ -251,9 +227,8 @@ val at : t -> time:float -> (unit -> unit) -> unit
 val ticker : t -> every:float -> unit
 (** Install heartbeat events up to the horizon so that poll-subscribed
     predicates depending only on the clock (e.g. pull-based oracles) are
-    re-evaluated regularly.  On the arena engine a ticker is a single
-    self-re-arming event carrying only its period id — zero allocation
-    per tick. *)
+    re-evaluated regularly.  A ticker is a single self-re-arming event
+    carrying only its period id — zero allocation per tick. *)
 
 (** {2 Batched dispatch (substrate internals)}
 

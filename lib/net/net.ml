@@ -296,26 +296,21 @@ let dispatch t head =
     deliver t ~src ~dst payload ()
   done
 
-(* Schedule a message for delivery at an absolute time.  Arena engine:
-   append to the destination's open batch when one is queued for exactly
-   this instant, else open a new batch (one event, one future mailbox
-   drain for the whole batch).  Legacy engine: one closure event per
-   message, the historical behavior. *)
+(* Schedule a message for delivery at an absolute time: append to the
+   destination's open batch when one is queued for exactly this instant,
+   else open a new batch (one event, one future mailbox drain for the
+   whole batch). *)
 let[@inline] schedule_delivery t ~src ~dst ~deliver_at payload =
-  if Sim.legacy_queue t.sim then
-    Sim.at t.sim ~time:deliver_at (deliver t ~src ~dst payload)
+  let r = row_alloc t ~src ~dst payload in
+  if t.open_head.(dst) >= 0 && t.open_time.(dst) = deliver_at then begin
+    t.r_next.(t.open_tail.(dst)) <- r;
+    t.open_tail.(dst) <- r
+  end
   else begin
-    let r = row_alloc t ~src ~dst payload in
-    if t.open_head.(dst) >= 0 && t.open_time.(dst) = deliver_at then begin
-      t.r_next.(t.open_tail.(dst)) <- r;
-      t.open_tail.(dst) <- r
-    end
-    else begin
-      Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r;
-      t.open_head.(dst) <- r;
-      t.open_tail.(dst) <- r;
-      t.open_time.(dst) <- deliver_at
-    end
+    Sim.schedule_dispatch t.sim ~time:deliver_at ~disp:t.disp ~row:r;
+    t.open_head.(dst) <- r;
+    t.open_tail.(dst) <- r;
+    t.open_time.(dst) <- deliver_at
   end
 
 (* Real-runtime ingress: a message that already traveled the wire is

@@ -1,6 +1,5 @@
 (* Tests for the discrete-event kernel: event ordering, fibers (sleep /
-   yield / poll-cond waits), crash semantics, determinism, budgets,
-   traces. *)
+   poll-cond waits), crash semantics, determinism, budgets, traces. *)
 
 open Setagree_util
 open Setagree_dsys
@@ -85,17 +84,6 @@ let test_sleep_sequence () =
       done);
   ignore (Sim.run sim);
   Alcotest.(check (list (float 0.001))) "sleep accumulates" [ 1.0; 2.0; 3.0 ] (List.rev !times)
-
-let test_yield_same_time () =
-  let sim = mk () in
-  let order = ref [] in
-  Sim.spawn sim ~pid:0 (fun () ->
-      order := "a1" :: !order;
-      Sim.yield ();
-      order := "a2" :: !order);
-  Sim.spawn sim ~pid:1 (fun () -> order := "b" :: !order);
-  ignore (Sim.run sim);
-  Alcotest.(check (list string)) "yield interleaves" [ "a1"; "b"; "a2" ] (List.rev !order)
 
 let test_wait_until_immediate () =
   let sim = mk () in
@@ -400,7 +388,6 @@ let () =
         [
           Alcotest.test_case "sleep advances" `Quick test_sleep_advances_time;
           Alcotest.test_case "sleep sequence" `Quick test_sleep_sequence;
-          Alcotest.test_case "yield" `Quick test_yield_same_time;
           Alcotest.test_case "wait immediate" `Quick test_wait_until_immediate;
           Alcotest.test_case "wait wakes" `Quick test_wait_until_wakes;
           Alcotest.test_case "wait chain" `Quick test_wait_until_chain;

@@ -479,12 +479,15 @@ let test_cli_oracle_ranges () =
         "--delays"; "1"; "--walks"; "0" ]
   in
   check_int ("explore -z 0: exit\n" ^ text) 3 code;
+  let code, text = fdkit [ "run"; "-p"; "kset"; "-n"; "8"; "-t"; "3"; "-z"; "1"; "-k"; "0" ] in
+  check_int ("run -k 0: exit\n" ^ text) 3 code;
   List.iter
     (fun (protocol, p) ->
       check (protocol ^ ": validate refuses") true
         (Result.is_error (Job.validate (Job.of_flags ~kind:`Run ~protocol p))))
     [
       ("kset", { Protocol.default with Protocol.z = 9 });
+      ("kset", { Protocol.default with Protocol.k = 0 });
       ("reduce", { Protocol.default with Protocol.variant = "es"; x = 5 });
       ("reduce", { Protocol.default with Protocol.variant = "wheels"; x = 3; y = 2 });
       ("strengthen", { Protocol.default with Protocol.x = 0 });

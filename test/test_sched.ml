@@ -1,18 +1,20 @@
 (* Tests for the event-driven scheduler (Sim.Cond): condition mechanics,
-   observability counters, and the differential property the refactor rests
-   on — the arena/condition engine, the legacy-poll scheduler and the
-   legacy closure-per-event queue produce {e identical} executions
-   (decisions with times, rounds, stop reasons, event counts) for the same
-   seed, across algorithms, crash schedules and oracle behaviours.  The
-   legacy-poll scheduler re-evaluates every blocked predicate after every
-   event; the condition scheduler only the signalled ones, so the
-   comparison also pins down the signal-completeness of the substrates
-   (every state change a predicate can read signals the right condition).
-   The legacy-queue comparison pins the flat event arena and batched
-   delivery to the closure queue they replaced (under continuous delays,
-   where batches are singletons and even raw event counts agree).  An
-   allocation suite asserts the arena engine's steady state promotes
-   nothing. *)
+   observability counters, and the executions the engine must keep
+   reproducing.  Two reference engines used to run beside the arena: one
+   re-evaluated every blocked predicate after every event instead of only
+   the signalled ones, the other queued one closure per event with no
+   delivery batching.  Both produced the arena's executions (decisions
+   with times, rounds, stop reasons, event counts) on every case compared
+   — which also pinned the substrates' signal completeness: every state
+   change a predicate can read signals the right condition.  Before they
+   were deleted, 200 such comparisons were recorded in
+   [engine_fingerprints.jsonl]: kset and consensus_s at seeds 1-10, and
+   draws of the generators the differential properties used (seeded with
+   [Random.State.make [| 42 |]] as those properties were; their own draws
+   first, then more from the same state).  Each line names the reference
+   engines that agreed on it, and the arena must still reproduce every
+   line.  The golden corpus pins full traces, and an allocation suite
+   asserts the steady state promotes nothing. *)
 
 open Setagree_util
 open Setagree_dsys
@@ -127,50 +129,44 @@ let test_crashed_waiter_dropped_not_resumed () =
    exactly once, whichever way it was left.  Each fiber body counts its
    own end (normal return or discontinuation) through [Fun.protect]. *)
 let test_release_discontinues_every_fiber () =
-  List.iter
-    (fun legacy_queue ->
-      let engine = if legacy_queue then "legacy queue" else "arena" in
-      let sim = Sim.create ~legacy_queue ~horizon:10.0 ~n:6 ~t:1 ~seed:1 () in
-      let released = ref 0 and fibers = ref 0 in
-      let spawn pid body =
-        incr fibers;
-        Sim.spawn sim ~pid (fun () -> Fun.protect ~finally:(fun () -> incr released) body)
-      in
-      let never = Sim.Cond.create sim and late = Sim.Cond.create sim in
-      let flag = ref false in
-      (* p0: blocked on a condition nobody signals *)
-      spawn 0 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
-      (* p1: asleep past the horizon *)
-      spawn 1 (fun () -> Sim.sleep 100.0);
-      (* p2 crashes at 1.0 with a waiter and a sleeper *)
-      spawn 2 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
-      spawn 2 (fun () -> Sim.sleep 2.0);
-      Sim.install_crashes sim [ (2, 1.0) ];
-      (* p3 and p4 stall from 1.0 past the horizon: p3's sleep expiry and
-         p4's wakeup (signalled at 3.0) are parked until the stall ends *)
-      spawn 3 (fun () -> Sim.sleep 2.0);
-      spawn 4 (fun () -> Sim.Cond.await [ late ] (fun () -> !flag));
-      Sim.install_stalls sim
-        (List.map
-           (fun s_pid -> { Faults.s_pid; s_from = 1.0; s_until = 50.0 })
-           [ 3; 4 ]);
-      Sim.schedule sim ~delay:3.0 (fun () ->
-          flag := true;
-          Sim.Cond.signal late);
-      (* p5 finishes normally *)
-      spawn 5 (fun () -> Sim.sleep 0.5);
-      ignore (Sim.run sim);
-      check_int (engine ^ ": only the finished fiber ended during the run") 1 !released;
-      Sim.release sim;
-      check_int (engine ^ ": every fiber ended once") !fibers !released;
-      Sim.release sim;
-      check_int (engine ^ ": a second release does nothing") !fibers !released;
-      check (engine ^ ": a released simulator does not run again") true
-        (try
-           ignore (Sim.run sim);
-           false
-         with Invalid_argument _ -> true))
-    [ false; true ]
+  let sim = Sim.create ~horizon:10.0 ~n:6 ~t:1 ~seed:1 () in
+  let released = ref 0 and fibers = ref 0 in
+  let spawn pid body =
+    incr fibers;
+    Sim.spawn sim ~pid (fun () -> Fun.protect ~finally:(fun () -> incr released) body)
+  in
+  let never = Sim.Cond.create sim and late = Sim.Cond.create sim in
+  let flag = ref false in
+  (* p0: blocked on a condition nobody signals *)
+  spawn 0 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
+  (* p1: asleep past the horizon *)
+  spawn 1 (fun () -> Sim.sleep 100.0);
+  (* p2 crashes at 1.0 with a waiter and a sleeper *)
+  spawn 2 (fun () -> Sim.Cond.await [ never ] (fun () -> false));
+  spawn 2 (fun () -> Sim.sleep 2.0);
+  Sim.install_crashes sim [ (2, 1.0) ];
+  (* p3 and p4 stall from 1.0 past the horizon: p3's sleep expiry and
+     p4's wakeup (signalled at 3.0) are parked until the stall ends *)
+  spawn 3 (fun () -> Sim.sleep 2.0);
+  spawn 4 (fun () -> Sim.Cond.await [ late ] (fun () -> !flag));
+  Sim.install_stalls sim
+    (List.map (fun s_pid -> { Faults.s_pid; s_from = 1.0; s_until = 50.0 }) [ 3; 4 ]);
+  Sim.schedule sim ~delay:3.0 (fun () ->
+      flag := true;
+      Sim.Cond.signal late);
+  (* p5 finishes normally *)
+  spawn 5 (fun () -> Sim.sleep 0.5);
+  ignore (Sim.run sim);
+  check_int "only the finished fiber ended during the run" 1 !released;
+  Sim.release sim;
+  check_int "every fiber ended once" !fibers !released;
+  Sim.release sim;
+  check_int "a second release does nothing" !fibers !released;
+  check "a released simulator does not run again" true
+    (try
+       ignore (Sim.run sim);
+       false
+     with Invalid_argument _ -> true)
 
 let test_zero_time_wakeup_chain () =
   (* Waking one fiber signals the next at the same instant: the drain must
@@ -196,19 +192,19 @@ let test_zero_time_wakeup_chain () =
 
 (* --- Observability --- *)
 
-let run_kset_mode ?(legacy_queue = false) ~legacy_poll ~seed ~n ~t ~z ~crashes () =
-  let sim = Sim.create ~horizon:3000.0 ~legacy_poll ~legacy_queue ~n ~t ~seed () in
+let run_kset ?delay ?loss ~seed ~n ~t ~z ~crashes () =
+  let sim = Sim.create ~horizon:3000.0 ~n ~t ~seed () in
   let rng = Rng.split_named (Sim.rng sim) "crash" in
   Sim.install_crashes sim
     (Crash.generate (Crash.Exactly { crashes; window = (0.0, 30.0) }) ~n ~t rng);
   let omega, _ = Oracle.omega_z sim ~z ~behavior:(Behavior.stormy ~gst:40.0) () in
   let proposals = Array.init n (fun i -> 100 + i) in
-  let h = Kset.install sim ~omega ~proposals () in
+  let h = Kset.install sim ~omega ~proposals ?delay ?loss () in
   let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
   (sim, h, o)
 
 let test_counters_populated_and_flushed () =
-  let sim, _, o = run_kset_mode ~legacy_poll:false ~seed:3 ~n:7 ~t:3 ~z:2 ~crashes:2 () in
+  let sim, _, o = run_kset ~seed:3 ~n:7 ~t:3 ~z:2 ~crashes:2 () in
   check "pred evals counted" true (Sim.pred_evals sim > 0);
   check "signals counted" true (Sim.cond_signals sim > 0);
   check "wakeups counted" true (Sim.wakeups sim > 0);
@@ -222,38 +218,49 @@ let test_counters_populated_and_flushed () =
   check_int "events flushed to trace" o.Sim.events (Trace.counter tr "sched.events")
 
 let test_cond_mode_evaluates_fewer_predicates () =
-  (* The acceptance criterion in miniature: same run, far fewer predicate
-     evaluations under the condition scheduler. *)
-  let sim_c, _, _ = run_kset_mode ~legacy_poll:false ~seed:3 ~n:9 ~t:4 ~z:2 ~crashes:2 () in
-  let sim_l, _, _ = run_kset_mode ~legacy_poll:true ~seed:3 ~n:9 ~t:4 ~z:2 ~crashes:2 () in
-  check "strictly fewer evaluations" true (Sim.pred_evals sim_c < Sim.pred_evals sim_l)
+  (* The condition scheduler's point in miniature: on this run the engine
+     that re-evaluated every blocked predicate after every event made
+     25,194 evaluations. *)
+  let sim, _, _ = run_kset ~seed:3 ~n:9 ~t:4 ~z:2 ~crashes:2 () in
+  check_int "pred evals" 860 (Sim.pred_evals sim);
+  check "below the re-poll engine's count" true (Sim.pred_evals sim < 25_194)
 
-(* --- Differential: condition scheduler == legacy-poll scheduler --- *)
+(* --- Differential: the reference engines' recorded fingerprints --- *)
 
-type fingerprint = {
-  decisions : (Pid.t * int * int * float) list;
-  rounds : int;
-  reason : Sim.stop_reason;
-  events : int;
-  end_time : float;
-  verdict_ok : bool;
-}
+(* A data file's non-empty lines.  [dune runtest] runs next to the copied
+   file; [dune exec] from the repository root does not. *)
+let data_lines name =
+  let path = if Sys.file_exists name then name else Filename.concat "test" name in
+  List.filter (( <> ) "")
+    (String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all))
 
-let fingerprint_kset ?(legacy_queue = false) ~legacy_poll ~seed ~n ~t ~z ~crashes () =
-  let sim, h, o = run_kset_mode ~legacy_queue ~legacy_poll ~seed ~n ~t ~z ~crashes () in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let v = Check.k_set_agreement sim ~k:z ~proposals ~decisions:(Kset.decisions h) in
-  {
-    decisions = Kset.decisions h;
-    rounds = Kset.max_round h;
-    reason = o.Sim.reason;
-    events = o.Sim.events;
-    end_time = o.Sim.end_time;
-    verdict_ok = Check.verdict_ok v;
-  }
+(* What a line pins: every decision (pid, value, round, time), the
+   rounds, how and when the run stopped, its event count and the k-set
+   verdict (k = z for kset, 1 for consensus_s). *)
+let fingerprint ~decisions ~rounds ~k sim (o : Sim.outcome) =
+  let proposals = Array.init (Sim.n sim) (fun i -> 100 + i) in
+  let v = Check.k_set_agreement sim ~k ~proposals ~decisions in
+  [
+    ( "decisions",
+      Json.List
+        (List.map
+           (fun (p, value, r, time) ->
+             Json.List [ Json.Int p; Json.Int value; Json.Int r; Json.Float time ])
+           decisions) );
+    ("rounds", Json.Int rounds);
+    ("reason", Json.String (Format.asprintf "%a" Sim.pp_stop_reason o.Sim.reason));
+    ("events", Json.Int o.Sim.events);
+    ("end_time", Json.Float o.Sim.end_time);
+    ("verdict_ok", Json.Bool (Check.verdict_ok v));
+  ]
 
-let fingerprint_cons_s ?(legacy_queue = false) ~legacy_poll ~seed ~n ~t ~crashes () =
-  let sim = Sim.create ~horizon:3000.0 ~legacy_poll ~legacy_queue ~n ~t ~seed () in
+let fingerprint_kset ?delay ?loss ~seed ~z ~crashes () =
+  let sim, h, o = run_kset ?delay ?loss ~seed ~n:7 ~t:3 ~z ~crashes () in
+  fingerprint ~decisions:(Kset.decisions h) ~rounds:(Kset.max_round h) ~k:z sim o
+
+let fingerprint_cons_s ~seed ~crashes () =
+  let n = 7 and t = 3 in
+  let sim = Sim.create ~horizon:3000.0 ~n ~t ~seed () in
   let rng = Rng.split_named (Sim.rng sim) "crash" in
   Sim.install_crashes sim
     (Crash.generate (Crash.Exactly { crashes; window = (0.0, 25.0) }) ~n ~t rng);
@@ -261,63 +268,80 @@ let fingerprint_cons_s ?(legacy_queue = false) ~legacy_poll ~seed ~n ~t ~crashes
   let proposals = Array.init n (fun i -> 100 + i) in
   let h = Consensus_s.install sim ~suspector ~proposals () in
   let o = Sim.run ~stop_when:(fun () -> Consensus_s.all_correct_decided h) sim in
-  let v = Check.k_set_agreement sim ~k:1 ~proposals ~decisions:(Consensus_s.decisions h) in
-  {
-    decisions = Consensus_s.decisions h;
-    rounds = Consensus_s.max_round h;
-    reason = o.Sim.reason;
-    events = o.Sim.events;
-    end_time = o.Sim.end_time;
-    verdict_ok = Check.verdict_ok v;
-  }
+  fingerprint ~decisions:(Consensus_s.decisions h) ~rounds:(Consensus_s.max_round h) ~k:1
+    sim o
 
-let same_fingerprint label a b =
-  if a <> b then
-    Alcotest.failf "%s: schedulers diverge (%d vs %d decisions, %d vs %d rounds, %d vs %d events)"
-      label (List.length a.decisions) (List.length b.decisions) a.rounds b.rounds
-      a.events b.events
+(* The adversarial draws' transports: heavy-tailed delays or partial
+   synchrony with a late GST, with or without fair-lossy links.  Loss can
+   leave a run undecided at the horizon, so only the loss-free draws
+   must record an ok verdict. *)
+let adv_delays =
+  [
+    ("exp(1)", Delay.Exponential 1.0);
+    ("psync(gst=30)", Delay.Psync { gst = 30.0; bound = 2.0; pre_spread = 25.0 });
+  ]
 
-let test_differential_kset_seeds () =
-  for seed = 1 to 10 do
-    let a = fingerprint_kset ~legacy_poll:false ~seed ~n:7 ~t:3 ~z:2 ~crashes:2 () in
-    let b = fingerprint_kset ~legacy_poll:true ~seed ~n:7 ~t:3 ~z:2 ~crashes:2 () in
-    same_fingerprint (Printf.sprintf "kset seed %d" seed) a b;
-    check "verdict ok" true a.verdict_ok
-  done
+let adv_losses = [ ("loss=0", None); ("loss=0.2", Some 0.2) ]
 
-let test_differential_cons_s_seeds () =
-  for seed = 1 to 10 do
-    let a = fingerprint_cons_s ~legacy_poll:false ~seed ~n:7 ~t:3 ~crashes:2 () in
-    let b = fingerprint_cons_s ~legacy_poll:true ~seed ~n:7 ~t:3 ~crashes:2 () in
-    same_fingerprint (Printf.sprintf "cons_s seed %d" seed) a b;
-    check "verdict ok" true a.verdict_ok
-  done
+(* The reference engines, as the recorded lines name them. *)
+let poll = "legacy-poll"
+and queue = "legacy-queue"
 
-(* Three-way differential: the arena engine (cond), the legacy re-poll
-   scheduler, and the legacy closure-per-event queue must all produce the
-   same execution.  The queue baseline is only compared under continuous
-   delay distributions (the default Uniform): the arena batches
-   same-instant same-destination deliveries into one event, so discrete
-   distributions (Psync) can legitimately differ in raw event counts
-   while agreeing on everything else. *)
-
-let test_differential_kset_three_way () =
-  for seed = 1 to 10 do
-    let a = fingerprint_kset ~legacy_poll:false ~seed ~n:7 ~t:3 ~z:2 ~crashes:2 () in
-    let b = fingerprint_kset ~legacy_poll:true ~seed ~n:7 ~t:3 ~z:2 ~crashes:2 () in
-    let c = fingerprint_kset ~legacy_queue:true ~legacy_poll:false ~seed ~n:7 ~t:3 ~z:2 ~crashes:2 () in
-    same_fingerprint (Printf.sprintf "kset seed %d cond/poll" seed) a b;
-    same_fingerprint (Printf.sprintf "kset seed %d cond/queue" seed) a c;
-    check "verdict ok" true a.verdict_ok
-  done
-
-let test_differential_cons_s_queue_seeds () =
-  for seed = 1 to 10 do
-    let a = fingerprint_cons_s ~legacy_poll:false ~seed ~n:7 ~t:3 ~crashes:2 () in
-    let c = fingerprint_cons_s ~legacy_queue:true ~legacy_poll:false ~seed ~n:7 ~t:3 ~crashes:2 () in
-    same_fingerprint (Printf.sprintf "cons_s seed %d cond/queue" seed) a c;
-    check "verdict ok" true a.verdict_ok
-  done
+(* Re-run every recorded line of [group] on the arena; fail listing each
+   line whose fingerprint changed, with its new entry.  [agreed] names the
+   reference engines the case compared against: each line must record
+   that all of them agreed on it. *)
+let test_recorded ~agreed group () =
+  let cases =
+    List.filter_map
+      (fun line ->
+        match Json.of_string_exn line with
+        | Json.Obj fields when List.assoc_opt "group" fields = Some (Json.String group) ->
+            Some (line, fields)
+        | _ -> None)
+      (data_lines "engine_fingerprints.jsonl")
+  in
+  check (group ^ " is recorded") true (cases <> []);
+  List.iter
+    (fun (line, fields) ->
+      let engines =
+        match List.assoc_opt "engines" fields with
+        | Some (Json.List l) -> List.filter_map (function Json.String e -> Some e | _ -> None) l
+        | _ -> []
+      in
+      List.iter
+        (fun e -> check (Printf.sprintf "%s: %s agreed" line e) true (List.mem e engines))
+        agreed)
+    cases;
+  let changed =
+    List.filter_map
+      (fun (line, fields) ->
+        let int k = match List.assoc_opt k fields with Some (Json.Int i) -> i | _ -> -1 in
+        let str k = match List.assoc_opt k fields with Some (Json.String s) -> s | _ -> "?" in
+        let seed = int "seed" and crashes = int "crashes" in
+        let loss = Option.join (List.assoc_opt (str "loss") adv_losses) in
+        let computed =
+          match group with
+          | "kset-seeds" | "kset" -> fingerprint_kset ~seed ~z:(int "z") ~crashes ()
+          | "kset-adversarial" ->
+              let delay = List.assoc (str "delay") adv_delays in
+              fingerprint_kset ~delay ?loss ~seed ~z:2 ~crashes:2 ()
+          | _ -> fingerprint_cons_s ~seed ~crashes ()
+        in
+        if loss = None then
+          check (line ^ ": verdict ok") true
+            (List.assoc "verdict_ok" computed = Json.Bool true);
+        let entry =
+          Json.to_string ~minify:true
+            (Json.Obj
+               (List.filter (fun (k, _) -> not (List.mem_assoc k computed)) fields @ computed))
+        in
+        if entry = line then None else Some (Printf.sprintf "%s\n  new entry: %s" line entry))
+      cases
+  in
+  if changed <> [] then
+    Alcotest.failf "%d of %d recorded %s fingerprint(s) changed:\n%s" (List.length changed)
+      (List.length cases) group (String.concat "\n" changed)
 
 (* --- Allocation profile: the steady state promotes nothing --- *)
 
@@ -338,86 +362,6 @@ let test_steady_state_promotes_nothing () =
     "zero promoted words across steady-state events" 0.0
     (g1.Gc.promoted_words -. g0.Gc.promoted_words)
 
-let qcheck_differential_kset =
-  QCheck.Test.make ~name:"random (seed, z, crashes): cond == legacy-poll" ~count:20
-    (QCheck.make
-       ~print:(fun (s, z, c) -> Printf.sprintf "seed=%d z=%d crashes=%d" s z c)
-       QCheck.Gen.(triple (int_range 100 50_000) (int_range 1 3) (int_range 0 3)))
-    (fun (seed, z, crashes) ->
-      let a = fingerprint_kset ~legacy_poll:false ~seed ~n:7 ~t:3 ~z ~crashes () in
-      let b = fingerprint_kset ~legacy_poll:true ~seed ~n:7 ~t:3 ~z ~crashes () in
-      a = b && a.verdict_ok)
-
-(* Adversarial transports: the differential property must also hold when
-   the network itself is hostile — heavy-tailed delays, partial synchrony
-   with a late GST, fair-lossy links.  Loss can leave the run undecided at
-   the horizon (liveness is forfeit without retransmission), so the
-   verdict is only asserted loss-free; the fingerprints must match
-   regardless. *)
-
-let fingerprint_kset_adv ~legacy_poll ~seed ~delay ?loss () =
-  let n = 7 and t = 3 and z = 2 in
-  let sim = Sim.create ~horizon:3000.0 ~legacy_poll ~n ~t ~seed () in
-  let rng = Rng.split_named (Sim.rng sim) "crash" in
-  Sim.install_crashes sim
-    (Crash.generate (Crash.Exactly { crashes = 2; window = (0.0, 30.0) }) ~n ~t rng);
-  let omega, _ = Oracle.omega_z sim ~z ~behavior:(Behavior.stormy ~gst:40.0) () in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let h = Kset.install sim ~omega ~proposals ~delay ?loss () in
-  let o = Sim.run ~stop_when:(fun () -> Kset.all_correct_decided h) sim in
-  let v = Check.k_set_agreement sim ~k:z ~proposals ~decisions:(Kset.decisions h) in
-  {
-    decisions = Kset.decisions h;
-    rounds = Kset.max_round h;
-    reason = o.Sim.reason;
-    events = o.Sim.events;
-    end_time = o.Sim.end_time;
-    verdict_ok = Check.verdict_ok v;
-  }
-
-let adv_delays =
-  [
-    ("exp(1)", Delay.Exponential 1.0);
-    ("psync(gst=30)", Delay.Psync { gst = 30.0; bound = 2.0; pre_spread = 25.0 });
-  ]
-
-let adv_losses = [ ("loss=0", None); ("loss=0.2", Some 0.2) ]
-
-let qcheck_differential_kset_adversarial =
-  QCheck.Test.make
-    ~name:"random (seed, delay, loss): adversarial kset cond == legacy-poll" ~count:16
-    (QCheck.make
-       ~print:(fun (s, d, l) ->
-         Printf.sprintf "seed=%d delay=%s %s" s (fst (List.nth adv_delays d))
-           (fst (List.nth adv_losses l)))
-       QCheck.Gen.(triple (int_range 100 50_000) (int_range 0 1) (int_range 0 1)))
-    (fun (seed, d, l) ->
-      let delay = snd (List.nth adv_delays d) in
-      let loss = snd (List.nth adv_losses l) in
-      let a = fingerprint_kset_adv ~legacy_poll:false ~seed ~delay ?loss () in
-      let b = fingerprint_kset_adv ~legacy_poll:true ~seed ~delay ?loss () in
-      a = b && (loss <> None || a.verdict_ok))
-
-let qcheck_differential_kset_queue =
-  QCheck.Test.make ~name:"random (seed, z, crashes): cond == legacy-queue" ~count:20
-    (QCheck.make
-       ~print:(fun (s, z, c) -> Printf.sprintf "seed=%d z=%d crashes=%d" s z c)
-       QCheck.Gen.(triple (int_range 100 50_000) (int_range 1 3) (int_range 0 3)))
-    (fun (seed, z, crashes) ->
-      let a = fingerprint_kset ~legacy_poll:false ~seed ~n:7 ~t:3 ~z ~crashes () in
-      let c = fingerprint_kset ~legacy_queue:true ~legacy_poll:false ~seed ~n:7 ~t:3 ~z ~crashes () in
-      a = c && a.verdict_ok)
-
-let qcheck_differential_cons_s =
-  QCheck.Test.make ~name:"random (seed, crashes): cons_s cond == legacy-poll" ~count:10
-    (QCheck.make
-       ~print:(fun (s, c) -> Printf.sprintf "seed=%d crashes=%d" s c)
-       QCheck.Gen.(pair (int_range 100 50_000) (int_range 0 3)))
-    (fun (seed, crashes) ->
-      let a = fingerprint_cons_s ~legacy_poll:false ~seed ~n:7 ~t:3 ~crashes () in
-      let b = fingerprint_cons_s ~legacy_poll:true ~seed ~n:7 ~t:3 ~crashes () in
-      a = b && a.verdict_ok)
-
 (* --- Golden fingerprint corpus --- *)
 
 (* [golden_corpus.jsonl] pins one execution per line: the MD5 of the
@@ -433,12 +377,6 @@ let qcheck_differential_cons_s =
    strengthen, impl and reduce/wheels cases were appended after the
    legacy engines had gone, from the arena alone.  A mismatch prints the
    case and its new entry; the file is only ever edited by hand. *)
-
-let corpus_file =
-  (* [dune runtest] runs next to the copied file; [dune exec] from the
-     repository root does not. *)
-  if Sys.file_exists "golden_corpus.jsonl" then "golden_corpus.jsonl"
-  else Filename.concat "test" "golden_corpus.jsonl"
 
 let entry_digest sim =
   let tr = Sim.trace sim in
@@ -493,9 +431,7 @@ let run_corpus_case j =
       (entry_digest r.Protocol.rp_sim, o.Sim.events, o.Sim.end_time)
 
 let test_golden_corpus () =
-  let ic = open_in_bin corpus_file in
-  let cases = List.filter (( <> ) "") (String.split_on_char '\n' (In_channel.input_all ic)) in
-  close_in ic;
+  let cases = data_lines "golden_corpus.jsonl" in
   check "corpus is not empty" true (cases <> []);
   let covered =
     List.filter_map
@@ -568,12 +504,14 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "kset across seeds" `Quick test_differential_kset_seeds;
-          Alcotest.test_case "cons_s across seeds" `Quick test_differential_cons_s_seeds;
+          Alcotest.test_case "kset across seeds" `Quick
+            (test_recorded ~agreed:[ poll ] "kset-seeds");
+          Alcotest.test_case "cons_s across seeds" `Quick
+            (test_recorded ~agreed:[ poll ] "cons_s-seeds");
           Alcotest.test_case "kset three-way (arena/poll/queue)" `Quick
-            test_differential_kset_three_way;
+            (test_recorded ~agreed:[ poll; queue ] "kset-seeds");
           Alcotest.test_case "cons_s cond == legacy-queue" `Quick
-            test_differential_cons_s_queue_seeds;
+            (test_recorded ~agreed:[ queue ] "cons_s-seeds");
         ] );
       ( "corpus",
         [ Alcotest.test_case "arena matches golden corpus" `Quick test_golden_corpus ] );
@@ -582,13 +520,14 @@ let () =
           Alcotest.test_case "steady state promotes nothing" `Quick
             test_steady_state_promotes_nothing;
         ] );
+      (* The differential properties' draws, widened, as recorded. *)
       ( "properties",
-        List.map
-          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |]))
-          [
-            qcheck_differential_kset;
-            qcheck_differential_kset_queue;
-            qcheck_differential_kset_adversarial;
-            qcheck_differential_cons_s;
-          ] );
+        [
+          Alcotest.test_case "random (seed, z, crashes): cond == legacy-poll == legacy-queue, recorded"
+            `Quick (test_recorded ~agreed:[ poll; queue ] "kset");
+          Alcotest.test_case "random (seed, delay, loss): adversarial kset cond == legacy-poll, recorded"
+            `Quick (test_recorded ~agreed:[ poll ] "kset-adversarial");
+          Alcotest.test_case "random (seed, crashes): cons_s cond == legacy-poll == legacy-queue, recorded"
+            `Quick (test_recorded ~agreed:[ poll; queue ] "cons_s");
+        ] );
     ]
